@@ -228,12 +228,17 @@ def _batch_sym(X: np.ndarray) -> np.ndarray:
     return (X + np.swapaxes(X, -1, -2)) / 2.0
 
 
-def _gated_update_batch(Sig: np.ndarray, C: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Joseph-form posterior covariances for a batch of priors (P, n, n).
+def gated_posterior(Sig: np.ndarray, C: np.ndarray, V: np.ndarray):
+    """Gains and Joseph-form posterior covariances for a batch of priors (P, n, n).
 
     Uses a pseudo-inverse of the innovation covariance so that exact
     observation (zero noise, possibly singular prior) degrades gracefully to
-    the projection update instead of failing.
+    the projection update instead of failing. Each batch entry is computed
+    independently of the others, so a covariance comes out bit for bit the
+    same whichever batch it is computed in.
+
+    Returns:
+        (gain, posterior) with shapes (P, n, m) and (P, n, n).
     """
     n = Sig.shape[-1]
     S = _batch_sym(np.matmul(np.matmul(C, Sig), C.T) + V)
@@ -242,7 +247,34 @@ def _gated_update_batch(Sig: np.ndarray, C: np.ndarray, V: np.ndarray) -> np.nda
     IKC = np.eye(n) - np.matmul(gain, C)
     post = np.matmul(np.matmul(IKC, Sig), np.swapaxes(IKC, -1, -2))
     post = post + np.matmul(np.matmul(gain, V), np.swapaxes(gain, -1, -2))
-    return _batch_sym(post)
+    return gain, _batch_sym(post)
+
+
+def predict_covariances(Sig: np.ndarray, Phi: np.ndarray, Xi: np.ndarray) -> np.ndarray:
+    """Batched time update Phi Sig Phi^T + Xi of covariances (P, n, n)."""
+    return _batch_sym(np.matmul(np.matmul(Phi, Sig), Phi.T) + Xi)
+
+
+def advance_histories(ids: np.ndarray, served: np.ndarray, n_nodes: int):
+    """Append one ON/OFF outcome to each sampled history and renumber them.
+
+    The filter covariances depend on a replication's ON/OFF history alone,
+    so replications sharing a history share one covariance node. Each
+    replication's history id in [0, n_nodes) is extended by its update bit
+    (key = 2 id + bit) and the distinct keys are renumbered in increasing
+    order: O(R), no sort.
+
+    Returns:
+        (new_ids, parents, updated): new_ids per replication; for each
+        distinct child node, the parent node it extends and whether it
+        extends it by an update.
+    """
+    key = 2 * ids + served
+    present = np.zeros(2 * n_nodes, dtype=bool)
+    present[key] = True
+    children = np.flatnonzero(present)
+    remap = np.cumsum(present) - 1
+    return remap[key], children // 2, (children % 2).astype(bool)
 
 
 def _batch_traces(Sig: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -293,82 +325,74 @@ def _delayed_weights(model: LinearSystemModel, schedule) -> list:
     return out
 
 
-def _penalty_perfect_terms(model, p, schedule, cfg):
-    N, n = model.N, model.state_dim
-    Lam = schedule.Lambda
+def _penalty_sweep(Sig0, steps, p, cfg):
+    """Conditional penalty terms over a sequence of update epochs.
+
+    Sig0 is the prior covariance at the first epoch; steps holds, per epoch,
+    (C, V, weight, Phi, Xi): the measurement channel, the trace weight, and
+    the time update Phi Sig Phi^T + Xi to the next epoch. Monte Carlo
+    computes the covariances once per distinct sampled history and gathers
+    each replication's trace by its history id.
+
+    Returns:
+        (per, total, standard_error) with one conditional term per epoch.
+    """
     exact = cfg["method"] == "exact-enumeration"
+    Sig = Sig0[None].copy()
     if exact:
-        Sig = model.W[0][None].copy()
         probs = np.array([1.0])
     else:
         R = int(cfg["replications"])
         rng = np.random.default_rng(int(cfg["seed"]))
-        draws = rng.random((R, N))
-        Sig = np.broadcast_to(model.W[0], (R, n, n)).copy()
-        samples = np.zeros((R, N))
-    per = np.zeros(N)
-    for k in range(1, N):
-        post = _gated_update_batch(Sig, model.C[k], model.V_noise[k])
-        traces = _batch_traces(post, Lam[k])
+        draws = rng.random((R, len(steps) + 1))
+        ids = np.zeros(R, dtype=np.intp)
+        samples = np.zeros((R, len(steps)))
+    per = np.zeros(len(steps))
+    for i, (C, V, weight, Phi, Xi) in enumerate(steps):
+        post = gated_posterior(Sig, C, V)[1]  # holding no gains keeps the peak down
+        traces = _batch_traces(post, weight)
         if exact:
-            per[k] = float(probs @ traces)
+            per[i] = float(probs @ traces)
             children, probs = _branch(post, Sig, probs, p)
         else:
-            samples[:, k] = traces
-            on = draws[:, k] < p
-            children = np.where(on[:, None, None], post, Sig)
-        if k < N - 1:
-            A = model.A[k]
-            Sig = _batch_sym(np.matmul(np.matmul(A, children), A.T) + model.W[k])
+            samples[:, i] = traces[ids]
+            ids, parents, updated = advance_histories(ids, draws[:, i + 1] < p, len(Sig))
+            children = np.where(updated[:, None, None], post[parents], Sig[parents])
+        if i < len(steps) - 1:
+            Sig = predict_covariances(children, Phi, Xi)
     if exact:
-        return per, p * float(per[1:].sum()), 0.0
-    per = samples.mean(axis=0)
-    per[0] = 0.0
-    totals = p * samples[:, 1:].sum(axis=1)
+        return per, p * float(per.sum()), 0.0
+    totals = p * samples.sum(axis=1)
     se = float(totals.std(ddof=1) / np.sqrt(len(totals)))
-    return per, float(totals.mean()), se
+    return samples.mean(axis=0), float(totals.mean()), se
+
+
+def _penalty_perfect_terms(model, p, schedule, cfg):
+    steps = [
+        (model.C[k], model.V_noise[k], schedule.Lambda[k], model.A[k], model.W[k])
+        for k in range(1, model.N)
+    ]
+    per, total, se = _penalty_sweep(model.W[0], steps, p, cfg)
+    return np.concatenate([[0.0], per]), total, se
 
 
 def _penalty_delayed_terms(model, p, schedule, cfg):
     delay = schedule.delay.bound_to(model.N)
     M, c = delay.M, delay.c
-    n = model.state_dim
     stages = [k * M for k in range(1, c)]
     if c <= 1:
         return np.zeros(0), 0.0, 0.0, stages
     weights = _delayed_weights(model, schedule)
-    Phi = [transition_product(model, (j + 1) * M, j * M) for j in range(c)]
-    Xi = [window_noise(model, j * M, (j + 1) * M) for j in range(c)]
-    exact = cfg["method"] == "exact-enumeration"
-    if exact:
-        Sig = Xi[0][None].copy()
-        probs = np.array([1.0])
-    else:
-        R = int(cfg["replications"])
-        rng = np.random.default_rng(int(cfg["seed"]))
-        draws = rng.random((R, c))
-        Sig = np.broadcast_to(Xi[0], (R, n, n)).copy()
-        samples = np.zeros((R, c - 1))
-    per = np.zeros(c - 1)
-    for k in range(1, c):
-        t = k * M
-        post = _gated_update_batch(Sig, model.C[t], model.V_noise[t])
-        traces = _batch_traces(post, weights[k - 1])
-        if exact:
-            per[k - 1] = float(probs @ traces)
-            children, probs = _branch(post, Sig, probs, p)
-        else:
-            samples[:, k - 1] = traces
-            on = draws[:, k] < p
-            children = np.where(on[:, None, None], post, Sig)
-        if k < c - 1:
-            Sig = _batch_sym(np.matmul(np.matmul(Phi[k], children), Phi[k].T) + Xi[k])
-    if exact:
-        return per, p * float(per.sum()), 0.0, stages
-    per = samples.mean(axis=0)
-    totals = p * samples.sum(axis=1)
-    se = float(totals.std(ddof=1) / np.sqrt(len(totals)))
-    return per, float(totals.mean()), se, stages
+    steps = [
+        (
+            model.C[k * M], model.V_noise[k * M], weights[k - 1],
+            transition_product(model, (k + 1) * M, k * M),
+            window_noise(model, k * M, (k + 1) * M),
+        )
+        for k in range(1, c)
+    ]
+    per, total, se = _penalty_sweep(window_noise(model, 0, M), steps, p, cfg)
+    return per, total, se, stages
 
 
 def expected_estimation_penalty(

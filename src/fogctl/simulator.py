@@ -10,6 +10,19 @@ substreams (disturbance, measurement noise, chain) spawn from the master
 seed, and every run draws the same fixed count of variates regardless of
 regime, so runs with the same seed share noise realizations (common random
 numbers across regime or parameter comparisons).
+
+Under partial observation the intermittent Kalman filter's error covariance
+and gain depend on the replication's ON/OFF history alone (the service-gate
+history in the delayed regimes), never on the noise. Each replication
+therefore carries a history id, and the covariances are computed once per
+distinct sampled history node instead of once per replication; each
+replication gathers its node's gain for the mean update. Every node runs the
+same per-matrix arithmetic the replication would have run on its own, so the
+results are bit for bit those of a per-replication filter.
+
+A stage whose running cost total is not finite (an unstable or badly scaled
+plant) raises ModelValidationError naming that stage; no NaN or infinite
+mean is ever returned.
 """
 
 from __future__ import annotations
@@ -20,7 +33,13 @@ from typing import Optional
 
 import numpy as np
 
-from .estimation import transition_product, window_noise
+from .estimation import (
+    advance_histories,
+    gated_posterior,
+    predict_covariances,
+    transition_product,
+    window_noise,
+)
 from .model import (
     DelayProfile,
     LinearSystemModel,
@@ -209,26 +228,35 @@ def sample_tau(chain: ReliabilityChain, chain_u: np.ndarray) -> np.ndarray:
     return tau
 
 
-def _batch_sym(X: np.ndarray) -> np.ndarray:
-    return (X + np.swapaxes(X, -1, -2)) / 2.0
-
-
 def _quad_rows(x: np.ndarray, Qmat: np.ndarray) -> np.ndarray:
     return np.einsum("ri,ij,rj->r", x, Qmat, x)
 
 
-def _filter_update_rows(xh, Sg, z, C, V):
-    """Batched Joseph-form measurement update (means and covariances)."""
-    n = Sg.shape[-1]
-    S = _batch_sym(np.matmul(np.matmul(C, Sg), C.T) + V)
-    Sinv = np.linalg.pinv(S, hermitian=True)
-    gain = np.matmul(np.matmul(Sg, C.T), Sinv)
-    innov = z - xh @ C.T
-    xh2 = xh + np.einsum("pnm,pm->pn", gain, innov)
-    IKC = np.eye(n) - np.matmul(gain, C)
-    Sg2 = np.matmul(np.matmul(IKC, Sg), np.swapaxes(IKC, -1, -2))
-    Sg2 = Sg2 + np.matmul(np.matmul(gain, V), np.swapaxes(gain, -1, -2))
-    return xh2, _batch_sym(Sg2)
+def _filter_update(ids, Sg, xh, gate, z, C, V):
+    """Measurement update of the gated rows, covariances per history node.
+
+    ids maps each replication to its covariance node in Sg. Posteriors are
+    computed once per node that takes an update; each gated row then
+    gathers its node's gain for the mean update. Returns the new (ids, Sg);
+    xh is updated in place.
+    """
+    ids, parents, updated = advance_histories(ids, gate, len(Sg))
+    Sg = Sg[parents]
+    if updated.any():
+        gain, post = gated_posterior(Sg[updated], C, V)
+        Sg[updated] = post
+        row_gain = gain[np.cumsum(updated)[ids[gate]] - 1]
+        xg = xh[gate]
+        xh[gate] = xg + np.einsum("pnm,pm->pn", row_gain, z[gate] - xg @ C.T)
+    return ids, Sg
+
+
+def _check_finite(totals: np.ndarray, k: int) -> None:
+    if not np.isfinite(totals).all():
+        raise ModelValidationError(
+            [f"non-finite simulated cost at stage {k}: the plant is unstable "
+             "or badly scaled for this horizon"]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -317,24 +345,21 @@ def _run_perfect(model, ctrl_model, regime, tau, w_eps, v_eps, x0, record):
         Z = np.empty((R, N, m)) if partial else None
     if partial:
         xh = np.broadcast_to(x0, (R, n)).copy()
-        Sg = np.zeros((R, n, n))
+        ids = np.zeros(R, dtype=np.intp)  # history node of each replication
+        Sg = np.zeros((1, n, n))          # prior covariance per history node
 
     for k in range(N):
         on = tau[:, k] == 1
         u = np.zeros((R, s))
         if partial:
             z = x @ model.C[k].T + v_eps[:, k] @ Lv[k].T
-            if on.any():
-                xh_on, Sg_on = _filter_update_rows(
-                    xh[on], Sg[on], z[on], model.C[k], model.V_noise[k]
-                )
-                xh[on] = xh_on
-                Sg[on] = Sg_on
+            ids, Sg = _filter_update(ids, Sg, xh, on, z, model.C[k], model.V_noise[k])
             u[on] = -(xh[on] @ gains.V[k].T)
         else:
             u[on] = -(x[on] @ gains.V[k].T)
         g = _quad_rows(x, model.Q[k]) + _quad_rows(u, model.R[k])
         totals += g
+        _check_finite(totals, k)
         if record:
             X[:, k] = x
             U[:, k] = u
@@ -345,11 +370,11 @@ def _run_perfect(model, ctrl_model, regime, tau, w_eps, v_eps, x0, record):
         x = x @ model.A[k].T + u @ model.B[k].T + (model.drift_at(k) + w_eps[:, k] @ Lw[k].T)
         if partial:
             xh = xh @ model.A[k].T + u @ model.B[k].T + ctrl_model.drift_at(k)
-            A = model.A[k]
-            Sg = _batch_sym(np.matmul(np.matmul(A, Sg), A.T) + model.W[k])
+            Sg = predict_covariances(Sg, model.A[k], model.W[k])
 
     g_term = _quad_rows(x, model.Q[N])
     totals = totals + g_term
+    _check_finite(totals, N)
     out = {"totals": totals}
     if record:
         X[:, N] = x
@@ -392,7 +417,8 @@ def _run_delayed(model, ctrl_model, regime, tau, w_eps, v_eps, x0, record):
     applied_at = {}  # arrival stage -> control actually applied there
     if partial:
         xh_b = np.broadcast_to(x0, (R, n)).copy()   # boundary estimate
-        Sg_b = np.zeros((R, n, n))
+        ids = np.zeros(R, dtype=np.intp)            # gate-history node per replication
+        Sg_b = np.zeros((1, n, n))                  # boundary covariance per node
 
     def control_at_boundary(t):
         if t == 0:
@@ -422,14 +448,10 @@ def _run_delayed(model, ctrl_model, regime, tau, w_eps, v_eps, x0, record):
                     xh_b = _propagate_mean_rows(ctrl_model, xh_b, u_prev, (j - 1) * M, t0)
                     Phi_w = transition_product(model, t0, (j - 1) * M)
                     Xi_w = window_noise(model, (j - 1) * M, t0)
-                    Sg_b = _batch_sym(np.matmul(np.matmul(Phi_w, Sg_b), Phi_w.T) + Xi_w)
-                    if gate.any():
-                        xh_on, Sg_on = _filter_update_rows(
-                            xh_b[gate], Sg_b[gate], saved[j][gate],
-                            model.C[t0], model.V_noise[t0],
-                        )
-                        xh_b[gate] = xh_on
-                        Sg_b[gate] = Sg_on
+                    Sg_b = predict_covariances(Sg_b, Phi_w, Xi_w)
+                    ids, Sg_b = _filter_update(
+                        ids, Sg_b, xh_b, gate, saved[j], model.C[t0], model.V_noise[t0]
+                    )
                 if record:
                     XH[:, t0] = xh_b
                 mean = _propagate_mean_rows(ctrl_model, xh_b, u_win, t0, t1)
@@ -445,6 +467,7 @@ def _run_delayed(model, ctrl_model, regime, tau, w_eps, v_eps, x0, record):
             applied_at[k] = u
         g = _quad_rows(x, model.Q[k]) + _quad_rows(u, model.R[k])
         totals += g
+        _check_finite(totals, k)
         if record:
             X[:, k] = x
             U[:, k] = u
@@ -453,6 +476,7 @@ def _run_delayed(model, ctrl_model, regime, tau, w_eps, v_eps, x0, record):
 
     g_term = _quad_rows(x, model.Q[N])
     totals = totals + g_term
+    _check_finite(totals, N)
     out = {"totals": totals}
     if record:
         X[:, N] = x

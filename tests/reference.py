@@ -121,3 +121,98 @@ def scalar_fixture(N=1):
     """The canonical all-ones scalar plant and its unit initial state."""
     model = fc.make_system(A=1.0, B=1.0, Q=1.0, R=1.0, W=1.0, N=N)
     return model, np.array([1.0])
+
+
+def _sym_sqrt(X):
+    """Symmetric PSD square root via an eigendecomposition."""
+    X = (np.asarray(X, float) + np.asarray(X, float).T) / 2.0
+    w, U = np.linalg.eigh(X)
+    return U @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ U.T
+
+
+def _tau_row(chain, u):
+    """One ON/OFF path from its row of chain uniforms."""
+    if isinstance(chain.tau0, tuple):
+        tau = [int(u[0] < chain.tau0[1])]
+    else:
+        tau = [int(chain.tau0)]
+    for k in range(1, len(u)):
+        tau.append(int(u[k] < (chain.p if tau[-1] == 1 else 1.0 - chain.q)))
+    return tau
+
+
+def _kalman_update(xh, P, z, C, V):
+    """Textbook measurement update with a dense inverse."""
+    K = P @ C.T @ np.linalg.inv(C @ P @ C.T + V)
+    P = (np.eye(len(xh)) - K @ C) @ P
+    return xh + K @ (z - C @ xh), (P + P.T) / 2.0
+
+
+def reference_partial_totals(model, chain, delay, V, x0, replications, seed):
+    """Per-replication cost totals of the partial-observation loop.
+
+    One replication at a time, with a plain Kalman filter and the delayed
+    service protocol spelled out per stage: the measurement taken at each
+    epoch boundary jM is served at stage jM + M_F if the endpoint is ON,
+    the estimate is advanced to the boundary and updated, and the control
+    predicted for the next boundary arrives there (zero if the gate was
+    OFF). With no delay the update and control act at the same stage. V are
+    the feedback gains; the draws are those of `fogctl.noise_streams`, so
+    the totals match the simulator's replication by replication. Drift-free
+    models with noisy measurements only.
+    """
+    if model.drift is not None:
+        raise ValueError("reference loop covers drift-free models only")
+    N, n, m, s = model.N, model.state_dim, model.obs_dim, model.control_dim
+    A, B, C = model.A, model.B, model.C
+    w_eps, v_eps, chain_u = fc.noise_streams(seed, replications, N, n, m)
+    Lw = [_sym_sqrt(model.W[k]) for k in range(N)]
+    Lv = [_sym_sqrt(model.V_noise[k]) for k in range(N)]
+    M = 0 if delay is None else delay.M
+    if M:
+        bound = delay.bound_to(N)
+        services = {j * M + delay.M_F: j for j in range(bound.c)}
+        n_epochs = bound.c
+    totals = np.zeros(replications)
+    for r in range(replications):
+        tau = _tau_row(chain, chain_u[r])
+        x = np.array(x0, dtype=float)
+        xh, P = x.copy(), np.zeros((n, n))
+        z_saved, arrivals = {}, {}
+        total = 0.0
+        for k in range(N):
+            z = C[k] @ x + Lv[k] @ v_eps[r, k]
+            u = np.zeros(s)
+            if not M:
+                if tau[k]:
+                    xh, P = _kalman_update(xh, P, z, C[k], model.V_noise[k])
+                    u = -V[k] @ xh
+            else:
+                if k % M == 0 and k // M < n_epochs:
+                    z_saved[k // M] = z
+                if k in services:
+                    j = services[k]
+                    t0 = j * M
+                    if j >= 1:
+                        prev = t0 - M
+                        xh = A[prev] @ xh + B[prev] @ arrivals.get(prev, np.zeros(s))
+                        P = A[prev] @ P @ A[prev].T + model.W[prev]
+                        for t in range(prev + 1, t0):
+                            xh = A[t] @ xh
+                            P = A[t] @ P @ A[t].T + model.W[t]
+                        if tau[k]:
+                            xh, P = _kalman_update(
+                                xh, P, z_saved[j], C[t0], model.V_noise[t0]
+                            )
+                    mean = A[t0] @ xh + B[t0] @ arrivals.get(t0, np.zeros(s))
+                    for t in range(t0 + 1, t0 + M):
+                        mean = A[t] @ mean
+                    arrivals[t0 + M] = -V[t0 + M] @ mean if tau[k] else np.zeros(s)
+                u = arrivals.get(k, np.zeros(s))
+            total += x @ model.Q[k] @ x + u @ model.R[k] @ u
+            x = A[k] @ x + B[k] @ u + Lw[k] @ w_eps[r, k]
+            if not M:
+                xh = A[k] @ xh + B[k] @ u
+                P = A[k] @ P @ A[k].T + model.W[k]
+        totals[r] = total + x @ model.Q[N] @ x
+    return totals

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fogctl as fc
+from fogctl.estimation import gated_posterior, predict_covariances
 
 from reference import random_model
 
@@ -271,3 +272,69 @@ class TestDelayedPenalty:
         sched = fc.backward_recursion_delayed(model, 0.7, delay)
         pen = fc.expected_estimation_penalty(model, 0.7, sched, "partial-delayed")
         assert pen.total == pytest.approx(0.0, abs=1e-12)
+
+
+class TestMonteCarloPenaltyRows:
+    """Monte Carlo penalties equal a replication-by-replication computation.
+
+    The production path computes covariances once per distinct sampled
+    ON/OFF history; here every replication carries its own covariance. The
+    per-matrix arithmetic is the same helpers on batches of one, so the
+    values must agree exactly.
+    """
+
+    @staticmethod
+    def per_row(prior, epochs, p, R, seed):
+        draws = np.random.default_rng(seed).random((R, len(epochs) + 1))
+        samples = np.zeros((R, len(epochs)))
+        for r in range(R):
+            Sig = prior[None]
+            for i, (C, V, weight, Phi, Xi) in enumerate(epochs):
+                _, post = gated_posterior(Sig, C, V)
+                samples[r, i] = np.einsum("pij,ji->p", post, weight)[0]
+                Sig = predict_covariances(post if draws[r, i + 1] < p else Sig, Phi, Xi)
+        totals = p * samples.sum(axis=1)
+        return samples.mean(axis=0), totals.mean(), totals.std(ddof=1) / np.sqrt(R)
+
+    def test_perfect(self, rng):
+        model, _ = random_model(rng, n_max=3, N_low=8, N_high=8, partial=True)
+        p, R, seed = 0.7, 300, 5
+        sched = fc.backward_recursion_perfect(model, p).with_regime("partial-perfect")
+        pen = fc.expected_estimation_penalty(
+            model, p, sched, "partial-perfect",
+            config={"method": "monte-carlo", "replications": R, "seed": seed},
+        )
+        epochs = [
+            (model.C[k], model.V_noise[k], sched.Lambda[k], model.A[k], model.W[k])
+            for k in range(1, model.N)
+        ]
+        per, total, se = self.per_row(model.W[0], epochs, p, R, seed)
+        assert pen.per_stage == (0.0,) + tuple(per)
+        assert pen.total == total
+        assert pen.standard_error == se
+
+    def test_delayed(self, rng):
+        model, _ = random_model(rng, n_max=3, N_low=12, N_high=12, partial=True)
+        p, R, seed = 0.6, 300, 9
+        delay = fc.DelayProfile(M_F=1, M_B=1)
+        sched = fc.backward_recursion_delayed(model, p, delay).with_regime("partial-delayed")
+        pen = fc.expected_estimation_penalty(
+            model, p, sched, "partial-delayed",
+            config={"method": "monte-carlo", "replications": R, "seed": seed},
+        )
+        M, c = delay.M, delay.bound_to(model.N).c
+        epochs = []
+        for k in range(1, c):
+            A = model.A[k * M]
+            weight = A.T @ sched.P[k * M + 1] @ A
+            weight = (weight + weight.T) / 2.0
+            epochs.append((
+                model.C[k * M], model.V_noise[k * M], weight,
+                fc.transition_product(model, (k + 1) * M, k * M),
+                fc.window_noise(model, k * M, (k + 1) * M),
+            ))
+        per, total, se = self.per_row(fc.window_noise(model, 0, M), epochs, p, R, seed)
+        assert len(pen.per_stage) == c - 1 >= 4
+        assert pen.per_stage == tuple(per)
+        assert pen.total == total
+        assert pen.standard_error == se

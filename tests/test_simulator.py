@@ -7,7 +7,13 @@ import pytest
 
 import fogctl as fc
 
-from reference import closed_form_cost, make_regime, random_model, scalar_fixture
+from reference import (
+    closed_form_cost,
+    make_regime,
+    random_model,
+    reference_partial_totals,
+    scalar_fixture,
+)
 
 
 def run_simple(model, p, delay, x0, reps=2000, seed=0, observation="full", record=False):
@@ -142,6 +148,50 @@ class TestRunBasics:
             fc.run(model, chain, None, regime_p, cfg, x0=x0)
         with pytest.raises(fc.ModelValidationError, match="x0 shape"):
             fc.run(model, chain, None, make_regime(model, 0.5, None), cfg, x0=np.zeros(2))
+
+
+class TestPartialObservationLoop:
+    @pytest.mark.parametrize("p", [0.5, 0.9])
+    @pytest.mark.parametrize("delay", [None, (1, 1), (2, 1)])
+    def test_matches_per_replication_reference(self, rng, p, delay):
+        # p = 0.9 leaves many replications on shared ON/OFF histories,
+        # p = 0.5 makes most of them distinct
+        model, x0 = random_model(rng, N_low=10, N_high=10, partial=True)
+        delay = None if delay is None else fc.DelayProfile(M_F=delay[0], M_B=delay[1])
+        regime = make_regime(model, p, delay, observation="partial")
+        chain = fc.symmetric_chain(p)
+        cfg = fc.SimulationConfig(replications=64, master_seed=17, record_traces=True)
+        out = fc.run(model, chain, delay, regime, cfg, x0=x0)
+        want = reference_partial_totals(model, chain, delay, regime.gains.V, x0, 64, 17)
+        assert np.allclose(out["traces"].totals, want, rtol=1e-10, atol=0.0)
+
+    def test_exact_observation_matches_full_observation(self, rng):
+        # random_model's default channel is C = I, V_noise = 0: the
+        # pseudo-inverse update projects the estimate onto the measured
+        # state (and leaves the known x0 alone at stage 0, where the prior
+        # covariance is zero)
+        model, x0 = random_model(rng, n_max=3, N_low=8, N_high=8)
+        assert np.all(model.V_noise[0] == 0.0)
+        full = run_simple(model, 0.7, None, x0, reps=500, seed=4, record=True)
+        part = run_simple(
+            model, 0.7, None, x0, reps=500, seed=4, observation="partial", record=True
+        )
+        assert np.allclose(part["traces"].totals, full["traces"].totals, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("observation", ["full", "partial"])
+    @pytest.mark.parametrize("delay", [None, (1, 1)])
+    def test_non_finite_cost_rejected(self, observation, delay):
+        # gains designed for a benign plant, run on an explosive one: the
+        # state overflows at stage 1
+        design = fc.make_system(A=1.0, B=1.0, Q=1.0, R=1.0, W=1.0, V_noise=1.0, N=4)
+        plant = fc.make_system(A=1e200, B=1.0, Q=1.0, R=1.0, W=1.0, V_noise=1.0, N=4)
+        delay = None if delay is None else fc.DelayProfile(M_F=delay[0], M_B=delay[1])
+        regime = make_regime(design, 0.8, delay, observation=observation)
+        cfg = fc.SimulationConfig(replications=8, master_seed=1)
+        with np.errstate(all="ignore"), pytest.raises(
+            fc.ModelValidationError, match="non-finite simulated cost at stage 1"
+        ):
+            fc.run(plant, fc.symmetric_chain(0.8), delay, regime, cfg, x0=np.ones(1))
 
 
 class TestDelayedLoopStructure:
