@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .model import (
     LinearSystemModel,
@@ -149,12 +148,12 @@ def kalman_update(state: FilterState, model: LinearSystemModel, z: np.ndarray) -
         )
     S = symmetrize(C @ state.Sigma @ C.T + V)
     try:
-        factor = cho_factor(S)
+        np.linalg.cholesky(S)  # definiteness test
     except np.linalg.LinAlgError as e:
         raise ModelValidationError(
             ["innovation covariance singular; add measurement noise or use the exact-observation shortcut"]
         ) from e
-    gain = cho_solve(factor, C @ state.Sigma).T
+    gain = np.linalg.solve(S, C @ state.Sigma).T
     x = state.x_hat + gain @ (z - C @ state.x_hat)
     IKC = np.eye(model.state_dim) - gain @ C
     Sigma = symmetrize(IKC @ state.Sigma @ IKC.T + gain @ V @ gain.T)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .estimation import expected_estimation_penalty
 from .model import (
@@ -106,8 +105,8 @@ def _dp_perfect(model, chain, x0, tau0) -> float:
             if t == 1:
                 S = symmetrize(R + B.T @ Gbar @ B)
                 BGA = B.T @ Gbar @ A
-                cf = cho_factor(S, lower=True)
-                Gk = Q + A.T @ Gbar @ A - BGA.T @ cho_solve(cf, BGA)
+                np.linalg.cholesky(S)  # raises unless positive definite
+                Gk = Q + A.T @ Gbar @ A - BGA.T @ np.linalg.solve(S, BGA)
             else:
                 Gk = Q + A.T @ Gbar @ A
             newG[t] = symmetrize(Gk)
@@ -174,8 +173,8 @@ def _dp_delayed(model, chain, delay, x0, tau0) -> float:
             Hxd = Hbar[:n, n:]
             Hdd = symmetrize(Hbar[n:, n:])
             if gate == 1:
-                cf = cho_factor(Hdd, lower=True)
-                Hred = Hxx - Hxd @ cho_solve(cf, Hxd.T)
+                np.linalg.cholesky(Hdd)  # raises unless positive definite
+                Hred = Hxx - Hxd @ np.linalg.solve(Hdd, Hxd.T)
             else:
                 Hred = Hxx
             newH[gate] = symmetrize(E_j + G_end.T @ Hred @ G_end)

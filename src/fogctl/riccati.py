@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .model import (
     CostBreakdown,
@@ -117,12 +116,12 @@ def _stage_gains(model: LinearSystemModel, k: int, K_next: np.ndarray):
     KB = K_next @ B
     S = symmetrize(model.R[k] + B.T @ KB)
     try:
-        factor = cho_factor(S)
+        np.linalg.cholesky(S)  # definiteness test
     except np.linalg.LinAlgError as e:  # unreachable when R is PD; defensive
         raise ModelValidationError(
             [f"gain solve failed at k={k}: control-weighted value matrix not positive definite"]
         ) from e
-    V = cho_solve(factor, KB.T @ A)
+    V = np.linalg.solve(S, KB.T @ A)
     L = symmetrize(model.Q[k] + A.T @ K_next @ A)
     Lam = symmetrize(A.T @ KB @ V)
     return V, L, Lam

@@ -5,11 +5,25 @@ the controller after the forward delay, the availability chain is sampled on
 the controller clock, and a generated control reaches the plant after the
 backward delay. With zero delay this collapses into a single stage.
 
-All replications run in lock step on vectorized arrays. Three independent
-substreams (disturbance, measurement noise, chain) spawn from the master
-seed, and every run draws the same fixed count of variates regardless of
-regime, so runs with the same seed share noise realizations (common random
-numbers across regime or parameter comparisons).
+Replications run in blocks of consecutive replications, each block in lock
+step on vectorized arrays. Three independent substreams (disturbance,
+measurement noise, chain) spawn from the master seed, and every run draws
+the same fixed count of variates regardless of regime, so runs with the same
+seed share noise realizations (common random numbers across regime or
+parameter comparisons).
+
+A block holds max(2, CHUNK_BYTES // (8 N (n + m + 1))) replications, so its
+draws (N (n + m + 1) doubles per replication) take at most CHUNK_BYTES and
+the working memory of a run does not grow with R; only the totals, and the
+traces when recorded, are kept for all R replications. Each block takes its
+draws in order from the three substreams, and a numpy generator yields the
+same sequence whether it is drawn in one call or in consecutive pieces, so
+the draws are exactly those of `noise_streams` for all R at once. Every row
+of a block runs the arithmetic it would run in any other block: a one-row
+remainder is folded into the block before it, because a one-row matrix
+product takes BLAS's matrix-vector path, which rounds differently. Per
+replication, totals and traces are bit for bit independent of the blocking,
+and mean and standard error are taken once over all R totals.
 
 Under partial observation the intermittent Kalman filter's error covariance
 and gain depend on the replication's ON/OFF history alone (the service-gate
@@ -21,13 +35,12 @@ same per-matrix arithmetic the replication would have run on its own, so the
 results are bit for bit those of a per-replication filter.
 
 A stage whose running cost total is not finite (an unstable or badly scaled
-plant) raises ModelValidationError naming that stage; no NaN or infinite
-mean is ever returned.
+plant) raises ModelValidationError naming the earliest such stage over all
+replications; no NaN or infinite mean is ever returned.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,6 +64,7 @@ from .policy import ControllerRegime
 
 NOISE_FAMILIES = ("gaussian",)
 ESTIMATION_MODES = ("kalman",)
+CHUNK_BYTES = 16 * 2**20  # draws held per replication block (module docstring)
 
 
 @dataclass(frozen=True)
@@ -166,28 +180,24 @@ class SimulationBatch:
         if with_xhat:
             header += [f"xhat{i}" for i in range(n)]
         header.append("cost_stage")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
         N = self.N
+        x, u, tau, cost = (a.tolist() for a in (self.x, self.u, self.tau, self.stage_cost))
+        no_xhat = [""] * n if with_xhat else []
+        if with_xhat:
+            x_hat = self.x_hat.tolist()
+            held = (~np.isnan(self.x_hat).any(axis=2)).tolist()
+        lines = [",".join(header)]
         for r in range(self.replications):
             for k in range(N):
-                row = [r, k, int(self.tau[r, k])]
-                row += [repr(float(v)) for v in self.x[r, k]]
-                row += [repr(float(v)) for v in self.u[r, k]]
+                row = [str(r), str(k), str(tau[r][k]), *map(repr, x[r][k]), *map(repr, u[r][k])]
                 if with_xhat:
-                    if np.isnan(self.x_hat[r, k]).any():
-                        row += [""] * n
-                    else:
-                        row += [repr(float(v)) for v in self.x_hat[r, k]]
-                row.append(repr(float(self.stage_cost[r, k])))
-                writer.writerow(row)
-            row = [r, N, ""]
-            row += [repr(float(v)) for v in self.x[r, N]]
-            row += [""] * s
-            if with_xhat:
-                row += [""] * n
-            row.append(repr(float(self.stage_cost[r, N])))
-            writer.writerow(row)
+                    row += map(repr, x_hat[r][k]) if held[r][k] else no_xhat
+                row.append(repr(cost[r][k]))
+                lines.append(",".join(row))
+            row = [str(r), str(N), "", *map(repr, x[r][N]), *[""] * s, *no_xhat, repr(cost[r][N])]
+            lines.append(",".join(row))
+        lines.append("")
+        fh.write("\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -201,17 +211,24 @@ def psd_sqrt(X: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
+def _substreams(master_seed: int) -> list:
+    """Disturbance, measurement-noise and chain generators of a master seed."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(int(master_seed)).spawn(3)]
+
+
+def _draw(streams, R: int, N: int, n: int, m: int):
+    """The next R replications' draws, taken in order from each substream."""
+    g_w, g_v, g_tau = streams
+    return g_w.standard_normal((R, N, n)), g_v.standard_normal((R, N, m)), g_tau.random((R, N))
+
+
 def noise_streams(master_seed: int, R: int, N: int, n: int, m: int):
     """Standard-normal and uniform draws from three spawned substreams.
 
     The draw counts depend only on (R, N, n, m), never on the regime, so two
     runs with the same seed see identical realizations.
     """
-    s_w, s_v, s_tau = np.random.SeedSequence(int(master_seed)).spawn(3)
-    w_eps = np.random.default_rng(s_w).standard_normal((R, N, n))
-    v_eps = np.random.default_rng(s_v).standard_normal((R, N, m))
-    chain_u = np.random.default_rng(s_tau).random((R, N))
-    return w_eps, v_eps, chain_u
+    return _draw(_substreams(master_seed), R, N, n, m)
 
 
 def sample_tau(chain: ReliabilityChain, chain_u: np.ndarray) -> np.ndarray:
@@ -228,8 +245,19 @@ def sample_tau(chain: ReliabilityChain, chain_u: np.ndarray) -> np.ndarray:
     return tau
 
 
+def _blocks(R: int, rows: int) -> list:
+    """(start, stop) of consecutive blocks of `rows` replications.
+
+    A one-row remainder joins the block before it (see the module docstring).
+    """
+    starts = list(range(0, R, rows))
+    if len(starts) > 1 and R - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [R]))
+
+
 def _quad_rows(x: np.ndarray, Qmat: np.ndarray) -> np.ndarray:
-    return np.einsum("ri,ij,rj->r", x, Qmat, x)
+    return np.einsum("ri,ri->r", x @ Qmat, x)
 
 
 def _filter_update(ids, Sg, xh, gate, z, C, V):
@@ -246,17 +274,9 @@ def _filter_update(ids, Sg, xh, gate, z, C, V):
         gain, post = gated_posterior(Sg[updated], C, V)
         Sg[updated] = post
         row_gain = gain[np.cumsum(updated)[ids[gate]] - 1]
-        xg = xh[gate]
-        xh[gate] = xg + np.einsum("pnm,pm->pn", row_gain, z[gate] - xg @ C.T)
+        innovation = (z - xh @ C.T)[gate]  # whole block: no one-row product
+        xh[gate] += np.einsum("pnm,pm->pn", row_gain, innovation)
     return ids, Sg
-
-
-def _check_finite(totals: np.ndarray, k: int) -> None:
-    if not np.isfinite(totals).all():
-        raise ModelValidationError(
-            [f"non-finite simulated cost at stage {k}: the plant is unstable "
-             "or badly scaled for this horizon"]
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +306,7 @@ def run(
         dict with mean_cost, std_error, and traces (a SimulationBatch when
         config.record_traces, else None).
     """
-    N, n, m = model.N, model.state_dim, model.obs_dim
+    N, n, s, m = model.N, model.state_dim, model.control_dim, model.obs_dim
     eff_M = delay.M if delay is not None else 0
     reg_M = regime.delay.M if regime.delay is not None else 0
     if eff_M != reg_M:
@@ -306,29 +326,56 @@ def run(
     if x0.shape != (n,):
         raise ModelValidationError([f"x0 shape {x0.shape}, expected ({n},)"])
 
-    w_eps, v_eps, chain_u = noise_streams(config.master_seed, R, N, n, m)
-    tau = sample_tau(chain, chain_u)
     ctrl_model = model if regime.compensate_drift else model.without_drift()
+    partial = regime.observation == "partial"
+    body = _run_delayed if eff_M >= 1 else _run_perfect
 
-    if eff_M >= 1:
-        out = _run_delayed(model, ctrl_model, regime, tau, w_eps, v_eps, x0, config.record_traces)
-    else:
-        out = _run_perfect(model, ctrl_model, regime, tau, w_eps, v_eps, x0, config.record_traces)
+    totals = np.zeros(R)
+    record = None
+    if config.record_traces:
+        record = {
+            "x": np.empty((R, N + 1, n)),
+            "u": np.empty((R, N, s)),
+            "tau": np.empty((R, N), dtype=np.int8),
+            "stage_cost": np.empty((R, N + 1)),
+        }
+        if partial:
+            record["x_hat"] = np.full((R, N, n), np.nan)
+            record["z"] = np.full((R, N, m), np.nan)
 
-    totals = out["totals"]
+    streams = _substreams(config.master_seed)
+    rows = max(2, CHUNK_BYTES // (8 * N * (n + m + 1)))
+    first_bad = None
+    for lo, hi in _blocks(R, rows):
+        w_eps, v_eps, chain_u = _draw(streams, hi - lo, N, n, m)
+        tau = sample_tau(chain, chain_u)
+        block_record = None
+        if record is not None:
+            block_record = {name: arr[lo:hi] for name, arr in record.items()}
+            block_record["tau"][:] = tau
+        bad = body(model, ctrl_model, regime, tau, w_eps, v_eps, x0, totals[lo:hi], block_record)
+        if bad is not None and (first_bad is None or bad < first_bad):
+            first_bad = bad
+        del w_eps, v_eps, chain_u  # freed before the next block draws
+    if first_bad is not None:
+        raise ModelValidationError(
+            [f"non-finite simulated cost at stage {first_bad}: the plant is unstable "
+             "or badly scaled for this horizon"]
+        )
+
     mean_cost = float(totals.mean())
     std_error = float(totals.std(ddof=1) / np.sqrt(R)) if R > 1 else 0.0
-    traces = None
-    if config.record_traces:
-        traces = SimulationBatch(
-            x=out["x"], u=out["u"], tau=tau, stage_cost=out["stage_cost"],
-            totals=totals, x_hat=out.get("x_hat"), z=out.get("z"),
-        )
+    traces = None if record is None else SimulationBatch(totals=totals, **record)
     return {"mean_cost": mean_cost, "std_error": std_error, "traces": traces}
 
 
-def _run_perfect(model, ctrl_model, regime, tau, w_eps, v_eps, x0, record):
-    N, n, s, m = model.N, model.state_dim, model.control_dim, model.obs_dim
+# Each block body advances one block of replications through all stages. It
+# accumulates into `totals` and writes the traces into `record` (views of the
+# run's arrays, or None), and returns the first stage whose running total is
+# not finite, stopping there, or None.
+
+def _run_perfect(model, ctrl_model, regime, tau, w_eps, v_eps, x0, totals, record):
+    N, n = model.N, model.state_dim
     R = tau.shape[0]
     gains = regime.gains
     partial = regime.observation == "partial"
@@ -336,13 +383,6 @@ def _run_perfect(model, ctrl_model, regime, tau, w_eps, v_eps, x0, record):
     Lv = [psd_sqrt(model.V_noise[k]) for k in range(N)] if partial else None
 
     x = np.broadcast_to(x0, (R, n)).copy()
-    totals = np.zeros(R)
-    if record:
-        X = np.empty((R, N + 1, n))
-        U = np.empty((R, N, s))
-        G = np.empty((R, N + 1))
-        XH = np.full((R, N, n), np.nan) if partial else None
-        Z = np.empty((R, N, m)) if partial else None
     if partial:
         xh = np.broadcast_to(x0, (R, n)).copy()
         ids = np.zeros(R, dtype=np.intp)  # history node of each replication
@@ -350,39 +390,41 @@ def _run_perfect(model, ctrl_model, regime, tau, w_eps, v_eps, x0, record):
 
     for k in range(N):
         on = tau[:, k] == 1
-        u = np.zeros((R, s))
         if partial:
             z = x @ model.C[k].T + v_eps[:, k] @ Lv[k].T
             ids, Sg = _filter_update(ids, Sg, xh, on, z, model.C[k], model.V_noise[k])
-            u[on] = -(xh[on] @ gains.V[k].T)
+            u = -(xh @ gains.V[k].T)
         else:
-            u[on] = -(x[on] @ gains.V[k].T)
+            u = -(x @ gains.V[k].T)
+        u[~on] = 0.0
         g = _quad_rows(x, model.Q[k]) + _quad_rows(u, model.R[k])
         totals += g
-        _check_finite(totals, k)
-        if record:
-            X[:, k] = x
-            U[:, k] = u
-            G[:, k] = g
+        if not np.isfinite(totals).all():
+            return k
+        if record is not None:
+            record["x"][:, k] = x
+            record["u"][:, k] = u
+            record["stage_cost"][:, k] = g
             if partial:
-                XH[:, k] = xh
-                Z[:, k] = z
+                record["x_hat"][:, k] = xh
+                record["z"][:, k] = z
         x = x @ model.A[k].T + u @ model.B[k].T + (model.drift_at(k) + w_eps[:, k] @ Lw[k].T)
         if partial:
             xh = xh @ model.A[k].T + u @ model.B[k].T + ctrl_model.drift_at(k)
             Sg = predict_covariances(Sg, model.A[k], model.W[k])
+    return _finish(model, x, totals, record)
 
-    g_term = _quad_rows(x, model.Q[N])
-    totals = totals + g_term
-    _check_finite(totals, N)
-    out = {"totals": totals}
-    if record:
-        X[:, N] = x
-        G[:, N] = g_term
-        out.update({"x": X, "u": U, "stage_cost": G})
-        if partial:
-            out.update({"x_hat": XH, "z": Z})
-    return out
+
+def _finish(model, x, totals, record):
+    """Add the terminal cost: returns N if a total is then not finite, else None."""
+    g_term = _quad_rows(x, model.Q[model.N])
+    totals += g_term
+    if not np.isfinite(totals).all():
+        return model.N
+    if record is not None:
+        record["x"][:, model.N] = x
+        record["stage_cost"][:, model.N] = g_term
+    return None
 
 
 def _propagate_mean_rows(ctrl_model, base, u_first, t0, t1):
@@ -393,8 +435,8 @@ def _propagate_mean_rows(ctrl_model, base, u_first, t0, t1):
     return mean
 
 
-def _run_delayed(model, ctrl_model, regime, tau, w_eps, v_eps, x0, record):
-    N, n, s, m = model.N, model.state_dim, model.control_dim, model.obs_dim
+def _run_delayed(model, ctrl_model, regime, tau, w_eps, v_eps, x0, totals, record):
+    N, n, s = model.N, model.state_dim, model.control_dim
     R = tau.shape[0]
     gains = regime.gains
     partial = regime.observation == "partial"
@@ -405,13 +447,6 @@ def _run_delayed(model, ctrl_model, regime, tau, w_eps, v_eps, x0, record):
     services = {j * M + M_F: j for j in range(c)}
 
     x = np.broadcast_to(x0, (R, n)).copy()
-    totals = np.zeros(R)
-    if record:
-        X = np.empty((R, N + 1, n))
-        U = np.empty((R, N, s))
-        G = np.empty((R, N + 1))
-        XH = np.full((R, N, n), np.nan) if partial else None
-        Z = np.full((R, N, m), np.nan) if partial else None
     saved = {}       # epoch j -> state (full) or measurement (partial) at stage jM
     pending = {}     # arrival stage -> control awaiting application
     applied_at = {}  # arrival stage -> control actually applied there
@@ -433,8 +468,8 @@ def _run_delayed(model, ctrl_model, regime, tau, w_eps, v_eps, x0, record):
             if partial:
                 zb = x @ model.C[k].T + v_eps[:, k] @ Lv[k].T
                 saved[j_b] = zb
-                if record:
-                    Z[:, k] = zb
+                if record is not None:
+                    record["z"][:, k] = zb
             else:
                 saved[j_b] = x.copy()
         if k in services:
@@ -452,8 +487,8 @@ def _run_delayed(model, ctrl_model, regime, tau, w_eps, v_eps, x0, record):
                     ids, Sg_b = _filter_update(
                         ids, Sg_b, xh_b, gate, saved[j], model.C[t0], model.V_noise[t0]
                     )
-                if record:
-                    XH[:, t0] = xh_b
+                if record is not None:
+                    record["x_hat"][:, t0] = xh_b
                 mean = _propagate_mean_rows(ctrl_model, xh_b, u_win, t0, t1)
             else:
                 mean = _propagate_mean_rows(ctrl_model, saved[j], u_win, t0, t1)
@@ -467,24 +502,14 @@ def _run_delayed(model, ctrl_model, regime, tau, w_eps, v_eps, x0, record):
             applied_at[k] = u
         g = _quad_rows(x, model.Q[k]) + _quad_rows(u, model.R[k])
         totals += g
-        _check_finite(totals, k)
-        if record:
-            X[:, k] = x
-            U[:, k] = u
-            G[:, k] = g
+        if not np.isfinite(totals).all():
+            return k
+        if record is not None:
+            record["x"][:, k] = x
+            record["u"][:, k] = u
+            record["stage_cost"][:, k] = g
         x = x @ model.A[k].T + u @ model.B[k].T + (model.drift_at(k) + w_eps[:, k] @ Lw[k].T)
-
-    g_term = _quad_rows(x, model.Q[N])
-    totals = totals + g_term
-    _check_finite(totals, N)
-    out = {"totals": totals}
-    if record:
-        X[:, N] = x
-        G[:, N] = g_term
-        out.update({"x": X, "u": U, "stage_cost": G})
-        if partial:
-            out.update({"x_hat": XH, "z": Z})
-    return out
+    return _finish(model, x, totals, record)
 
 
 def tracking_metrics(batch: SimulationBatch, alpha: float) -> dict:

@@ -6,6 +6,8 @@ shared helpers. Tests compare production output against these, so agreement
 is evidence rather than self-confirmation.
 """
 
+import csv
+
 import numpy as np
 
 import fogctl as fc
@@ -216,3 +218,38 @@ def reference_partial_totals(model, chain, delay, V, x0, replications, seed):
                 P = A[k] @ P @ A[k].T + model.W[k]
         totals[r] = total + x @ model.Q[N] @ x
     return totals
+
+
+def reference_to_csv(batch, fh):
+    """`SimulationBatch.to_csv` written row by row through `csv.writer`."""
+    n = batch.x.shape[2]
+    s = batch.u.shape[2]
+    with_xhat = batch.x_hat is not None
+    header = ["rep", "k", "tau"]
+    header += [f"x{i}" for i in range(n)]
+    header += [f"u{i}" for i in range(s)]
+    if with_xhat:
+        header += [f"xhat{i}" for i in range(n)]
+    header.append("cost_stage")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    N = batch.N
+    for r in range(batch.replications):
+        for k in range(N):
+            row = [r, k, int(batch.tau[r, k])]
+            row += [repr(float(v)) for v in batch.x[r, k]]
+            row += [repr(float(v)) for v in batch.u[r, k]]
+            if with_xhat:
+                if np.isnan(batch.x_hat[r, k]).any():
+                    row += [""] * n
+                else:
+                    row += [repr(float(v)) for v in batch.x_hat[r, k]]
+            row.append(repr(float(batch.stage_cost[r, k])))
+            writer.writerow(row)
+        row = [r, N, ""]
+        row += [repr(float(v)) for v in batch.x[r, N]]
+        row += [""] * s
+        if with_xhat:
+            row += [""] * n
+        row.append(repr(float(batch.stage_cost[r, N])))
+        writer.writerow(row)

@@ -1,19 +1,24 @@
 """Closed-loop Monte Carlo engine: seeding, event order, traces, metrics."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import fogctl as fc
+from fogctl import simulator
 
 from reference import (
     closed_form_cost,
     make_regime,
     random_model,
     reference_partial_totals,
+    reference_to_csv,
     scalar_fixture,
 )
+
+REGIMES = [("full", None), ("partial", None), ("full", (1, 1)), ("partial", (2, 1))]
 
 
 def run_simple(model, p, delay, x0, reps=2000, seed=0, observation="full", record=False):
@@ -21,6 +26,12 @@ def run_simple(model, p, delay, x0, reps=2000, seed=0, observation="full", recor
     chain = fc.symmetric_chain(p)
     cfg = fc.SimulationConfig(replications=reps, master_seed=seed, record_traces=record)
     return fc.run(model, chain, delay, regime, cfg, x0=x0)
+
+
+def set_block_rows(monkeypatch, model, rows):
+    """Patch the draw budget so that `run` takes `rows` replications per block."""
+    per_rep = 8 * model.N * (model.state_dim + model.obs_dim + 1)
+    monkeypatch.setattr(simulator, "CHUNK_BYTES", rows * per_rep)
 
 
 class TestConfigAndStreams:
@@ -44,6 +55,21 @@ class TestConfigAndStreams:
             assert np.array_equal(x, y)
         c = fc.noise_streams(8, R=5, N=4, n=3, m=2)
         assert not np.array_equal(a[0], c[0])
+
+    def test_blockwise_draws_equal_one_call(self):
+        R, N, n, m = 11, 5, 3, 2
+        whole = fc.noise_streams(5, R, N, n, m)
+        streams = simulator._substreams(5)
+        blocks = [simulator._draw(streams, hi - lo, N, n, m) for lo, hi in simulator._blocks(R, 3)]
+        for i, want in enumerate(whole):
+            assert np.array_equal(np.concatenate([b[i] for b in blocks]), want)
+
+    def test_blocks_fold_one_row_remainder(self):
+        assert simulator._blocks(64, 3)[-1] == (60, 64)
+        assert simulator._blocks(5, 2) == [(0, 2), (2, 5)]
+        assert simulator._blocks(6, 2) == [(0, 2), (2, 4), (4, 6)]
+        assert simulator._blocks(1, 2) == [(0, 1)]
+        assert simulator._blocks(3, 16) == [(0, 3)]
 
     def test_streams_mutually_distinct(self):
         w, v, u = fc.noise_streams(0, R=3, N=5, n=1, m=1)
@@ -178,13 +204,14 @@ class TestPartialObservationLoop:
         )
         assert np.allclose(part["traces"].totals, full["traces"].totals, rtol=1e-9, atol=0.0)
 
-    @pytest.mark.parametrize("observation", ["full", "partial"])
-    @pytest.mark.parametrize("delay", [None, (1, 1)])
-    def test_non_finite_cost_rejected(self, observation, delay):
+    @staticmethod
+    def run_explosive(observation, delay, monkeypatch=None):
         # gains designed for a benign plant, run on an explosive one: the
         # state overflows at stage 1
         design = fc.make_system(A=1.0, B=1.0, Q=1.0, R=1.0, W=1.0, V_noise=1.0, N=4)
         plant = fc.make_system(A=1e200, B=1.0, Q=1.0, R=1.0, W=1.0, V_noise=1.0, N=4)
+        if monkeypatch is not None:
+            set_block_rows(monkeypatch, plant, 2)  # four blocks of two rows
         delay = None if delay is None else fc.DelayProfile(M_F=delay[0], M_B=delay[1])
         regime = make_regime(design, 0.8, delay, observation=observation)
         cfg = fc.SimulationConfig(replications=8, master_seed=1)
@@ -192,6 +219,72 @@ class TestPartialObservationLoop:
             fc.ModelValidationError, match="non-finite simulated cost at stage 1"
         ):
             fc.run(plant, fc.symmetric_chain(0.8), delay, regime, cfg, x0=np.ones(1))
+
+    @pytest.mark.parametrize("observation", ["full", "partial"])
+    @pytest.mark.parametrize("delay", [None, (1, 1)])
+    def test_non_finite_cost_rejected(self, observation, delay):
+        self.run_explosive(observation, delay)
+
+    @pytest.mark.parametrize("observation", ["full", "partial"])
+    @pytest.mark.parametrize("delay", [None, (1, 1)])
+    def test_non_finite_cost_rejected_in_blocks(self, monkeypatch, observation, delay):
+        self.run_explosive(observation, delay, monkeypatch)
+
+    @pytest.mark.parametrize("observation", ["full", "partial"])
+    def test_non_finite_stage_is_earliest_over_blocks(self, monkeypatch, observation):
+        # x0^2 is just below the float64 maximum: a replication whose
+        # endpoint starts ON adds its control cost and overflows at stage 0,
+        # one starting OFF overflows at stage 1. With seed 7 the first block
+        # (two rows) starts OFF and a later block has a row starting ON.
+        model = fc.make_system(A=1.0, B=1.0, Q=1.0, R=1.0, W=1.0, V_noise=1.0, N=4)
+        set_block_rows(monkeypatch, model, 2)
+        starts_on = fc.noise_streams(7, 8, 4, 1, 1)[2][:, 0] < 0.5
+        assert not starts_on[:2].any() and starts_on[2:].any()
+        chain = fc.symmetric_chain(0.8, tau0=(0.5, 0.5))
+        regime = make_regime(model, 0.8, None, observation=observation)
+        cfg = fc.SimulationConfig(replications=8, master_seed=7)
+        with np.errstate(all="ignore"), pytest.raises(
+            fc.ModelValidationError, match="non-finite simulated cost at stage 0"
+        ):
+            fc.run(model, chain, None, regime, cfg, x0=np.array([1.2e154]))
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("rows", [3, 7])
+    @pytest.mark.parametrize("observation,delay", REGIMES)
+    def test_blocking_is_bit_identical(self, monkeypatch, rng, observation, delay, rows):
+        # R = 64 leaves a one-row remainder for both block sizes
+        model, x0 = random_model(rng, N_low=10, N_high=10, partial=True)
+        delay = None if delay is None else fc.DelayProfile(M_F=delay[0], M_B=delay[1])
+        whole = run_simple(model, 0.6, delay, x0, reps=64, seed=23,
+                           observation=observation, record=True)["traces"]
+        set_block_rows(monkeypatch, model, rows)
+        assert len(simulator._blocks(64, rows)) > 1
+        blocked = run_simple(model, 0.6, delay, x0, reps=64, seed=23,
+                             observation=observation, record=True)["traces"]
+        for name in ("totals", "x", "u", "tau", "stage_cost", "x_hat", "z"):
+            a, b = getattr(whole, name), getattr(blocked, name)
+            if a is None:
+                assert b is None and observation == "full"
+            else:
+                assert np.array_equal(a, b, equal_nan=True), name
+
+    def test_memory_bounded_by_block(self):
+        # the draws for all replications would take R N (n + m + 1) 8 bytes
+        R, N = 400_000, 8
+        model = fc.make_system(
+            A=[[1.0, 0.1], [0.0, 1.0]], B=[[0.0], [0.1]], C=[[1.0, 0.0]],
+            Q=np.eye(2), R=1.0, W=0.01 * np.eye(2), V_noise=0.1, N=N,
+        )
+        regime = make_regime(model, 0.8, None, observation="partial")
+        cfg = fc.SimulationConfig(replications=R, master_seed=3)
+        tracemalloc.start()
+        try:
+            fc.run(model, fc.symmetric_chain(0.8), None, regime, cfg, x0=np.ones(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < R * N * (2 + 1 + 1) * 8 / 2
 
 
 class TestDelayedLoopStructure:
@@ -290,6 +383,21 @@ class TestTracesAndCsv:
         row_k1 = lines[2].split(",")
         assert row_k0[5] != ""
         assert row_k1[5] == ""
+
+    @pytest.mark.parametrize("observation,delay,p", [("full", None, 0.6), ("partial", (1, 1), 0.5)])
+    def test_csv_matches_reference_writer(self, observation, delay, p):
+        # the partial-delayed batch leaves x_hat NaN at off-grid stages
+        model = fc.make_system(A=[[1.0, 0.5], [0.0, 1.0]], B=[[0.0], [1.0]], C=[[1.0, 0.0]],
+                               Q=np.eye(2), R=1.0, W=0.3 * np.eye(2), V_noise=0.2, N=5)
+        delay = None if delay is None else fc.DelayProfile(M_F=delay[0], M_B=delay[1])
+        batch = run_simple(model, p, delay, np.array([1.0, -2.0]), reps=7, seed=12,
+                           observation=observation, record=True)["traces"]
+        if observation == "partial":
+            assert np.isnan(batch.x_hat).any() and not np.isnan(batch.x_hat).all()
+        got, want = io.StringIO(), io.StringIO()
+        batch.to_csv(got)
+        reference_to_csv(batch, want)
+        assert got.getvalue() == want.getvalue()
 
     def test_stage_records(self):
         model, x0 = scalar_fixture(N=3)
