@@ -17,11 +17,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .drone import (
+    CONTROLLER_MODES,
     build_system as drone_build_system,
     initial_state,
     scenario_from_config,
 )
-from .estimation import expected_estimation_penalty
 from .model import (
     ConfigError,
     DelayProfile,
@@ -35,14 +35,12 @@ from .model import (
     system_from_config,
 )
 from .oracle import bound_check, brute_force_min_cost
-from .policy import ControllerRegime
+from .policy import min_cost, solve
 from .riccati import (
     backward_recursion_delayed,
     backward_recursion_perfect,
     min_cost_full_delayed,
     min_cost_full_perfect,
-    min_cost_partial_delayed,
-    min_cost_partial_perfect,
 )
 from .simulator import SimulationConfig, run, tracking_metrics
 
@@ -146,26 +144,6 @@ def _delay_from(cfg: dict, N: int) -> Optional[DelayProfile]:
     return delay
 
 
-def _make_regime(model, p, delay, observation="full", compensate_drift=False) -> ControllerRegime:
-    if observation not in ("full", "partial"):
-        raise ConfigError(f"observation must be 'full' or 'partial', got {observation!r}")
-    if delay is not None and delay.M >= 1:
-        sched = backward_recursion_delayed(model, p, delay)
-        if observation == "partial":
-            sched = sched.with_regime("partial-delayed")
-        return ControllerRegime(
-            observation=observation, gains=sched, delay=delay,
-            compensate_drift=compensate_drift,
-        )
-    sched = backward_recursion_perfect(model, p)
-    if observation == "partial":
-        sched = sched.with_regime("partial-perfect")
-    return ControllerRegime(
-        observation=observation, gains=sched, delay=None,
-        compensate_drift=compensate_drift,
-    )
-
-
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
@@ -178,12 +156,7 @@ def cmd_gains(config: dict, out_dir: Path) -> dict:
     """Run the applicable backward recursion and dump the schedule."""
     model, _, _ = _plant_from(config)
     chain = _chain_from(config)
-    delay = _delay_from(config, model.N)
-    if delay is not None:
-        sched = backward_recursion_delayed(model, chain.p, delay)
-    else:
-        sched = backward_recursion_perfect(model, chain.p)
-    payload = sched.to_jsonable()
+    payload = solve(model, chain.p, _delay_from(config, model.N)).gains.to_jsonable()
     _write_json(out_dir / "gains.json", payload)
     return payload
 
@@ -203,18 +176,17 @@ def cmd_simulate(
     """
     model, x0, scenario = _plant_from(config)
     sim = dict(config.get("simulation") or {})
-    known = {"replications", "master_seed", "record_traces", "estimation", "observation", "mode", "sweep"}
+    known = {"replications", "master_seed", "record_traces", "observation", "mode", "sweep"}
     unknown = set(sim) - known
     if unknown:
         raise ConfigError(f"simulation: unknown keys {sorted(unknown)}")
     reps = int(replications if replications is not None else sim.get("replications", 10_000))
     master_seed = int(seed if seed is not None else sim.get("master_seed", 0))
     record = bool(sim.get("record_traces", False))
-    estimation = sim.get("estimation", "kalman")
     observation = sim.get("observation", "full")
     mode = sim.get("mode", "paper-faithful")
-    if mode not in ("paper-faithful", "affine-compensated"):
-        raise ConfigError(f"simulation.mode must be paper-faithful or affine-compensated, got {mode!r}")
+    if mode not in CONTROLLER_MODES:
+        raise ConfigError(f"simulation.mode must be one of {CONTROLLER_MODES}, got {mode!r}")
     compensate = mode == "affine-compensated"
 
     base_chain = _chain_from(config)
@@ -246,11 +218,10 @@ def cmd_simulate(
     rows = []
     for p, delay, from_sweep in settings:
         chain = symmetric_chain(p, tau0=base_chain.tau0) if from_sweep else base_chain
-        regime = _make_regime(model, float(p), delay, observation, compensate)
+        regime = solve(model, float(p), delay, observation, compensate)
         need_traces = record or scenario is not None
         sim_cfg = SimulationConfig(
-            replications=reps, master_seed=master_seed,
-            record_traces=need_traces, estimation=estimation,
+            replications=reps, master_seed=master_seed, record_traces=need_traces,
         )
         res = run(model, chain, delay, regime, sim_cfg, x0=x0)
         row = {
@@ -390,24 +361,6 @@ def cmd_verify(
     return EXIT_OK if all_pass else EXIT_VERIFY
 
 
-def _closed_cost(model, rate, delay, observation, x0, pen_reps, pen_seed):
-    """Closed-form cost breakdown at a symmetric availability rate."""
-    pen_cfg = {"method": "monte-carlo", "replications": pen_reps, "seed": pen_seed}
-    if delay is None:
-        sched = backward_recursion_perfect(model, rate)
-        if observation == "full":
-            return min_cost_full_perfect(sched, model, x0, 1)
-        sched_p = sched.with_regime("partial-perfect")
-        pen = expected_estimation_penalty(model, rate, sched_p, "partial-perfect", pen_cfg)
-        return min_cost_partial_perfect(sched_p, model, x0, 1, pen)
-    sched = backward_recursion_delayed(model, rate, delay)
-    if observation == "full":
-        return min_cost_full_delayed(sched, model, x0)
-    sched_p = sched.with_regime("partial-delayed")
-    pen = expected_estimation_penalty(model, rate, sched_p, "partial-delayed", pen_cfg)
-    return min_cost_partial_delayed(sched_p, model, x0, pen)
-
-
 def cmd_placement(
     config: dict,
     out_dir: Path,
@@ -437,6 +390,7 @@ def cmd_placement(
         raise ConfigError(f"placement.observation must be 'full' or 'partial', got {observation!r}")
     pen_reps = int(replications if replications is not None else block.get("penalty_replications", 20_000))
     pen_seed = int(seed if seed is not None else block.get("seed", 0))
+    pen_cfg = {"method": "monte-carlo", "replications": pen_reps, "seed": pen_seed}
 
     rows = []
     for entry in catalog:
@@ -463,7 +417,7 @@ def cmd_placement(
             rate, basis = 1.0 - q, "upper-bound"
         else:
             rate, basis = min(p, 1.0 - q), "pessimistic-estimate"
-        breakdown = _closed_cost(model, rate, delay, observation, x0, pen_reps, pen_seed)
+        breakdown = min_cost(model, solve(model, rate, delay, observation), x0, 1, pen_cfg)
         rows.append(
             {
                 "name": name,

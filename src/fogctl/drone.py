@@ -24,8 +24,7 @@ from .model import (
     DelayProfile,
     make_system,
 )
-from .policy import ControllerRegime
-from .riccati import backward_recursion_delayed, backward_recursion_perfect
+from .policy import solve
 from .simulator import (
     SimulationConfig,
     noise_streams,
@@ -231,45 +230,20 @@ def initial_state(scenario: DroneScenario) -> np.ndarray:
     return np.concatenate([pos - pts[0], vel])
 
 
-def controller_mode(scenario: DroneScenario, mode: str = "paper-faithful") -> dict:
-    """Policy configuration for the tracking study.
+def _compensates_drift(mode: str) -> bool:
+    """Whether a controller mode feeds the known drift through its predictions.
 
-    paper-faithful (default): gains designed for the zero-mean-disturbance
-    problem act on the raw error state; the drift rides along as realized
-    disturbance. affine-compensated: the controller additionally feeds the
-    known drift through its predictions (never worse, offered for
-    comparison). With constant waypoints the two coincide.
+    paper-faithful: gains designed for the zero-mean-disturbance problem act
+    on the raw error state; the drift rides along as realized disturbance.
+    affine-compensated: the controller additionally feeds the known drift
+    through its predictions (never worse, offered for comparison). With
+    constant waypoints the two coincide.
     """
     if mode not in CONTROLLER_MODES:
         raise ModelValidationError(
             [f"unknown controller mode {mode!r}; choose from {CONTROLLER_MODES}"]
         )
-    return {
-        "mode": mode,
-        "observation": "full",
-        "compensate_drift": mode == "affine-compensated",
-    }
-
-
-def build_regime(
-    model: LinearSystemModel,
-    p: float,
-    delay: Optional[DelayProfile] = None,
-    mode: str = "paper-faithful",
-) -> ControllerRegime:
-    """Gains plus controller wiring for one (availability, delay) setting."""
-    cfg = controller_mode(None, mode)  # scenario-independent wiring
-    if delay is not None and delay.M >= 1:
-        gains = backward_recursion_delayed(model, p, delay)
-        return ControllerRegime(
-            observation="full", gains=gains, delay=delay,
-            compensate_drift=cfg["compensate_drift"],
-        )
-    gains = backward_recursion_perfect(model, p)
-    return ControllerRegime(
-        observation="full", gains=gains, delay=None,
-        compensate_drift=cfg["compensate_drift"],
-    )
+    return mode == "affine-compensated"
 
 
 def tracking_study(
@@ -286,13 +260,14 @@ def tracking_study(
     measurement, and chain uniform draws (common random numbers), which
     makes cross-setting comparisons far tighter than independent sampling.
     """
+    compensate = _compensates_drift(mode)
     model = build_system(scenario)
     x0 = initial_state(scenario)
     rows = []
     for delay in delays:
         eff = delay if (delay is not None and delay.M >= 1) else None
         for p in p_values:
-            regime = build_regime(model, p, eff, mode)
+            regime = solve(model, p, eff, compensate_drift=compensate)
             chain = ReliabilityChain(p=p, q=1.0 - p, tau0=1)
             cfg = SimulationConfig(
                 replications=replications, master_seed=master_seed, record_traces=True
@@ -413,10 +388,11 @@ def error_consistency_check(
     shared noise draws and compares the error trajectories elementwise.
     Full observation only.
     """
+    compensate = _compensates_drift(mode)
     model = build_system(scenario)
     x0 = initial_state(scenario)
     eff = delay if (delay is not None and delay.M >= 1) else None
-    regime = build_regime(model, chain.p, eff, mode)
+    regime = solve(model, chain.p, eff, compensate_drift=compensate)
     cfg = SimulationConfig(
         replications=replications, master_seed=master_seed, record_traces=True
     )

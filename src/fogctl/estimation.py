@@ -2,8 +2,10 @@
 
 Partial observation uses a standard intermittent Kalman filter: the
 measurement update runs only at stages where the endpoint served the request.
-Full observation with delay uses a deterministic M-step mean propagation of
-the last transmitted (state, control) pair.
+The helpers here act on batches: covariances per ON/OFF history node
+(`gated_posterior`, `predict_covariances`, `advance_histories`) and means
+per replication row (`propagate_mean`, the deterministic M-step propagation
+of the last transmitted (state, control) pair used by the delayed regimes).
 
 The expected estimation penalty quantifies the exact cost of acting on a
 conditional mean instead of the true state. For linear-Gaussian models each
@@ -20,41 +22,10 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (
-    LinearSystemModel,
-    ModelValidationError,
-    is_psd,
-    symmetrize,
-)
+from .model import LinearSystemModel, ModelValidationError, symmetrize
 
 PENALTY_METHODS = ("exact-enumeration", "monte-carlo")
 EXACT_ENUMERATION_MAX_N = 20
-
-
-@dataclass(frozen=True)
-class FilterState:
-    """Conditional mean and error covariance at a given stage.
-
-    last_update_stage is the most recent stage whose measurement was
-    ingested, or None if no update has happened yet.
-    """
-
-    x_hat: np.ndarray
-    Sigma: np.ndarray
-    k: int
-    last_update_stage: Optional[int] = None
-
-    def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x_hat, dtype=float))
-        S = symmetrize(self.Sigma)
-        if not is_psd(S):
-            raise ModelValidationError(
-                [f"filter covariance not positive semidefinite at stage {self.k}"]
-            )
-        x.setflags(write=False)
-        S.setflags(write=False)
-        object.__setattr__(self, "x_hat", x)
-        object.__setattr__(self, "Sigma", S)
 
 
 @dataclass(frozen=True)
@@ -89,115 +60,24 @@ class EstimationPenalty:
             object.__setattr__(self, "stages", tuple(range(len(vals))))
 
 
-def zero_penalty(stages, method: str = "exact-enumeration") -> EstimationPenalty:
-    """All-zero penalty over the given stage indices (exact observation)."""
-    stages = tuple(int(s) for s in stages)
-    return EstimationPenalty(
-        per_stage=(0.0,) * len(stages), total=0.0, method=method,
-        standard_error=0.0, stages=stages,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Filter transitions
-# ---------------------------------------------------------------------------
-
-def kalman_predict(
-    state: FilterState,
-    model: LinearSystemModel,
-    applied_control: np.ndarray,
-    known_drift: Optional[np.ndarray] = None,
-) -> FilterState:
-    """Time update from stage k to k+1 with a known applied control.
-
-    known_drift overrides the model's drift at stage k when given; passing a
-    drift-stripped model (or explicit zeros) reproduces the zero-mean
-    propagation the gain derivations assume.
-    """
-    k = state.k
-    if k >= model.N:
-        raise ModelValidationError([f"predict past the horizon: stage {k} of {model.N}"])
-    u = np.atleast_1d(np.asarray(applied_control, dtype=float))
-    if u.shape != (model.control_dim,):
-        raise ModelValidationError(
-            [f"applied control has shape {u.shape}, expected ({model.control_dim},)"]
-        )
-    drift = model.drift_at(k) if known_drift is None else np.atleast_1d(np.asarray(known_drift, dtype=float))
-    A, B = model.A[k], model.B[k]
-    x = A @ state.x_hat + B @ u + drift
-    S = symmetrize(A @ state.Sigma @ A.T + model.W[k])
-    return FilterState(x_hat=x, Sigma=S, k=k + 1, last_update_stage=state.last_update_stage)
-
-
-def kalman_update(state: FilterState, model: LinearSystemModel, z: np.ndarray) -> FilterState:
-    """Measurement update at the filter's current stage (served request).
-
-    Raises:
-        ModelValidationError: when the innovation covariance is singular
-            (possible only with zero measurement noise and a rank-deficient
-            prior; use the exact-observation shortcut in that case).
-    """
-    k = state.k
-    if k >= model.N:
-        raise ModelValidationError([f"no measurement model at stage {k} of horizon {model.N}"])
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    C, V = model.C[k], model.V_noise[k]
-    if z.shape != (model.obs_dim,):
-        raise ModelValidationError(
-            [f"measurement has shape {z.shape}, expected ({model.obs_dim},)"]
-        )
-    S = symmetrize(C @ state.Sigma @ C.T + V)
-    try:
-        np.linalg.cholesky(S)  # definiteness test
-    except np.linalg.LinAlgError as e:
-        raise ModelValidationError(
-            ["innovation covariance singular; add measurement noise or use the exact-observation shortcut"]
-        ) from e
-    gain = np.linalg.solve(S, C @ state.Sigma).T
-    x = state.x_hat + gain @ (z - C @ state.x_hat)
-    IKC = np.eye(model.state_dim) - gain @ C
-    Sigma = symmetrize(IKC @ state.Sigma @ IKC.T + gain @ V @ gain.T)
-    return FilterState(x_hat=x, Sigma=Sigma, k=k, last_update_stage=k)
-
-
 def propagate_mean(
     model: LinearSystemModel,
-    x: np.ndarray,
-    u: np.ndarray,
+    base: np.ndarray,
+    u_first: np.ndarray,
     t0: int,
     t1: int,
 ) -> np.ndarray:
-    """Mean of x_{t1} given x_{t0} = x, control u applied at t0, none after."""
-    xi = model.A[t0] @ x + model.B[t0] @ u + model.drift_at(t0)
-    for t in range(t0 + 1, t1):
-        xi = model.A[t] @ xi + model.drift_at(t)
-    return xi
+    """Rows of E[x_{t1} | x_{t0} = row, u_{t0} = u-row, no later control].
 
-
-def delayed_predictor(lambda_k, model: LinearSystemModel, k: int, M: int) -> np.ndarray:
-    """Conditional mean of x_k given (x_{k-M}, u_{k-M}).
-
-    Propagates the transmitted state M stages forward through the dynamics
-    with the transmitted control applied at stage k-M, zero control at the
-    intermediate stages, zero-mean disturbances, and the model's known drift
-    added per stage.
-
-    Args:
-        lambda_k: pair (x_{k-M}, u_{k-M}).
-        model: system model (strip its drift for the zero-mean variant).
-        k: target stage; must satisfy k >= M and k = 0 mod M.
-        M: round-trip delay in stages, M >= 1.
+    Propagates each row of base (R, n) through the model's dynamics and
+    known drift from stage t0 to t1 with zero-mean disturbances: the delayed
+    regimes' M-step predictor. Pass a drift-stripped model for the zero-mean
+    variant.
     """
-    if M < 1:
-        raise ModelValidationError([f"delayed predictor requires M >= 1, got {M}"])
-    if k < M:
-        raise ModelValidationError([f"stage {k} precedes the first possible arrival at {M}"])
-    if k % M != 0:
-        raise ModelValidationError([f"stage {k} is off the arrival grid (M = {M})"])
-    x_prev, u_prev = lambda_k
-    x_prev = np.atleast_1d(np.asarray(x_prev, dtype=float))
-    u_prev = np.atleast_1d(np.asarray(u_prev, dtype=float))
-    return propagate_mean(model, x_prev, u_prev, k - M, k)
+    mean = base @ model.A[t0].T + u_first @ model.B[t0].T + model.drift_at(t0)
+    for t in range(t0 + 1, t1):
+        mean = mean @ model.A[t].T + model.drift_at(t)
+    return mean
 
 
 # ---------------------------------------------------------------------------

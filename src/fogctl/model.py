@@ -8,8 +8,8 @@ This module holds the domain vocabulary shared by the whole package:
   the remote controller endpoint can serve a request at a given stage.
 - ``DelayProfile``: forward/backward transport delays between plant and
   controller, plus the derived epoch bookkeeping.
-- ``InformationSet``, ``PolicyDecision``, ``CostBreakdown``: the controller's
-  history, its per-stage output, and the decomposition of an expected cost.
+- ``CostBreakdown``: the decomposition of an expected cost into its
+  initial-state, disturbance, collateral and estimation terms.
 
 All types are immutable after validation; stored arrays are read-only.
 The module also provides per-type (de)serialization to the JSON config
@@ -496,60 +496,6 @@ class DelayProfile:
     def c(self) -> int:
         self._require_bound()
         return (self.N - self.a) // self.M
-
-
-@dataclass(frozen=True)
-class InformationSet:
-    """Controller-side history: gated observations and all past controls.
-
-    Fields:
-        observations: tuple of (stage, vector) pairs, kept only for stages
-            whose request was served (endpoint ON).
-        controls: tuple of (stage, vector) pairs for all applied controls.
-    """
-
-    observations: tuple = ()
-    controls: tuple = ()
-
-    def __post_init__(self):
-        for name, entries in (("observations", self.observations), ("controls", self.controls)):
-            stages = [int(i) for i, _ in entries]
-            if any(b <= a for a, b in zip(stages, stages[1:])):
-                raise ModelValidationError([f"{name}: stage indices must be strictly increasing"])
-
-    def check_gating(self, tau: Sequence[int]) -> None:
-        """Assert every stored observation stage was ON in the given path."""
-        for i, _ in self.observations:
-            if tau[i] != 1:
-                raise ModelValidationError(
-                    [f"observation stored for stage {i} where the endpoint was OFF"]
-                )
-
-    def check_delay(self, current_stage: int, M: int) -> None:
-        """Assert no observation violates the transport delay at this stage."""
-        for i, _ in self.observations:
-            if i > current_stage - M:
-                raise ModelValidationError(
-                    [f"observation from stage {i} used at stage {current_stage} with delay {M}"]
-                )
-
-
-@dataclass(frozen=True)
-class PolicyDecision:
-    """A single control output with its feasibility flag.
-
-    applied = False means the endpoint was OFF (or the stage is off-grid in
-    delayed regimes); feasibility then requires a zero control.
-    """
-
-    u: np.ndarray
-    applied: bool
-
-    def __post_init__(self):
-        u = _freeze(np.atleast_1d(np.asarray(self.u, dtype=float)))
-        object.__setattr__(self, "u", u)
-        if not self.applied and float(np.linalg.norm(u)) != 0.0:
-            raise ModelValidationError(["infeasible decision: applied=False with nonzero control"])
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .estimation import expected_estimation_penalty
+from .estimation import EXACT_ENUMERATION_MAX_N
 from .model import (
     DelayProfile,
     LinearSystemModel,
@@ -28,16 +28,8 @@ from .model import (
     ReliabilityChain,
     symmetrize,
 )
-from .policy import ControllerRegime, sandwich_policy
-from .riccati import (
-    REGIMES,
-    backward_recursion_delayed,
-    backward_recursion_perfect,
-    min_cost_full_delayed,
-    min_cost_full_perfect,
-    min_cost_partial_delayed,
-    min_cost_partial_perfect,
-)
+from .policy import ControllerRegime, min_cost, sandwich_policy, solve
+from .riccati import REGIMES
 from .simulator import SimulationConfig, run
 
 ORACLE_MAX_N = 16
@@ -420,31 +412,13 @@ def bound_check(
         x0 = np.zeros(model.state_dim)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
 
-    pen_cfg = {"method": "exact-enumeration"}
-    if model.N > 20:
+    pen_cfg = None  # exact enumeration
+    if model.N > EXACT_ENUMERATION_MAX_N:
         pen_cfg = {"method": "monte-carlo", "replications": replications, "seed": seed}
-
-    def closed_form(rate: float) -> float:
-        if delayed:
-            sched = backward_recursion_delayed(model, rate, delay)
-            if observation == "full":
-                return min_cost_full_delayed(sched, model, x0).total
-            sched_p = sched.with_regime("partial-delayed")
-            pen = expected_estimation_penalty(model, rate, sched_p, "partial-delayed", pen_cfg)
-            return min_cost_partial_delayed(sched_p, model, x0, pen).total
-        sched = backward_recursion_perfect(model, rate)
-        if observation == "full":
-            return min_cost_full_perfect(sched, model, x0, tau0).total
-        sched_p = sched.with_regime("partial-perfect")
-        pen = expected_estimation_penalty(model, rate, sched_p, "partial-perfect", pen_cfg)
-        return min_cost_partial_perfect(sched_p, model, x0, tau0, pen).total
-
-    lower = closed_form(p)
-    upper = closed_form(1.0 - q)
+    lower = min_cost(model, solve(model, p, delay, observation), x0, tau0, pen_cfg).total
+    policy = sandwich_policy(model, p, q, delay, observation)
+    upper = min_cost(model, policy, x0, tau0, pen_cfg).total
     chain_true = ReliabilityChain(p=p, q=q, tau0=tau0)
-    policy = sandwich_policy(
-        model, p, q, delay=delay if delayed else None, observation=observation
-    )
     exact_ok = (
         observation == "full" and model.N <= ORACLE_MAX_N and model.drift is None
     )

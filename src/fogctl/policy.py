@@ -1,9 +1,15 @@
-"""The optimal control laws for the four regimes, plus the sandwich policy.
+"""The controller for each regime, its minimum cost, and the sandwich policy.
 
-Every law is linear feedback through the schedule's gains, gated by the
-endpoint's availability at the moment the control is generated. Delayed
-regimes act only on the arrival grid (stages divisible by M) and never emit a
-control at stage 0.
+`solve` maps (model, p, delay, observation) to the optimal controller: the
+perfect-match or delayed backward recursion, tagged for full or partial
+observation. `min_cost` maps a controller to its exact minimum expected
+cost, attaching the estimation penalty under partial observation. Every
+caller that needs a regime or a closed-form cost goes through these two.
+
+The control law itself is linear feedback through the schedule's gains,
+gated by the endpoint's availability when the control is generated; the
+simulator runs it on batches of replications. Delayed regimes act only on
+the arrival grid (stages divisible by M) and never emit a control at stage 0.
 
 The sandwich policy runs the symmetric-chain gains computed at the pessimistic
 parameter p' = 1 - q on an asymmetric chain with p > 1 - q; its expected cost
@@ -15,19 +21,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .estimation import FilterState, delayed_predictor
+from .estimation import expected_estimation_penalty
 from .model import (
+    CostBreakdown,
     DelayProfile,
     LinearSystemModel,
     ModelValidationError,
-    PolicyDecision,
 )
 from .riccati import (
     GainSchedule,
     backward_recursion_delayed,
     backward_recursion_perfect,
+    min_cost_full_delayed,
+    min_cost_full_perfect,
+    min_cost_partial_delayed,
+    min_cost_partial_perfect,
 )
 
 
@@ -62,86 +70,58 @@ class ControllerRegime:
         return self.gains.regime
 
 
-def _stage_in_range(gains: GainSchedule, k: int):
-    if not (0 <= k <= gains.N - 1):
-        raise ModelValidationError([f"stage {k} outside 0..{gains.N - 1}"])
-
-
-def act_full_perfect(gains: GainSchedule, k: int, x_k: np.ndarray, tau_k: int) -> PolicyDecision:
-    """u_k = -V_k x_k when the endpoint is ON, zero otherwise."""
-    _stage_in_range(gains, k)
-    x = np.atleast_1d(np.asarray(x_k, dtype=float))
-    if tau_k == 1:
-        return PolicyDecision(u=-(gains.V[k] @ x), applied=True)
-    return PolicyDecision(u=np.zeros(gains.V[k].shape[0]), applied=False)
-
-
-def act_partial_perfect(
-    gains: GainSchedule, k: int, filter_state: FilterState, tau_k: int
-) -> PolicyDecision:
-    """u_k = -V_k x_hat_k when ON; the filter must sit at stage k."""
-    _stage_in_range(gains, k)
-    if filter_state.k != k:
-        raise ModelValidationError(
-            [f"filter at stage {filter_state.k}, decision requested at stage {k}"]
-        )
-    if tau_k == 1:
-        return PolicyDecision(u=-(gains.V[k] @ filter_state.x_hat), applied=True)
-    return PolicyDecision(u=np.zeros(gains.V[k].shape[0]), applied=False)
-
-
-def act_full_delayed(
-    gains: GainSchedule,
-    k: int,
-    lambda_k,
-    tau_gate: int,
+def solve(
     model: LinearSystemModel,
-) -> PolicyDecision:
-    """Delayed-regime law: feedback through the M-step predictor on the grid.
+    p: float,
+    delay: Optional[DelayProfile] = None,
+    observation: str = "full",
+    compensate_drift: bool = False,
+) -> ControllerRegime:
+    """The optimal controller for a symmetric chain with ON-persistence p.
 
-    Off-grid stages (k not divisible by M) and stage 0 produce zero control.
-    On-grid, the gain acts on the predictor output from lambda_k =
-    (x_{k-M}, u_{k-M}), gated by the endpoint state at generation time
-    k - M_B.
+    Runs the delayed recursion when the delay has M >= 1 and the perfect-match
+    recursion otherwise (None and M = 0 alike), and retags the schedule for
+    partial observation. The regime carries the delay bound to the horizon.
 
-    The model argument supplies the dynamics the predictor propagates
-    through; pass a drift-stripped model for the zero-mean variant.
+    Raises:
+        ModelValidationError: observation other than "full" or "partial",
+            or any error of the recursion it runs.
     """
-    _stage_in_range(gains, k)
-    M = gains.delay.M
-    s = gains.V[k].shape[0]
-    if k == 0 or k % M != 0:
-        return PolicyDecision(u=np.zeros(s), applied=False)
-    if tau_gate != 1:
-        return PolicyDecision(u=np.zeros(s), applied=False)
-    if lambda_k is None:
-        raise ModelValidationError(
-            [f"on-grid stage {k} requires the transmitted pair (x_{{k-M}}, u_{{k-M}})"]
-        )
-    x_pred = delayed_predictor(lambda_k, model, k, M)
-    return PolicyDecision(u=-(gains.V[k] @ x_pred), applied=True)
+    if delay is not None and delay.M >= 1:
+        gains = backward_recursion_delayed(model, p, delay)
+    else:
+        gains = backward_recursion_perfect(model, p)
+    if observation == "partial":
+        gains = gains.with_regime(gains.regime.replace("full-", "partial-"))
+    return ControllerRegime(
+        observation=observation, gains=gains, delay=gains.delay,
+        compensate_drift=compensate_drift,
+    )
 
 
-def act_partial_delayed(
-    gains: GainSchedule, k: int, filter_state: FilterState, tau_gate: int
-) -> PolicyDecision:
-    """Delayed law on the controller-side filter mean.
+def min_cost(
+    model: LinearSystemModel,
+    regime: ControllerRegime,
+    x0,
+    tau0=1,
+    penalty_config: Optional[dict] = None,
+) -> CostBreakdown:
+    """Exact minimum expected cost of a regime built by `solve`.
 
-    The filter must already be propagated to stage k (its mean is the
-    conditional mean of x_k given the gated observation history).
+    Under partial observation the estimation penalty at the schedule's rate
+    is attached, computed with penalty_config (see
+    `expected_estimation_penalty`; exact enumeration by default). tau0 enters
+    the perfect-match forms only: the delayed forms do not depend on it.
     """
-    _stage_in_range(gains, k)
-    M = gains.delay.M
-    s = gains.V[k].shape[0]
-    if k == 0 or k % M != 0:
-        return PolicyDecision(u=np.zeros(s), applied=False)
-    if filter_state.k != k:
-        raise ModelValidationError(
-            [f"filter clock at stage {filter_state.k}, decision requested at stage {k}"]
-        )
-    if tau_gate != 1:
-        return PolicyDecision(u=np.zeros(s), applied=False)
-    return PolicyDecision(u=-(gains.V[k] @ filter_state.x_hat), applied=True)
+    gains, tag = regime.gains, regime.regime_tag
+    if tag == "full-perfect":
+        return min_cost_full_perfect(gains, model, x0, tau0)
+    if tag == "full-delayed":
+        return min_cost_full_delayed(gains, model, x0)
+    penalty = expected_estimation_penalty(model, gains.p_used, gains, tag, penalty_config)
+    if tag == "partial-perfect":
+        return min_cost_partial_perfect(gains, model, x0, tau0, penalty)
+    return min_cost_partial_delayed(gains, model, x0, penalty)
 
 
 def sandwich_policy(
@@ -166,13 +146,4 @@ def sandwich_policy(
     """
     if p <= 1.0 - q:
         raise ModelValidationError(["sandwich hypotheses violated: requires p > 1 - q"])
-    p_prime = 1.0 - q
-    if delay is not None and delay.M >= 1:
-        gains = backward_recursion_delayed(model, p_prime, delay)
-        delay = gains.delay
-    else:
-        gains = backward_recursion_perfect(model, p_prime)
-        delay = None
-    if observation == "partial":
-        gains = gains.with_regime(gains.regime.replace("full-", "partial-"))
-    return ControllerRegime(observation=observation, gains=gains, delay=delay)
+    return solve(model, 1.0 - q, delay, observation)

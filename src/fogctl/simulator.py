@@ -50,6 +50,7 @@ from .estimation import (
     advance_histories,
     gated_posterior,
     predict_covariances,
+    propagate_mean,
     transition_product,
     window_noise,
 )
@@ -62,8 +63,6 @@ from .model import (
 )
 from .policy import ControllerRegime
 
-NOISE_FAMILIES = ("gaussian",)
-ESTIMATION_MODES = ("kalman",)
 CHUNK_BYTES = 16 * 2**20  # draws held per replication block (module docstring)
 
 
@@ -73,18 +72,12 @@ class SimulationConfig:
 
     replications: int
     master_seed: int = 0
-    noise: str = "gaussian"
     record_traces: bool = False
-    estimation: str = "kalman"
 
     def __post_init__(self):
         violations = []
         if int(self.replications) < 1:
             violations.append(f"replications must be >= 1, got {self.replications}")
-        if self.noise not in NOISE_FAMILIES:
-            violations.append(f"unsupported noise family {self.noise!r}")
-        if self.estimation not in ESTIMATION_MODES:
-            violations.append(f"unsupported estimation mode {self.estimation!r}")
         if int(self.master_seed) < 0:
             violations.append("master_seed must be a nonnegative integer")
         if violations:
@@ -427,14 +420,6 @@ def _finish(model, x, totals, record):
     return None
 
 
-def _propagate_mean_rows(ctrl_model, base, u_first, t0, t1):
-    """Rows of E[x_{t1} | x_{t0} = row, u_{t0} = u-row, no later control]."""
-    mean = base @ ctrl_model.A[t0].T + u_first @ ctrl_model.B[t0].T + ctrl_model.drift_at(t0)
-    for t in range(t0 + 1, t1):
-        mean = mean @ ctrl_model.A[t].T + ctrl_model.drift_at(t)
-    return mean
-
-
 def _run_delayed(model, ctrl_model, regime, tau, w_eps, v_eps, x0, totals, record):
     N, n, s = model.N, model.state_dim, model.control_dim
     R = tau.shape[0]
@@ -480,7 +465,7 @@ def _run_delayed(model, ctrl_model, regime, tau, w_eps, v_eps, x0, totals, recor
             if partial:
                 if j >= 1:
                     u_prev = control_at_boundary((j - 1) * M)
-                    xh_b = _propagate_mean_rows(ctrl_model, xh_b, u_prev, (j - 1) * M, t0)
+                    xh_b = propagate_mean(ctrl_model, xh_b, u_prev, (j - 1) * M, t0)
                     Phi_w = transition_product(model, t0, (j - 1) * M)
                     Xi_w = window_noise(model, (j - 1) * M, t0)
                     Sg_b = predict_covariances(Sg_b, Phi_w, Xi_w)
@@ -489,9 +474,9 @@ def _run_delayed(model, ctrl_model, regime, tau, w_eps, v_eps, x0, totals, recor
                     )
                 if record is not None:
                     record["x_hat"][:, t0] = xh_b
-                mean = _propagate_mean_rows(ctrl_model, xh_b, u_win, t0, t1)
+                mean = propagate_mean(ctrl_model, xh_b, u_win, t0, t1)
             else:
-                mean = _propagate_mean_rows(ctrl_model, saved[j], u_win, t0, t1)
+                mean = propagate_mean(ctrl_model, saved[j], u_win, t0, t1)
             u_new = -(mean @ gains.V[t1].T)
             u_new[~gate] = 0.0
             pending[t1] = u_new

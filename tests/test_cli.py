@@ -182,11 +182,12 @@ class TestSimulate:
 
     def test_unknown_simulation_key(self, tmp_path, capsys):
         cfg = scalar_config(N=3)
-        cfg["simulation"] = {"repz": 7}
-        cfg_path = write_config(tmp_path, cfg)
-        rc = cli.main(["simulate", "--config", cfg_path, "--out", str(tmp_path)])
-        assert rc == 2
-        assert "simulation: unknown keys" in capsys.readouterr().err
+        for block in ({"repz": 7}, {"estimation": "kalman"}):
+            cfg["simulation"] = block
+            cfg_path = write_config(tmp_path, cfg)
+            rc = cli.main(["simulate", "--config", cfg_path, "--out", str(tmp_path)])
+            assert rc == 2
+            assert "simulation: unknown keys" in capsys.readouterr().err
 
     def test_scenario_rows_carry_tracking_metrics(self, tmp_path):
         cfg = {

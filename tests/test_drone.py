@@ -220,21 +220,19 @@ class TestBuildSystem:
 class TestControllerModes:
     def test_mode_wiring(self):
         sc = demo_scenario()
-        cfg = fc.controller_mode(sc)
-        assert cfg == {"mode": "paper-faithful", "observation": "full", "compensate_drift": False}
-        cfg2 = fc.controller_mode(sc, "affine-compensated")
-        assert cfg2["compensate_drift"] is True
         with pytest.raises(fc.ModelValidationError, match="unknown controller mode"):
-            fc.controller_mode(sc, "vibes")
+            fc.tracking_study(sc, p_values=(0.5,), delays=(None,), replications=2, mode="vibes")
+        with pytest.raises(fc.ModelValidationError, match="unknown controller mode"):
+            fc.error_consistency_check(sc, fc.symmetric_chain(0.5), mode="vibes")
 
     def test_build_regime_variants(self):
         model = fc.build_system(demo_scenario())
-        perfect = fc.build_regime(model, 0.8)
+        perfect = fc.solve(model, 0.8)
         assert perfect.regime_tag == "full-perfect"
-        delayed = fc.build_regime(model, 0.8, fc.DelayProfile(M_F=2, M_B=1))
+        delayed = fc.solve(model, 0.8, fc.DelayProfile(M_F=2, M_B=1))
         assert delayed.regime_tag == "full-delayed"
         assert delayed.compensate_drift is False
-        affine = fc.build_regime(model, 0.8, mode="affine-compensated")
+        affine = fc.solve(model, 0.8, compensate_drift=True)
         assert affine.compensate_drift is True
 
 

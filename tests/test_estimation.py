@@ -17,91 +17,51 @@ def noisy_scalar(N, V=1.0):
 class TestFilterTransitions:
     def test_predict_hand_values(self):
         model = fc.make_system(A=2.0, B=1.0, Q=1.0, R=1.0, W=3.0, N=1)
-        state = fc.FilterState(x_hat=np.array([2.0]), Sigma=np.array([[1.0]]), k=0)
-        nxt = fc.kalman_predict(state, model, np.array([3.0]))
-        assert nxt.x_hat[0] == pytest.approx(7.0)
-        assert nxt.Sigma[0, 0] == pytest.approx(7.0)
-        assert nxt.k == 1
-        assert nxt.last_update_stage is None
+        x = fc.propagate_mean(model, np.array([[2.0]]), np.array([[3.0]]), 0, 1)
+        assert x[0, 0] == pytest.approx(7.0)
+        Sig = predict_covariances(np.array([[[1.0]]]), model.A[0], model.W[0])
+        assert Sig[0, 0, 0] == pytest.approx(7.0)
 
     def test_predict_known_drift_override(self):
         model = fc.make_system(A=1.0, B=1.0, Q=1.0, R=1.0, W=1.0, drift=np.array([[2.0]]), N=1)
-        state = fc.FilterState(x_hat=np.array([1.0]), Sigma=np.array([[0.0]]), k=0)
-        with_drift = fc.kalman_predict(state, model, np.array([0.0]))
-        assert with_drift.x_hat[0] == pytest.approx(3.0)
-        overridden = fc.kalman_predict(state, model, np.array([0.0]), known_drift=np.array([0.0]))
-        assert overridden.x_hat[0] == pytest.approx(1.0)
-
-    def test_predict_guards(self):
-        model, _ = noisy_scalar(N=1)
-        state = fc.FilterState(x_hat=np.zeros(1), Sigma=np.zeros((1, 1)), k=1)
-        with pytest.raises(fc.ModelValidationError, match="past the horizon"):
-            fc.kalman_predict(state, model, np.zeros(1))
-        state0 = fc.FilterState(x_hat=np.zeros(1), Sigma=np.zeros((1, 1)), k=0)
-        with pytest.raises(fc.ModelValidationError, match="shape"):
-            fc.kalman_predict(state0, model, np.zeros(2))
+        x, u = np.array([[1.0]]), np.array([[0.0]])
+        assert fc.propagate_mean(model, x, u, 0, 1)[0, 0] == pytest.approx(3.0)
+        assert fc.propagate_mean(model.without_drift(), x, u, 0, 1)[0, 0] == pytest.approx(1.0)
 
     def test_update_hand_values(self):
         model, _ = noisy_scalar(N=1, V=1.0)
-        state = fc.FilterState(x_hat=np.zeros(1), Sigma=np.array([[1.0]]), k=0)
-        post = fc.kalman_update(state, model, np.array([2.0]))
+        gain, post = gated_posterior(np.array([[[1.0]]]), model.C[0], model.V_noise[0])
         # gain = Sigma / (Sigma + V) = 1/2; Joseph posterior = 1/2
-        assert post.x_hat[0] == pytest.approx(1.0)
-        assert post.Sigma[0, 0] == pytest.approx(0.5)
-        assert post.k == 0 and post.last_update_stage == 0
-
-    def test_update_singular_innovation_rejected(self):
-        model, _ = noisy_scalar(N=1, V=0.0)
-        state = fc.FilterState(x_hat=np.zeros(1), Sigma=np.zeros((1, 1)), k=0)
-        with pytest.raises(fc.ModelValidationError, match="innovation covariance singular"):
-            fc.kalman_update(state, model, np.zeros(1))
+        assert gain[0, 0, 0] == pytest.approx(0.5)
+        assert post[0, 0, 0] == pytest.approx(0.5)
+        # prior mean 0, measurement 2: x_hat = gain * 2 = 1
+        assert (gain[0] @ np.array([2.0]))[0] == pytest.approx(1.0)
 
     def test_update_reduces_uncertainty(self, rng):
         for _ in range(10):
             model, _ = random_model(rng, partial=True)
             Sig = np.eye(model.state_dim) * float(rng.uniform(0.5, 2.0))
-            state = fc.FilterState(x_hat=np.zeros(model.state_dim), Sigma=Sig, k=0)
-            post = fc.kalman_update(state, model, rng.normal(size=model.obs_dim))
-            d = np.linalg.eigvalsh(state.Sigma - post.Sigma)
+            _, post = gated_posterior(Sig[None], model.C[0], model.V_noise[0])
+            d = np.linalg.eigvalsh(Sig - post[0])
             assert d[0] >= -1e-9
-
-    def test_filter_state_rejects_indefinite_covariance(self):
-        with pytest.raises(fc.ModelValidationError):
-            fc.FilterState(x_hat=np.zeros(1), Sigma=np.array([[-1.0]]), k=0)
 
 
 class TestDelayedPredictor:
+    """propagate_mean as the M-step predictor from (x_{k-M}, u_{k-M}) to stage k."""
+
     def test_hand_value_no_drift(self):
         model = fc.make_system(A=2.0, B=1.0, Q=1.0, R=1.0, W=1.0, N=4)
-        lam = (np.array([1.0]), np.array([0.5]))
-        assert fc.delayed_predictor(lam, model, k=2, M=2)[0] == pytest.approx(5.0)
+        x, u = np.array([[1.0]]), np.array([[0.5]])
+        assert fc.propagate_mean(model, x, u, 0, 2)[0, 0] == pytest.approx(5.0)
 
     def test_hand_value_with_drift(self):
         drift = np.array([[1.0], [-1.0], [2.0], [0.0]])
         model = fc.make_system(A=2.0, B=1.0, Q=1.0, R=1.0, W=1.0, drift=drift, N=4)
-        lam = (np.array([1.0]), np.array([0.5]))
+        x, u = np.array([[1.0]]), np.array([[0.5]])
         # x1 = 2*1 + 0.5 + 1 = 3.5; x2 = 2*3.5 - 1 = 6
-        assert fc.delayed_predictor(lam, model, k=2, M=2)[0] == pytest.approx(6.0)
+        assert fc.propagate_mean(model, x, u, 0, 2)[0, 0] == pytest.approx(6.0)
         stripped = model.without_drift()
-        assert fc.delayed_predictor(lam, stripped, k=2, M=2)[0] == pytest.approx(5.0)
-
-    def test_grid_guards(self):
-        model = fc.make_system(A=1.0, B=1.0, Q=1.0, R=1.0, W=1.0, N=6)
-        lam = (np.zeros(1), np.zeros(1))
-        with pytest.raises(fc.ModelValidationError, match="off the arrival grid"):
-            fc.delayed_predictor(lam, model, k=3, M=2)
-        with pytest.raises(fc.ModelValidationError, match="precedes the first"):
-            fc.delayed_predictor(lam, model, k=0, M=2)
-        with pytest.raises(fc.ModelValidationError, match="M >= 1"):
-            fc.delayed_predictor(lam, model, k=2, M=0)
-
-    def test_matches_propagate_mean(self, rng):
-        model, _ = random_model(rng, N_low=6, N_high=8)
-        x = rng.normal(size=model.state_dim)
-        u = rng.normal(size=model.control_dim)
-        got = fc.delayed_predictor((x, u), model, k=4, M=4)
-        want = fc.propagate_mean(model, x, u, 0, 4)
-        assert np.allclose(got, want, atol=1e-12)
+        assert fc.propagate_mean(stripped, x, u, 0, 2)[0, 0] == pytest.approx(5.0)
 
 
 class TestWindowAlgebra:
@@ -131,12 +91,6 @@ class TestWindowAlgebra:
 
 
 class TestPenaltyStructures:
-    def test_zero_penalty(self):
-        pen = fc.zero_penalty((0, 2, 4))
-        assert pen.per_stage == (0.0, 0.0, 0.0)
-        assert pen.total == 0.0 and pen.standard_error == 0.0
-        assert pen.stages == (0, 2, 4)
-
     def test_default_stage_labels(self):
         pen = fc.EstimationPenalty(
             per_stage=(0.0, 0.1), total=0.1, method="exact-enumeration", standard_error=0.0

@@ -191,29 +191,6 @@ class TestDelayProfile:
             d.bound_to(5)
 
 
-class TestInformationSetAndDecision:
-    def test_stages_strictly_increasing(self):
-        with pytest.raises(fc.ModelValidationError):
-            fc.InformationSet(observations=((1, np.zeros(1)), (1, np.zeros(1))))
-
-    def test_gating_check(self):
-        info = fc.InformationSet(observations=((0, np.zeros(1)), (2, np.zeros(1))))
-        info.check_gating([1, 0, 1])
-        with pytest.raises(fc.ModelValidationError):
-            info.check_gating([1, 0, 0])
-
-    def test_delay_check(self):
-        info = fc.InformationSet(observations=((3, np.zeros(1)),))
-        info.check_delay(current_stage=5, M=2)
-        with pytest.raises(fc.ModelValidationError):
-            info.check_delay(current_stage=4, M=2)
-
-    def test_unapplied_decision_must_be_zero(self):
-        fc.PolicyDecision(u=np.zeros(2), applied=False)
-        with pytest.raises(fc.ModelValidationError):
-            fc.PolicyDecision(u=np.array([0.1, 0.0]), applied=False)
-
-
 class TestCostBreakdown:
     def test_assemble_sums(self):
         cb = fc.CostBreakdown.assemble(1.0, 2.0, 0.5, 0.25)

@@ -1,11 +1,18 @@
-"""Control laws: gating, grid discipline, and the sandwich construction."""
+"""Controllers: regime wiring, the dispatcher, the batched law's gating and
+grid discipline, and the sandwich construction."""
 
 import numpy as np
 import pytest
 
 import fogctl as fc
 
-from reference import scalar_fixture
+from reference import (
+    closed_form_cost,
+    make_regime,
+    random_delay,
+    random_model,
+    scalar_fixture,
+)
 
 
 def perfect_gains(N=3, p=0.5):
@@ -42,86 +49,109 @@ class TestControllerRegime:
         assert fc.ControllerRegime(observation="full", gains=gains).compensate_drift is False
 
 
+class TestDispatcher:
+    """solve/min_cost against the independent routing in tests/reference.py."""
+
+    def test_matches_reference_routing(self, rng):
+        for _ in range(12):
+            model, x0 = random_model(rng, partial=True)
+            p = float(rng.uniform(0.05, 0.95))
+            tau0 = int(rng.integers(0, 2))
+            for delay in (None, random_delay(rng, model.N)):
+                for observation in ("full", "partial"):
+                    regime = fc.solve(model, p, delay, observation)
+                    ref = make_regime(model, p, delay, observation)
+                    assert regime.regime_tag == ref.regime_tag
+                    assert np.array_equal(regime.gains.V, ref.gains.V)
+                    got = fc.min_cost(model, regime, x0, tau0)
+                    assert got == closed_form_cost(model, p, delay, observation, x0, tau0)
+
+    def test_zero_delay_is_full_perfect(self):
+        model, x0 = scalar_fixture(N=4)
+        regime = fc.solve(model, 0.7, fc.DelayProfile(M_F=0, M_B=0))
+        assert regime.regime_tag == "full-perfect" and regime.delay is None
+        assert np.array_equal(regime.gains.V, fc.backward_recursion_perfect(model, 0.7).V)
+        assert fc.min_cost(model, regime, x0) == closed_form_cost(model, 0.7, None, "full", x0)
+
+    def test_bad_observation_raises(self):
+        model, _ = scalar_fixture(N=4)
+        for delay in (None, fc.DelayProfile(M_F=1, M_B=1)):
+            with pytest.raises(fc.ModelValidationError, match="observation"):
+                fc.solve(model, 0.5, delay, observation="psychic")
+
+
+ALWAYS_ON = fc.ReliabilityChain(p=1.0, q=0.0, tau0=1)
+ALWAYS_OFF = fc.ReliabilityChain(p=0.0, q=1.0, tau0=0)
+
+
+def traced(model, regime, chain, x0):
+    """One replication of the simulator's batched law, traces recorded."""
+    cfg = fc.SimulationConfig(replications=1, record_traces=True)
+    return fc.run(model, chain, regime.delay, regime, cfg, x0=x0)["traces"]
+
+
+def noisy_scalar(N):
+    return fc.make_system(A=1.0, B=1.0, Q=1.0, R=1.0, W=1.0, V_noise=1.0, N=N)
+
+
 class TestPerfectLaws:
     def test_full_feedback_when_on(self):
-        _, gains = perfect_gains(N=3)
-        x = np.array([2.0])
-        dec = fc.act_full_perfect(gains, 1, x, tau_k=1)
-        assert dec.applied
-        assert dec.u == pytest.approx(-(gains.V[1] @ x))
+        model, gains = perfect_gains(N=3)
+        tr = traced(model, fc.solve(model, 0.5), ALWAYS_ON, np.array([2.0]))
+        for k in range(3):
+            assert tr.u[0, k] == pytest.approx(-(gains.V[k] @ tr.x[0, k]))
 
     def test_full_zero_when_off(self):
-        _, gains = perfect_gains(N=3)
-        dec = fc.act_full_perfect(gains, 1, np.array([2.0]), tau_k=0)
-        assert not dec.applied
-        assert np.all(dec.u == 0.0)
+        model, _ = perfect_gains(N=3)
+        tr = traced(model, fc.solve(model, 0.5), ALWAYS_OFF, np.array([2.0]))
+        assert np.all(tr.tau == 0) and np.all(tr.u == 0.0)
 
     def test_stage_bounds(self):
         _, gains = perfect_gains(N=3)
-        with pytest.raises(fc.ModelValidationError, match="outside"):
-            fc.act_full_perfect(gains, 3, np.zeros(1), 1)
-        with pytest.raises(fc.ModelValidationError, match="outside"):
-            fc.act_full_perfect(gains, -1, np.zeros(1), 1)
+        model, x0 = scalar_fixture(N=4)
+        regime = fc.ControllerRegime(observation="full", gains=gains)
+        with pytest.raises(fc.ModelValidationError, match="gains horizon 3 != model horizon 4"):
+            traced(model, regime, ALWAYS_ON, x0)
 
     def test_partial_uses_filter_mean(self):
-        _, gains = perfect_gains(N=3)
-        st = fc.FilterState(x_hat=np.array([3.0]), Sigma=np.array([[1.0]]), k=2)
-        dec = fc.act_partial_perfect(gains, 2, st, tau_k=1)
-        assert dec.u == pytest.approx(-(gains.V[2] @ st.x_hat))
-
-    def test_partial_filter_clock_checked(self):
-        _, gains = perfect_gains(N=3)
-        st = fc.FilterState(x_hat=np.zeros(1), Sigma=np.zeros((1, 1)), k=1)
-        with pytest.raises(fc.ModelValidationError, match="filter at stage"):
-            fc.act_partial_perfect(gains, 2, st, tau_k=1)
+        model = noisy_scalar(N=3)
+        regime = fc.solve(model, 0.5, observation="partial")
+        tr = traced(model, regime, ALWAYS_ON, np.array([3.0]))
+        assert not np.allclose(tr.x_hat[0, 1:], tr.x[0, 1:3])
+        for k in range(3):
+            assert tr.u[0, k] == pytest.approx(-(regime.gains.V[k] @ tr.x_hat[0, k]))
 
 
 class TestDelayedLaws:
-    def test_off_grid_and_stage_zero_are_silent(self):
-        model, gains = delayed_gains(N=4, M_F=1, M_B=1)
-        for k in (0, 1, 3):
-            dec = fc.act_full_delayed(gains, k, None, tau_gate=1, model=model)
-            assert not dec.applied and np.all(dec.u == 0.0)
+    """M = 2 on N = 5: arrivals at stages 2 and 4, generated from stages 0 and 2."""
+
+    delay = fc.DelayProfile(M_F=1, M_B=1)
 
     def test_on_grid_feedback_through_predictor(self):
-        model, gains = delayed_gains(N=4, M_F=1, M_B=1)
-        lam = (np.array([1.0]), np.array([0.5]))
-        dec = fc.act_full_delayed(gains, 2, lam, tau_gate=1, model=model)
-        pred = fc.delayed_predictor(lam, model, 2, 2)
-        assert dec.applied
-        assert dec.u == pytest.approx(-(gains.V[2] @ pred))
-
-    def test_gate_off_silences_on_grid(self):
-        model, gains = delayed_gains(N=4, M_F=1, M_B=1)
-        lam = (np.array([1.0]), np.array([0.5]))
-        dec = fc.act_full_delayed(gains, 2, lam, tau_gate=0, model=model)
-        assert not dec.applied and np.all(dec.u == 0.0)
-
-    def test_on_grid_requires_pair(self):
-        model, gains = delayed_gains(N=4, M_F=1, M_B=1)
-        with pytest.raises(fc.ModelValidationError, match="requires the transmitted pair"):
-            fc.act_full_delayed(gains, 2, None, tau_gate=1, model=model)
+        model, x0 = scalar_fixture(N=5)
+        regime = fc.solve(model, 0.5, self.delay)
+        tr = traced(model, regime, ALWAYS_ON, x0)
+        for t0 in (0, 2):
+            pred = fc.propagate_mean(model, tr.x[:, t0], tr.u[:, t0], t0, t0 + 2)
+            assert tr.u[0, t0 + 2] == pytest.approx(-(regime.gains.V[t0 + 2] @ pred[0]))
+            assert tr.u[0, t0 + 2] != pytest.approx(-(regime.gains.V[t0 + 2] @ tr.x[0, t0 + 2]))
 
     def test_partial_uses_filter_mean_on_grid(self):
-        _, gains = delayed_gains(N=4, M_F=1, M_B=1)
-        st = fc.FilterState(x_hat=np.array([2.0]), Sigma=np.array([[0.5]]), k=2)
-        dec = fc.act_partial_delayed(gains, 2, st, tau_gate=1)
-        assert dec.applied
-        assert dec.u == pytest.approx(-(gains.V[2] @ st.x_hat))
-        off = fc.act_partial_delayed(gains, 2, st, tau_gate=0)
-        assert not off.applied
-
-    def test_partial_filter_clock(self):
-        _, gains = delayed_gains(N=4, M_F=1, M_B=1)
-        st = fc.FilterState(x_hat=np.zeros(1), Sigma=np.zeros((1, 1)), k=1)
-        with pytest.raises(fc.ModelValidationError, match="filter clock"):
-            fc.act_partial_delayed(gains, 2, st, tau_gate=1)
+        model = noisy_scalar(N=5)
+        regime = fc.solve(model, 0.5, self.delay, observation="partial")
+        tr = traced(model, regime, ALWAYS_ON, np.array([2.0]))
+        for t0 in (0, 2):
+            pred = fc.propagate_mean(model, tr.x_hat[:, t0], tr.u[:, t0], t0, t0 + 2)
+            assert tr.u[0, t0 + 2] == pytest.approx(-(regime.gains.V[t0 + 2] @ pred[0]))
+        off = traced(model, regime, ALWAYS_OFF, np.array([2.0]))
+        assert np.all(off.u == 0.0)
 
     def test_partial_off_grid_silent_without_clock_check(self):
-        _, gains = delayed_gains(N=4, M_F=1, M_B=1)
-        st = fc.FilterState(x_hat=np.ones(1), Sigma=np.zeros((1, 1)), k=0)
-        dec = fc.act_partial_delayed(gains, 1, st, tau_gate=1)
-        assert not dec.applied
+        model = noisy_scalar(N=5)
+        regime = fc.solve(model, 0.5, self.delay, observation="partial")
+        tr = traced(model, regime, ALWAYS_ON, np.ones(1))
+        assert np.all(tr.u[0, [0, 1, 3]] == 0.0)
+        assert np.all(tr.u[0, [2, 4]] != 0.0)
 
 
 class TestSandwichPolicy:

@@ -39,10 +39,6 @@ class TestConfigAndStreams:
         with pytest.raises(fc.ModelValidationError):
             fc.SimulationConfig(replications=0)
         with pytest.raises(fc.ModelValidationError):
-            fc.SimulationConfig(replications=10, noise="cauchy")
-        with pytest.raises(fc.ModelValidationError):
-            fc.SimulationConfig(replications=10, estimation="oracle")
-        with pytest.raises(fc.ModelValidationError):
             fc.SimulationConfig(replications=10, master_seed=-1)
 
     def test_noise_streams_shapes_and_determinism(self):
