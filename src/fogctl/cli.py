@@ -12,7 +12,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -36,12 +36,6 @@ from .model import (
 )
 from .oracle import bound_check, brute_force_min_cost
 from .policy import min_cost, solve
-from .riccati import (
-    backward_recursion_delayed,
-    backward_recursion_perfect,
-    min_cost_full_delayed,
-    min_cost_full_perfect,
-)
 from .simulator import SimulationConfig, run, tracking_metrics
 
 EXIT_OK = 0
@@ -267,18 +261,10 @@ def _random_verify_model(rng):
     return model, x0
 
 
-def cmd_verify(
-    config: dict,
-    out_dir: Path,
-    seed: Optional[int] = None,
-    schedule_transform: Optional[Callable] = None,
-) -> int:
+def cmd_verify(config: dict, out_dir: Path, seed: Optional[int] = None) -> int:
     """Self-check campaigns: closed form vs oracle, and sandwich bounds.
 
     Writes verify.json and returns the exit code (0 all pass, 3 otherwise).
-    schedule_transform, when given, rewrites each gain schedule before the
-    closed-form evaluation; it exists so failure detection itself can be
-    tested against a corrupted schedule.
     """
     block = dict(config.get("verify") or {})
     known = {"models", "sandwich", "seed", "tolerance"}
@@ -298,10 +284,7 @@ def cmd_verify(
         p = float(rng.uniform(0.05, 0.95))
         chain = symmetric_chain(p, tau0=1)
 
-        sched = backward_recursion_perfect(model, p)
-        if schedule_transform is not None:
-            sched = schedule_transform(sched)
-        closed = min_cost_full_perfect(sched, model, x0, 1).total
+        closed = min_cost(model, solve(model, p), x0, 1).total
         oracle_value = brute_force_min_cost(model, chain, None, x0, tau0=1)
         rel = abs(closed - oracle_value) / max(1.0, abs(oracle_value))
         ok = rel <= tol
@@ -315,10 +298,7 @@ def cmd_verify(
         M_B = int(rng.integers(0, 2))
         if M_F + M_B <= model.N - 1:
             delay = DelayProfile(M_F=M_F, M_B=M_B)
-            sched_d = backward_recursion_delayed(model, p, delay)
-            if schedule_transform is not None:
-                sched_d = schedule_transform(sched_d)
-            closed_d = min_cost_full_delayed(sched_d, model, x0).total
+            closed_d = min_cost(model, solve(model, p, delay), x0).total
             oracle_d = brute_force_min_cost(model, chain, delay, x0, tau0=1)
             rel_d = abs(closed_d - oracle_d) / max(1.0, abs(oracle_d))
             ok_d = rel_d <= tol

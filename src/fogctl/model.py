@@ -4,6 +4,10 @@ This module holds the domain vocabulary shared by the whole package:
 
 - ``LinearSystemModel``: a finite-horizon, time-varying linear plant with
   quadratic stage weights and Gaussian disturbance/measurement covariances.
+  Each per-stage field is one stacked array, stage index first (A is
+  (N, n, n), Q is (N+1, n, n)), built by ``make_system`` from constant or
+  per-stage input and checked in one batched pass: shapes, finiteness, and
+  one ``eigvalsh`` per weight or covariance field.
 - ``ReliabilityChain``: the two-state Markov ON/OFF process describing whether
   the remote controller endpoint can serve a request at a given stage.
 - ``DelayProfile``: forward/backward transport delays between plant and
@@ -11,7 +15,9 @@ This module holds the domain vocabulary shared by the whole package:
 - ``CostBreakdown``: the decomposition of an expected cost into its
   initial-state, disturbance, collateral and estimation terms.
 
-All types are immutable after validation; stored arrays are read-only.
+All types are immutable after validation; stored arrays are read-only, and
+malformed or non-finite input raises ``ModelValidationError`` naming the
+field.
 The module also provides per-type (de)serialization to the JSON config
 format used by the command line front end.
 """
@@ -19,7 +25,7 @@ format used by the command line front end.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -93,110 +99,114 @@ def is_pd(X: np.ndarray, tol: float = PD_CHECK_TOL) -> bool:
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+    """Mark a freshly built float array read-only and return it."""
+    a = np.asarray(a, dtype=float)
     a.setflags(write=False)
     return a
 
 
-def _as_stage_matrices(
-    name: str,
-    raw,
-    count: int,
-    rows: int,
-    cols: int,
-    symmetrize_with_warning: bool = False,
-) -> tuple:
-    """Normalize a constant-or-per-stage matrix input into a tuple of arrays.
+def _floats(name: str, raw) -> np.ndarray:
+    """raw as a float array; ModelValidationError naming the field otherwise."""
+    try:
+        return np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise ModelValidationError([f"{name}: not a numeric array ({e})"]) from None
 
-    A single (rows, cols) array means "constant over all stages". Scalars are
-    promoted to 1x1 matrices. Raises ModelValidationError on shape mismatch.
+
+def _stage_layout(N: int, n: int, s: int, m: int) -> dict:
+    """(stage count, per-stage shape, symmetrized) of each stage field."""
+    return {
+        "A": (N, (n, n), False), "B": (N, (n, s), False), "C": (N, (m, n), False),
+        "Q": (N + 1, (n, n), True), "R": (N, (s, s), True), "W": (N, (n, n), True),
+        "V_noise": (N, (m, m), True), "drift": (N, (n,), False),
+    }
+
+
+def _stage_stack(
+    name: str, raw, count: int, shape: tuple, symmetric: bool = False
+) -> np.ndarray:
+    """Stack a constant-or-per-stage input into a read-only (count, *shape) array.
+
+    One entry of ``shape`` (a scalar promotes to all ones) means "constant
+    over all stages"; a leading stage axis means one entry per stage. With
+    ``symmetric``, each stage is replaced by (X + X^T) / 2, with one warning
+    per stage whose asymmetry exceeds ``SYMMETRY_WARN_TOL``.
+
+    Raises:
+        ModelValidationError: naming the field, when raw is not numeric, has
+            the wrong number of axes or shape, or holds a non-finite entry.
     """
-    arr = np.asarray(raw, dtype=float)
+    arr = _floats(name, raw)
     if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    if arr.ndim == 2:
-        stack = [arr] * count
-    elif arr.ndim == 3:
-        if arr.shape[0] != count:
-            raise ModelValidationError(
-                [f"{name}: expected {count} stage matrices, got {arr.shape[0]}"]
+        arr = arr.reshape((1,) * len(shape))
+    if arr.ndim == len(shape):
+        arr = np.broadcast_to(arr, (count, *arr.shape))
+    elif arr.ndim != len(shape) + 1:
+        raise ModelValidationError(
+            [f"{name}: expected {len(shape)} axes, or {len(shape) + 1} with stages first; "
+             f"got {arr.ndim}"]
+        )
+    if arr.shape != (count, *shape):
+        raise ModelValidationError(
+            [f"{name}: shape {arr.shape}, expected {(count, *shape)} (stages first)"]
+        )
+    if not np.isfinite(arr).all():
+        raise ModelValidationError([f"{name}: non-finite entries"])
+    if symmetric:
+        swapped = arr.swapaxes(1, 2)
+        asym = np.abs(arr - swapped).max(axis=(1, 2), initial=0.0)
+        for k in np.flatnonzero(asym > SYMMETRY_WARN_TOL):
+            warnings.warn(
+                f"{name}[{k}]: asymmetry {asym[k]:.3e} exceeds "
+                f"{SYMMETRY_WARN_TOL:.0e}; symmetrizing",
+                stacklevel=2,
             )
-        stack = [arr[i] for i in range(count)]
-    else:
-        raise ModelValidationError([f"{name}: expected a matrix or a list of matrices"])
-    out = []
-    for i, X in enumerate(stack):
-        if X.shape != (rows, cols):
-            raise ModelValidationError(
-                [f"{name}: shape {X.shape} at k={i}, expected ({rows}, {cols})"]
-            )
-        if symmetrize_with_warning:
-            X = symmetrize(X, warn_label=f"{name}[{i}]")
-        out.append(_freeze(X))
-    return tuple(out)
-
-
-def _as_stage_vectors(name: str, raw, count: int, dim: int) -> tuple:
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    if arr.ndim == 1:
-        stack = [arr] * count
-    elif arr.ndim == 2:
-        if arr.shape[0] != count:
-            raise ModelValidationError(
-                [f"{name}: expected {count} stage vectors, got {arr.shape[0]}"]
-            )
-        stack = [arr[i] for i in range(count)]
-    else:
-        raise ModelValidationError([f"{name}: expected a vector or a list of vectors"])
-    out = []
-    for i, v in enumerate(stack):
-        if v.shape != (dim,):
-            raise ModelValidationError(
-                [f"{name}: shape {v.shape} at k={i}, expected ({dim},)"]
-            )
-        out.append(_freeze(v))
-    return tuple(out)
+        arr = (arr + swapped) / 2.0
+    # order="C": a stride-order copy of a broadcast puts the stage axis
+    # innermost, and matmul rounds differently on such non-contiguous stages.
+    return _freeze(np.array(arr, order="C"))
 
 
 @dataclass(frozen=True)
 class LinearSystemModel:
     """Finite-horizon time-varying linear plant with quadratic stage costs.
 
+    Every stage field is one read-only, C-contiguous float64 array, stage
+    index first, so ``model.A[k]`` is the stage-k matrix.
+
     Fields:
         N: number of stages (the horizon; stage costs run k = 0..N-1 plus a
             terminal weight at k = N).
-        A, B, C: dynamics, input, and observation matrices for k = 0..N-1.
-        Q: state weights for k = 0..N (the last entry is the terminal weight).
-        R: control weights for k = 0..N-1 (positive definite).
-        W: disturbance covariances for k = 0..N-1.
-        V_noise: measurement-plus-channel noise covariances for k = 0..N-1.
-        drift: optional known deterministic disturbance means for k = 0..N-1
-            (used by waypoint-tracking error coordinates).
+        A, B, C: dynamics (N, n, n), input (N, n, s) and observation (N, m, n).
+        Q: state weights (N+1, n, n); Q[N] is the terminal weight.
+        R: control weights (N, s, s), positive definite.
+        W: disturbance covariances (N, n, n).
+        V_noise: measurement-plus-channel noise covariances (N, m, m).
+        drift: optional known deterministic disturbance means (N, n) (used
+            by waypoint-tracking error coordinates).
     """
 
     N: int
-    A: tuple
-    B: tuple
-    C: tuple
-    Q: tuple
-    R: tuple
-    W: tuple
-    V_noise: tuple
-    drift: Optional[tuple] = None
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    Q: np.ndarray
+    R: np.ndarray
+    W: np.ndarray
+    V_noise: np.ndarray
+    drift: Optional[np.ndarray] = None
 
     @property
     def state_dim(self) -> int:
-        return self.A[0].shape[0]
+        return self.A.shape[1]
 
     @property
     def control_dim(self) -> int:
-        return self.B[0].shape[1]
+        return self.B.shape[2]
 
     @property
     def obs_dim(self) -> int:
-        return self.C[0].shape[0]
+        return self.C.shape[1]
 
     def drift_at(self, k: int) -> np.ndarray:
         """Known disturbance mean at stage k (zeros when no drift is set)."""
@@ -206,12 +216,7 @@ class LinearSystemModel:
 
     def without_drift(self) -> "LinearSystemModel":
         """Copy of this model with the drift field cleared."""
-        if self.drift is None:
-            return self
-        return LinearSystemModel(
-            N=self.N, A=self.A, B=self.B, C=self.C, Q=self.Q, R=self.R,
-            W=self.W, V_noise=self.V_noise, drift=None,
-        )
+        return replace(self, drift=None)
 
 
 def make_system(
@@ -236,68 +241,36 @@ def make_system(
         A validated LinearSystemModel.
 
     Raises:
-        ModelValidationError: on any dimension or definiteness violation.
+        ModelValidationError: on non-numeric or non-finite input, or any
+            dimension or definiteness violation.
     """
-    A_arr = np.asarray(A, dtype=float)
+    A, B, Q = _floats("A", A), _floats("B", B), _floats("Q", Q)
     if N is None:
-        for cand in (A_arr, np.asarray(B, dtype=float)):
-            if cand.ndim == 3:
-                N = cand.shape[0]
-                break
-        else:
-            q_arr = np.asarray(Q, dtype=float)
-            if q_arr.ndim == 3:
-                N = q_arr.shape[0] - 1
-            else:
-                raise ModelValidationError(
-                    ["N is required when all matrix inputs are constant"]
-                )
+        counts = [x.shape[0] - extra for x, extra in ((A, 0), (B, 0), (Q, 1)) if x.ndim == 3]
+        if not counts:
+            raise ModelValidationError(["N is required when all matrix inputs are constant"])
+        N = counts[0]
     if N < 1:
         raise ModelValidationError([f"N must be >= 1, got {N}"])
-
-    if A_arr.ndim == 0:
-        n = 1
-    elif A_arr.ndim == 2:
-        n = A_arr.shape[0]
-    else:
-        n = A_arr.shape[1]
-    B_arr = np.asarray(B, dtype=float)
-    if B_arr.ndim == 0:
-        s = 1
-    elif B_arr.ndim == 2:
-        s = B_arr.shape[1]
-    else:
-        s = B_arr.shape[2]
-    if C is None:
-        C = np.eye(n)
-    C_arr = np.asarray(C, dtype=float)
-    if C_arr.ndim == 0:
-        m = 1
-    elif C_arr.ndim == 2:
-        m = C_arr.shape[0]
-    else:
-        m = C_arr.shape[1]
-    if V_noise is None:
-        V_noise = np.zeros((m, m))
-
-    model = LinearSystemModel(
-        N=int(N),
-        A=_as_stage_matrices("A", A, N, n, n),
-        B=_as_stage_matrices("B", B, N, n, s),
-        C=_as_stage_matrices("C", C, N, m, n),
-        Q=_as_stage_matrices("Q", Q, N + 1, n, n, symmetrize_with_warning=True),
-        R=_as_stage_matrices("R", R, N, s, s, symmetrize_with_warning=True),
-        W=_as_stage_matrices("W", W, N, n, n, symmetrize_with_warning=True),
-        V_noise=_as_stage_matrices(
-            "V_noise", V_noise, N, m, m, symmetrize_with_warning=True
-        ),
-        drift=None if drift is None else _as_stage_vectors("drift", drift, N, n),
-    )
-    return validate_model(model)
+    N = int(N)
+    n = A.shape[-2] if A.ndim >= 2 else 1
+    s = B.shape[-1] if B.ndim >= 2 else 1
+    C = _floats("C", np.eye(n) if C is None else C)
+    m = C.shape[-2] if C.ndim >= 2 else 1
+    raw = dict(A=A, B=B, C=C, Q=Q, R=R, W=W, drift=drift,
+               V_noise=np.zeros((m, m)) if V_noise is None else V_noise)
+    stacks = {
+        name: None if raw[name] is None else _stage_stack(name, raw[name], *layout)
+        for name, layout in _stage_layout(N, n, s, m).items()
+    }
+    return validate_model(LinearSystemModel(N=N, **stacks))
 
 
 def validate_model(model: LinearSystemModel) -> LinearSystemModel:
     """Check every model invariant, returning the model unchanged if valid.
+
+    Shapes are one comparison per field; definiteness is one batched
+    ``eigvalsh`` per field, with the tolerances of ``is_psd`` and ``is_pd``.
 
     Args:
         model: candidate model.
@@ -313,45 +286,17 @@ def validate_model(model: LinearSystemModel) -> LinearSystemModel:
     violations = []
     if model.N < 1:
         violations.append(f"N must be >= 1, got {model.N}")
-    n, s, m = model.state_dim, model.control_dim, model.obs_dim
-    seqs = [
-        ("A", model.A, model.N, (n, n)),
-        ("B", model.B, model.N, (n, s)),
-        ("C", model.C, model.N, (m, n)),
-        ("Q", model.Q, model.N + 1, (n, n)),
-        ("R", model.R, model.N, (s, s)),
-        ("W", model.W, model.N, (n, n)),
-        ("V_noise", model.V_noise, model.N, (m, m)),
-    ]
-    for name, seq, count, shape in seqs:
-        if len(seq) != count:
-            violations.append(f"{name}: expected {count} stage entries, got {len(seq)}")
-            continue
-        for k, X in enumerate(seq):
-            if X.shape != shape:
-                violations.append(f"{name}: shape {X.shape} at k={k}, expected {shape}")
-    if model.drift is not None:
-        if len(model.drift) != model.N:
-            violations.append(
-                f"drift: expected {model.N} stage entries, got {len(model.drift)}"
-            )
-        else:
-            for k, v in enumerate(model.drift):
-                if v.shape != (n,):
-                    violations.append(f"drift: shape {v.shape} at k={k}, expected ({n},)")
+    layout = _stage_layout(model.N, model.state_dim, model.control_dim, model.obs_dim)
+    for name, (count, shape, _) in layout.items():
+        stack = getattr(model, name)
+        if stack is not None and stack.shape != (count, *shape):
+            violations.append(f"{name}: shape {stack.shape}, expected {(count, *shape)}")
     if not violations:
-        for k, X in enumerate(model.Q):
-            if not is_psd(X):
-                violations.append(f"Q not positive semidefinite at k={k}")
-        for k, X in enumerate(model.R):
-            if not is_pd(X):
-                violations.append(f"R not positive definite at k={k}")
-        for k, X in enumerate(model.W):
-            if not is_psd(X):
-                violations.append(f"W not positive semidefinite at k={k}")
-        for k, X in enumerate(model.V_noise):
-            if not is_psd(X):
-                violations.append(f"V_noise not positive semidefinite at k={k}")
+        for name in ("Q", "R", "W", "V_noise"):
+            low = np.linalg.eigvalsh(getattr(model, name))[:, 0]
+            ok = low > PD_CHECK_TOL if name == "R" else low >= PSD_EIG_TOL
+            what = "positive definite" if name == "R" else "positive semidefinite"
+            violations += [f"{name} not {what} at k={k}" for k in np.flatnonzero(~ok)]
     if violations:
         raise ModelValidationError(violations)
     return model
@@ -556,24 +501,13 @@ class CostBreakdown:
 # Config block (de)serialization for the types owned by this module.
 # ---------------------------------------------------------------------------
 
-def _matseq_to_lists(seq) -> list:
-    return [np.asarray(X).tolist() for X in seq]
-
-
 def system_to_config(model: LinearSystemModel, x0: Optional[np.ndarray] = None) -> dict:
     """Canonical config block for a system (explicit per-stage arrays)."""
-    block = {
-        "N": model.N,
-        "A": _matseq_to_lists(model.A),
-        "B": _matseq_to_lists(model.B),
-        "C": _matseq_to_lists(model.C),
-        "Q": _matseq_to_lists(model.Q),
-        "R": _matseq_to_lists(model.R),
-        "W": _matseq_to_lists(model.W),
-        "V_noise": _matseq_to_lists(model.V_noise),
-    }
-    if model.drift is not None:
-        block["drift"] = _matseq_to_lists(model.drift)
+    block = {"N": model.N}
+    for name in ("A", "B", "C", "Q", "R", "W", "V_noise", "drift"):
+        stack = getattr(model, name)
+        if stack is not None:
+            block[name] = stack.tolist()
     if x0 is not None:
         block["x0"] = np.asarray(x0, dtype=float).tolist()
     return block
@@ -586,7 +520,8 @@ def system_from_config(block: dict):
     """Parse a system block into (model, x0).
 
     Raises:
-        ConfigError: on unknown keys or missing required entries.
+        ConfigError: on unknown keys, missing required entries, a non-integer
+            N, a non-finite x0, or any ModelValidationError of the system.
     """
     unknown = set(block) - _SYSTEM_KEYS
     if unknown:
@@ -595,20 +530,28 @@ def system_from_config(block: dict):
     if missing:
         raise ConfigError(f"system: missing required keys {sorted(missing)}")
     try:
+        N = int(block["N"])
+        if N != block["N"]:
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"system: N must be an integer, got {block['N']!r}") from None
+    try:
         model = make_system(
             A=block["A"], B=block["B"], Q=block["Q"], R=block["R"], W=block["W"],
             C=block.get("C"), V_noise=block.get("V_noise"),
-            drift=block.get("drift"), N=int(block["N"]),
+            drift=block.get("drift"), N=N,
         )
+        x0 = block.get("x0")
+        if x0 is not None:
+            x0 = np.atleast_1d(_floats("x0", x0))
+            if x0.shape != (model.state_dim,):
+                raise ModelValidationError(
+                    [f"x0 shape {x0.shape} does not match state dimension {model.state_dim}"]
+                )
+            if not np.isfinite(x0).all():
+                raise ModelValidationError(["x0: non-finite entries"])
     except ModelValidationError as e:
         raise ConfigError(f"system: {e}") from e
-    x0 = block.get("x0")
-    if x0 is not None:
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        if x0.shape != (model.state_dim,):
-            raise ConfigError(
-                f"system: x0 shape {x0.shape} does not match state dimension {model.state_dim}"
-            )
     return model, x0
 
 

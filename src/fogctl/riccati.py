@@ -31,6 +31,7 @@ from .model import (
     DelayProfile,
     LinearSystemModel,
     ModelValidationError,
+    _freeze,
     symmetrize,
 )
 
@@ -104,14 +105,13 @@ class GainSchedule:
         return out
 
 
-def _freeze(X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    X.setflags(write=False)
-    return X
-
-
 def _stage_gains(model: LinearSystemModel, k: int, K_next: np.ndarray):
-    """One backward step: (V_k, L_k, Lambda_k) from K_{k+1}."""
+    """One backward step: (V_k, L_k, Lambda_k) from K_{k+1}.
+
+    Raises:
+        ModelValidationError: when the step overflows, so that the value
+            matrix K_k (built from L_k and Lambda_k) would not be finite.
+    """
     A, B = model.A[k], model.B[k]
     KB = K_next @ B
     S = symmetrize(model.R[k] + B.T @ KB)
@@ -124,6 +124,11 @@ def _stage_gains(model: LinearSystemModel, k: int, K_next: np.ndarray):
     V = np.linalg.solve(S, KB.T @ A)
     L = symmetrize(model.Q[k] + A.T @ K_next @ A)
     Lam = symmetrize(A.T @ KB @ V)
+    if not (np.isfinite(V).all() and np.isfinite(L).all() and np.isfinite(Lam).all()):
+        raise ModelValidationError(
+            [f"non-finite value matrix at stage {k}: the plant is unstable "
+             "or badly scaled for this horizon"]
+        )
     return V, L, Lam
 
 
@@ -144,6 +149,10 @@ def backward_recursion_perfect(model: LinearSystemModel, p: float) -> GainSchedu
 
     Returns:
         GainSchedule tagged full-perfect (P absent).
+
+    Raises:
+        ModelValidationError: p outside [0, 1], or a stage whose value
+            matrix overflows (named, first going backward).
     """
     if not (0.0 <= p <= 1.0):
         raise ModelValidationError([f"p must be in [0, 1], got {p}"])
@@ -188,7 +197,7 @@ def backward_recursion_delayed(
 
     Raises:
         ModelValidationError: when N < M ("horizon shorter than round-trip
-            delay") or M = 0.
+            delay"), M = 0, or a stage's value matrix overflows.
     """
     if not (0.0 <= p <= 1.0):
         raise ModelValidationError([f"p must be in [0, 1], got {p}"])

@@ -1,5 +1,6 @@
 """Command-line interface: configs, outputs, exit codes."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -72,6 +73,39 @@ class TestGains:
 
 
 class TestConfigErrors:
+    @pytest.mark.parametrize("command", ["gains", "placement"])
+    @pytest.mark.parametrize("block", [
+        {"A": [1.0, 0.5]},
+        {"A": [[1.0, "x"]]},
+        {"A": [[1, 2], [1]]},
+        {"N": "x"},
+        {"N": 2.5},
+        {"A": [[float("nan")]]},
+        {"x0": [float("nan")]},
+    ], ids=["A-1d", "A-non-numeric", "A-ragged", "N-non-numeric", "N-fractional", "A-nan",
+         "x0-nan"])
+    def test_malformed_system_block(self, tmp_path, capsys, command, block):
+        cfg = scalar_config(N=4, p=0.9)
+        cfg["system"].update(block)
+        cfg_path = write_config(tmp_path, cfg)
+        rc = cli.main([command, "--config", cfg_path, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "error: system:" in capsys.readouterr().err
+        assert not (tmp_path / "gains.json").exists()
+        assert not (tmp_path / "placement.csv").exists()
+
+    @pytest.mark.parametrize("command", ["gains", "placement"])
+    def test_overflowing_recursion(self, tmp_path, capsys, command):
+        cfg = scalar_config(N=4, p=0.9)
+        cfg["system"]["A"] = 1e200
+        cfg_path = write_config(tmp_path, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = cli.main([command, "--config", cfg_path, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "error: non-finite value matrix at stage 3" in capsys.readouterr().err
+        assert not (tmp_path / "gains.json").exists()
+        assert not (tmp_path / "placement.csv").exists()
+
     def test_reliability_p_required(self, tmp_path, capsys):
         cfg = {"system": scalar_config()["system"]}
         cfg_path = write_config(tmp_path, cfg)
@@ -227,19 +261,18 @@ class TestVerify:
         rc = cli.cmd_verify({"verify": {"models": 3, "sandwich": 2}}, tmp_path)
         assert rc == 0
 
-    def test_corrupted_schedule_detected(self, tmp_path):
-        def flip_control_benefit(sched):
-            return fc.GainSchedule(
-                K=sched.K, L=sched.L,
-                Lambda=tuple(np.asarray(-X) for X in sched.Lambda),
-                V=sched.V, P=sched.P, regime=sched.regime,
-                p_used=sched.p_used, delay=sched.delay,
-            )
+    def test_corrupted_schedule_detected(self, tmp_path, monkeypatch):
+        solve = cli.solve
 
-        rc = cli.cmd_verify(
-            {"verify": {"models": 5, "sandwich": 0, "seed": 2}},
-            tmp_path, schedule_transform=flip_control_benefit,
-        )
+        def flip_control_benefit(*args, **kwargs):
+            regime = solve(*args, **kwargs)
+            gains = dataclasses.replace(
+                regime.gains, Lambda=tuple(np.asarray(-X) for X in regime.gains.Lambda)
+            )
+            return dataclasses.replace(regime, gains=gains)
+
+        monkeypatch.setattr(cli, "solve", flip_control_benefit)
+        rc = cli.cmd_verify({"verify": {"models": 5, "sandwich": 0, "seed": 2}}, tmp_path)
         assert rc == cli.EXIT_VERIFY
         report = json.loads((tmp_path / "verify.json").read_text())
         assert report["all_pass"] is False

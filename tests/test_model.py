@@ -82,6 +82,100 @@ class TestMakeSystemAndValidation:
             assert fc.validate_model(model) is model
 
 
+class TestStageStore:
+    N = 3
+
+    @staticmethod
+    def stacked(N, n, s, m):
+        return {
+            "A": (N, n, n), "B": (N, n, s), "C": (N, m, n), "Q": (N + 1, n, n),
+            "R": (N, s, s), "W": (N, n, n), "V_noise": (N, m, m), "drift": (N, n),
+        }
+
+    @staticmethod
+    def inputs(form):
+        if form == "scalar":
+            return {"A": 1.0, "B": 1.0, "C": 1.0, "Q": 1.0, "R": 1.0, "W": 1.0,
+                    "V_noise": 0.2, "drift": 0.5}
+        const = {
+            "A": np.array([[1.0, 0.1], [0.0, 0.9]]), "B": np.array([[0.0], [1.0]]),
+            "C": np.array([[1.0, 0.0]]), "Q": np.eye(2), "R": np.eye(1),
+            "W": 0.5 * np.eye(2), "V_noise": 0.2 * np.eye(1), "drift": np.array([0.1, -0.1]),
+        }
+        if form == "per-stage":
+            return {name: [X] * (TestStageStore.N + (name == "Q")) for name, X in const.items()}
+        return const
+
+    @pytest.mark.parametrize("form", ["scalar", "constant", "per-stage"])
+    def test_fields_are_stacked_read_only_c_arrays(self, form):
+        m = fc.make_system(N=self.N, **self.inputs(form))
+        n = 1 if form == "scalar" else 2
+        for name, shape in self.stacked(self.N, n, 1, 1).items():
+            X = getattr(m, name)
+            assert type(X) is np.ndarray and X.dtype == np.float64, name
+            assert X.shape == shape, name
+            assert X.flags.c_contiguous and not X.flags.writeable, name
+            assert X[1].flags.c_contiguous, name
+
+    def test_input_array_is_copied_not_frozen(self):
+        A = np.stack([np.eye(2), np.eye(2)])  # already a C-contiguous stack
+        m = fc.make_system(A=A, B=np.eye(2), Q=np.eye(2), R=np.eye(2), W=np.eye(2), N=2)
+        A[0, 0, 0] = 7.0
+        assert m.A[0][0, 0] == 1.0
+
+    def test_one_asymmetry_warning_per_offending_stage(self):
+        Q = [np.eye(2) for _ in range(5)]
+        for k in (1, 3):
+            Q[k] = np.array([[1.0, 0.2], [0.0, 1.0]])
+        with pytest.warns(UserWarning) as record:
+            m = fc.make_system(A=np.eye(2), B=np.eye(2), Q=Q, R=np.eye(2), W=np.eye(2), N=4)
+        messages = [str(w.message) for w in record]
+        assert len(messages) == 2
+        assert messages[0].startswith("Q[1]: asymmetry 2.000e-01")
+        assert messages[1].startswith("Q[3]: asymmetry 2.000e-01")
+        assert np.array_equal(m.Q[3], [[1.0, 0.1], [0.1, 1.0]])
+
+    def test_violation_names_the_singular_stage(self):
+        R = [np.eye(2)] * 4
+        R[2] = np.diag([1.0, 0.0])
+        with pytest.raises(fc.ModelValidationError) as ei:
+            fc.make_system(A=np.eye(2), B=np.eye(2), Q=np.eye(2), R=R, W=np.eye(2), N=4)
+        assert ei.value.violations == ["R not positive definite at k=2"]
+
+    @pytest.mark.parametrize("eig", [-1e-12, -1e-8])
+    def test_borderline_q_decision_matches_is_psd(self, eig):
+        Q = np.diag([1.0, eig])
+        self.assert_decision(fc.is_psd(Q), Q=Q, R=np.eye(2))
+
+    @pytest.mark.parametrize("eig", [0.0, 5e-11, 2e-10])
+    def test_borderline_r_decision_matches_is_pd(self, eig):
+        R = np.diag([1.0, eig])
+        self.assert_decision(fc.is_pd(R), Q=np.eye(2), R=R)
+
+    @staticmethod
+    def assert_decision(accepted, **weights):
+        try:
+            fc.make_system(A=np.eye(2), B=np.eye(2), W=np.eye(2), N=2, **weights)
+        except fc.ModelValidationError:
+            assert not accepted
+        else:
+            assert accepted
+
+    @pytest.mark.parametrize("raw,needle", [
+        ([1.0, 0.5], "A: expected 2 axes, or 3 with stages first"),
+        ([[1.0, "x"]], "A: not a numeric array"),
+        ([[1, 2], [1]], "A: not a numeric array"),
+        (np.zeros((2, 1, 1, 1)), "A: expected 2 axes, or 3 with stages first"),
+        ([[np.nan]], "A: non-finite entries"),
+        ([[np.inf]], "A: non-finite entries"),
+        (np.ones((3, 1, 1)), "A: shape (3, 1, 1), expected (2, 1, 1)"),
+    ])
+    def test_malformed_field_rejected(self, raw, needle):
+        with pytest.raises(fc.ModelValidationError) as ei:
+            fc.make_system(A=raw, B=1.0, Q=1.0, R=1.0, W=1.0, N=2)
+        assert needle in str(ei.value)
+
+
 class TestPsdHelpers:
     def test_is_psd_accepts_tiny_negative_eigenvalue(self):
         X = np.array([[1.0, 0.0], [0.0, -1e-12]])

@@ -153,6 +153,15 @@ class TestDelayedRecursion:
         with pytest.raises(fc.ModelValidationError, match="horizon shorter"):
             fc.backward_recursion_delayed(model, 0.5, fc.DelayProfile(M_F=2, M_B=1))
 
+    @pytest.mark.parametrize("delay", [None, (1, 1), (2, 1)])
+    def test_overflow_names_first_stage_backward(self, delay):
+        model = fc.make_system(A=1e200, B=1.0, Q=1.0, R=1.0, W=1.0, N=4)
+        delay = None if delay is None else fc.DelayProfile(M_F=delay[0], M_B=delay[1])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            fc.ModelValidationError, match="non-finite value matrix at stage 3"
+        ):
+            fc.solve(model, 0.8, delay)
+
     def test_zero_delay_rejected(self):
         model, _ = scalar_fixture(N=2)
         with pytest.raises(fc.ModelValidationError):
