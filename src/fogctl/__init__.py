@@ -56,8 +56,6 @@ from .policy import (
 from .simulator import (
     SimulationBatch,
     SimulationConfig,
-    SimulationTrace,
-    StageRecord,
     noise_streams,
     psd_sqrt,
     run,
@@ -126,8 +124,6 @@ __all__ = [
     "solve",
     "SimulationBatch",
     "SimulationConfig",
-    "SimulationTrace",
-    "StageRecord",
     "noise_streams",
     "psd_sqrt",
     "run",

@@ -25,15 +25,17 @@ from .drone import (
 from .model import (
     ConfigError,
     DelayProfile,
-    LinearSystemModel,
     ModelValidationError,
     ReliabilityChain,
+    bind_delay,
+    config_number,
     delay_from_config,
     make_system,
     reliability_from_config,
     symmetric_chain,
     system_from_config,
 )
+from .estimation import penalty_config_for
 from .oracle import bound_check, brute_force_min_cost
 from .policy import min_cost, solve
 from .simulator import SimulationConfig, run, tracking_metrics
@@ -58,10 +60,12 @@ EXAMPLE_CATALOG = [
 
 def latency_to_stages(latency_seconds: float, delta_t: float) -> int:
     """Stage count covering a latency: ceil(latency/delta_t), float-tolerant."""
-    if latency_seconds < 0:
-        raise ConfigError(f"latency must be nonnegative, got {latency_seconds}")
-    if delta_t <= 0:
-        raise ConfigError(f"delta_t must be positive, got {delta_t}")
+    if not (0 < delta_t < math.inf):
+        raise ConfigError(f"delta_t must be finite and positive, got {delta_t}")
+    if not (0 <= latency_seconds / delta_t < math.inf):
+        raise ConfigError(
+            f"latency must be finite and nonnegative, got {latency_seconds} s at delta_t {delta_t} s"
+        )
     return max(0, math.ceil(latency_seconds / delta_t - 1e-12))
 
 
@@ -112,7 +116,7 @@ def _chain_from(cfg: dict) -> ReliabilityChain:
     if "p" not in block:
         raise ConfigError("reliability.p required")
     if "q" not in block:
-        block["q"] = 1.0 - float(block["p"])
+        block["q"] = 1.0 - config_number("reliability.p", block["p"])
     return reliability_from_config(block)
 
 
@@ -124,18 +128,13 @@ def _plant_from(cfg: dict):
         raise ConfigError("config needs exactly one of 'system' or 'scenario'")
     if has_sys:
         model, x0 = system_from_config(cfg["system"])
-        if x0 is None:
-            x0 = np.zeros(model.state_dim)
         return model, x0, None
     scenario = scenario_from_config(cfg["scenario"])
     return drone_build_system(scenario), initial_state(scenario), scenario
 
 
 def _delay_from(cfg: dict, N: int) -> Optional[DelayProfile]:
-    delay = delay_from_config(cfg.get("delay"), N)
-    if delay is not None and delay.M == 0:
-        return None
-    return delay
+    return bind_delay(delay_from_config(cfg.get("delay")), N)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -352,7 +351,9 @@ def cmd_placement(
     Symmetric endpoints get the exact minimum cost. Sticky endpoints
     (p > 1 - q) are ranked by the proven upper bound (the rate-(1-q)
     symmetric cost); anything else falls back to the pessimistic-rate
-    estimate min(p, 1-q) and is labeled as such.
+    estimate min(p, 1-q) and is labeled as such. The penalty_basis column
+    names the estimation penalty: none (full observation), exact-enumeration
+    or, above EXACT_ENUMERATION_MAX_N stages, monte-carlo.
     """
     model, x0, scenario = _plant_from(config)
     block = dict(config.get("placement") or {})
@@ -364,22 +365,24 @@ def cmd_placement(
     if not catalog:
         raise ConfigError("placement.catalog must be nonempty")
     default_dt = scenario.delta_t if scenario is not None else 1.0
-    delta_t = float(block.get("delta_t", default_dt))
+    delta_t = config_number("placement.delta_t", block.get("delta_t", default_dt))
     observation = block.get("observation", "full")
     if observation not in ("full", "partial"):
         raise ConfigError(f"placement.observation must be 'full' or 'partial', got {observation!r}")
     pen_reps = int(replications if replications is not None else block.get("penalty_replications", 20_000))
     pen_seed = int(seed if seed is not None else block.get("seed", 0))
-    pen_cfg = {"method": "monte-carlo", "replications": pen_reps, "seed": pen_seed}
+    pen_cfg = penalty_config_for(model.N, pen_reps, pen_seed)
+    penalty_basis = pen_cfg["method"] if observation == "partial" else "none"
 
     rows = []
     for entry in catalog:
         e = dict(entry)
         try:
             name = str(e.pop("name"))
-            latency = float(e.pop("latency_seconds"))
-            p = float(e.pop("p"))
-            q = float(e.pop("q"))
+            latency, p, q = (
+                config_number(f"placement catalog entry {name!r}: {key}", e.pop(key))
+                for key in ("latency_seconds", "p", "q")
+            )
         except KeyError as missing:
             raise ConfigError(f"placement catalog entry missing key {missing}") from None
         mf_over = e.pop("M_F", None)
@@ -413,6 +416,7 @@ def cmd_placement(
                 "disturbance_trace_sum": breakdown.disturbance_trace_sum,
                 "collateral_trace_sum": breakdown.collateral_trace_sum,
                 "estimation_penalty": breakdown.estimation_penalty,
+                "penalty_basis": penalty_basis,
             }
         )
     rows.sort(key=lambda r: (r["cost"], r["name"]))
@@ -422,7 +426,7 @@ def cmd_placement(
     columns = [
         "rank", "name", "latency_seconds", "M", "M_F", "M_B", "p", "q",
         "basis", "cost", "initial_state_term", "disturbance_trace_sum",
-        "collateral_trace_sum", "estimation_penalty",
+        "collateral_trace_sum", "estimation_penalty", "penalty_basis",
     ]
     lines = [",".join(columns)]
     for row in rows:
@@ -475,10 +479,13 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text in specs.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=(name != "verify"), help="path to the JSON config")
-        sp.add_argument("--seed", type=int, default=None, help="override the master seed")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--format", choices=("json", "csv"), default="csv", help="output format where applicable")
-        sp.add_argument("--replications", type=int, default=None, help="override replication count")
+        if name in ("simulate", "verify", "placement"):
+            sp.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if name in ("simulate", "placement"):
+            sp.add_argument("--replications", type=int, default=None, help="override replication count")
+        if name == "waypoints":
+            sp.add_argument("--format", choices=("json", "csv"), default="csv", help="output format")
     return parser
 
 

@@ -22,6 +22,7 @@ from .model import (
     ModelValidationError,
     ReliabilityChain,
     DelayProfile,
+    bind_delay,
     make_system,
 )
 from .policy import solve
@@ -265,7 +266,7 @@ def tracking_study(
     x0 = initial_state(scenario)
     rows = []
     for delay in delays:
-        eff = delay if (delay is not None and delay.M >= 1) else None
+        eff = bind_delay(delay, model.N)
         for p in p_values:
             regime = solve(model, p, eff, compensate_drift=compensate)
             chain = ReliabilityChain(p=p, q=1.0 - p, tau0=1)
@@ -294,6 +295,8 @@ def tracking_study(
 def _simulate_raw_kinematics(scenario, chain, delay, regime, replications, master_seed):
     """Independent position/velocity simulation of the same closed loop.
 
+    delay is None for no delay, else bound to the horizon (see `bind_delay`).
+
     Integrates the raw kinematics (position += dt*(velocity + control),
     velocity += control) under the same noise draws as the error-form
     engine, computing the error state only inside the controller. No state
@@ -317,9 +320,8 @@ def _simulate_raw_kinematics(scenario, chain, delay, regime, replications, maste
     vel = np.broadcast_to(np.asarray(scenario.start_velocity, float), (R, 2)).copy()
     gains = regime.gains
     drift_known = regime.compensate_drift
-    M = delay.M if delay is not None else 0
     errors = np.empty((R, N + 1, 4))
-    if M == 0:
+    if delay is None:
         for k in range(N):
             e = np.hstack([pos - pts[k], vel])
             errors[:, k] = e
@@ -330,8 +332,7 @@ def _simulate_raw_kinematics(scenario, chain, delay, regime, replications, maste
             pos = pos + dt * (vel + u) + w[:, :2]
             vel = vel + u + w[:, 2:]
     else:
-        bound = delay.bound_to(N)
-        M_F, c = bound.M_F, bound.c
+        M, M_F, c = delay.M, delay.M_F, delay.c
         services = {j * M + M_F: j for j in range(c)}
         saved = {}
         pending = {}
@@ -391,7 +392,7 @@ def error_consistency_check(
     compensate = _compensates_drift(mode)
     model = build_system(scenario)
     x0 = initial_state(scenario)
-    eff = delay if (delay is not None and delay.M >= 1) else None
+    eff = bind_delay(delay, model.N)
     regime = solve(model, chain.p, eff, compensate_drift=compensate)
     cfg = SimulationConfig(
         replications=replications, master_seed=master_seed, record_traces=True

@@ -178,6 +178,13 @@ def _penalty_config(config) -> dict:
     return cfg
 
 
+def penalty_config_for(N: int, replications: int, seed: int) -> dict:
+    """Penalty config: exact enumeration up to EXACT_ENUMERATION_MAX_N, Monte Carlo above."""
+    if N <= EXACT_ENUMERATION_MAX_N:
+        return {"method": "exact-enumeration"}
+    return {"method": "monte-carlo", "replications": replications, "seed": seed}
+
+
 def _branch(post: np.ndarray, prior: np.ndarray, probs: np.ndarray, p: float):
     """Split enumeration branches on this stage's ON/OFF outcome."""
     if p == 1.0:

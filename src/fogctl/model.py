@@ -302,6 +302,29 @@ def validate_model(model: LinearSystemModel) -> LinearSystemModel:
     return model
 
 
+def tau0_pair(tau0) -> tuple:
+    """(P[tau0 = 0], P[tau0 = 1]) of a point value 0 or 1 or a 2-entry distribution.
+
+    Raises ModelValidationError for anything else, NaN entries included.
+    """
+    if isinstance(tau0, (int, np.integer)) and not isinstance(tau0, bool):
+        if tau0 not in (0, 1):
+            raise ModelValidationError([f"tau0 point value must be 0 or 1, got {tau0}"])
+        return (float(1 - tau0), float(tau0))
+    try:
+        pair = (float(tau0[0]), float(tau0[1]))
+        entries = len(tau0)
+    except (TypeError, IndexError, ValueError):
+        raise ModelValidationError(
+            [f"tau0 must be 0, 1, or a 2-entry distribution, got {tau0!r}"]
+        ) from None
+    if entries != 2 or not (min(pair) >= -1e-12 and abs(sum(pair) - 1.0) <= 1e-9):
+        raise ModelValidationError(
+            [f"tau0 distribution must be nonnegative and sum to 1, got {tau0!r}"]
+        )
+    return pair
+
+
 @dataclass(frozen=True)
 class ReliabilityChain:
     """Two-state Markov ON/OFF endpoint availability process.
@@ -326,19 +349,12 @@ class ReliabilityChain:
             violations.append(f"p must be in [0, 1], got {self.p}")
         if not (0.0 <= self.q <= 1.0):
             violations.append(f"q must be in [0, 1], got {self.q}")
-        t = self.tau0
-        if isinstance(t, (int, np.integer)) and not isinstance(t, bool):
-            if t not in (0, 1):
-                violations.append(f"tau0 point value must be 0 or 1, got {t}")
-        else:
-            try:
-                d = (float(t[0]), float(t[1]))
-            except (TypeError, IndexError, ValueError):
-                violations.append(f"tau0 must be 0, 1, or a 2-entry distribution, got {t!r}")
-            else:
-                if len(tuple(t)) != 2 or min(d) < -1e-12 or abs(d[0] + d[1] - 1.0) > 1e-9:
-                    violations.append(f"tau0 distribution must be nonnegative and sum to 1, got {t!r}")
-                object.__setattr__(self, "tau0", d)
+        try:
+            pair = tau0_pair(self.tau0)
+            if not isinstance(self.tau0, (int, np.integer)):  # a distribution
+                object.__setattr__(self, "tau0", pair)
+        except ModelValidationError as e:
+            violations += e.violations
         if violations:
             raise ModelValidationError(violations)
 
@@ -348,9 +364,7 @@ class ReliabilityChain:
 
     def tau0_distribution(self) -> np.ndarray:
         """(P[tau0=0], P[tau0=1]) regardless of how tau0 was given."""
-        if isinstance(self.tau0, tuple):
-            return np.array(self.tau0, dtype=float)
-        return np.array([1.0 - self.tau0, float(self.tau0)])
+        return np.array(tau0_pair(self.tau0))
 
     def transition_matrix(self) -> np.ndarray:
         """Row-stochastic transition matrix T with T[i, j] = P[tau'=j | tau=i]."""
@@ -443,6 +457,31 @@ class DelayProfile:
         return (self.N - self.a) // self.M
 
 
+def bind_delay(delay: Optional[DelayProfile], N: int) -> Optional[DelayProfile]:
+    """None for no delay (None or M = 0), else the profile bound to horizon N.
+
+    Raises ModelValidationError "horizon shorter than round-trip delay" when N < M.
+    """
+    if delay is None or delay.M == 0:
+        return None
+    delay = delay.bound_to(N)
+    if N < delay.M:
+        raise ModelValidationError(["horizon shorter than round-trip delay"])
+    return delay
+
+
+def state_vector(x0, n: int) -> np.ndarray:
+    """x0 as a finite float (n,) vector, zeros for None; ModelValidationError otherwise."""
+    if x0 is None:
+        return np.zeros(n)
+    x0 = np.atleast_1d(_floats("x0", x0))
+    if x0.shape != (n,):
+        raise ModelValidationError([f"x0 shape {x0.shape}, expected ({n},)"])
+    if not np.isfinite(x0).all():
+        raise ModelValidationError(["x0: non-finite entries"])
+    return x0
+
+
 @dataclass(frozen=True)
 class CostBreakdown:
     """Decomposition of an expected total cost.
@@ -513,6 +552,14 @@ def system_to_config(model: LinearSystemModel, x0: Optional[np.ndarray] = None) 
     return block
 
 
+def config_number(what: str, value) -> float:
+    """A config entry as a float; ConfigError naming the entry otherwise."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+
+
 _SYSTEM_KEYS = {"N", "A", "B", "C", "Q", "R", "W", "V_noise", "drift", "x0"}
 
 
@@ -541,15 +588,7 @@ def system_from_config(block: dict):
             C=block.get("C"), V_noise=block.get("V_noise"),
             drift=block.get("drift"), N=N,
         )
-        x0 = block.get("x0")
-        if x0 is not None:
-            x0 = np.atleast_1d(_floats("x0", x0))
-            if x0.shape != (model.state_dim,):
-                raise ModelValidationError(
-                    [f"x0 shape {x0.shape} does not match state dimension {model.state_dim}"]
-                )
-            if not np.isfinite(x0).all():
-                raise ModelValidationError(["x0: non-finite entries"])
+        x0 = None if block.get("x0") is None else state_vector(block["x0"], model.state_dim)
     except ModelValidationError as e:
         raise ConfigError(f"system: {e}") from e
     return model, x0
@@ -571,8 +610,9 @@ def reliability_from_config(block: dict) -> ReliabilityChain:
     tau0 = block.get("tau0", 1)
     if isinstance(tau0, list):
         tau0 = tuple(tau0)
+    p, q = (config_number(f"reliability.{key}", block[key]) for key in ("p", "q"))
     try:
-        return ReliabilityChain(p=float(block["p"]), q=float(block["q"]), tau0=tau0)
+        return ReliabilityChain(p=p, q=q, tau0=tau0)
     except ModelValidationError as e:
         raise ConfigError(f"reliability: {e}") from e
 

@@ -20,15 +20,17 @@ from typing import Optional
 
 import numpy as np
 
-from .estimation import EXACT_ENUMERATION_MAX_N
+from .estimation import penalty_config_for
 from .model import (
     DelayProfile,
     LinearSystemModel,
     ModelValidationError,
     ReliabilityChain,
+    bind_delay,
+    state_vector,
     symmetrize,
 )
-from .policy import ControllerRegime, min_cost, sandwich_policy, solve
+from .policy import ControllerRegime, check_fits, min_cost, sandwich_policy, solve
 from .riccati import REGIMES
 from .simulator import SimulationConfig, run
 
@@ -145,8 +147,7 @@ def _dp_delayed(model, chain, delay, x0, tau0) -> float:
     the M-step transition matrix.
     """
     N, n, s = model.N, model.state_dim, model.control_dim
-    bound = delay.bound_to(N)
-    M, M_F, c = bound.M, bound.M_F, bound.c
+    M, M_F, c = delay.M, delay.M_F, delay.c
     T = chain.transition_matrix()
     Tm = np.linalg.matrix_power(T, M)
     E_tail, e_tail, _, _ = _epoch_quadratic(model, c * M, N, include_end=True)
@@ -201,36 +202,16 @@ def brute_force_min_cost(
         raise ModelValidationError(
             ["the exact oracle covers full observation only"]
         )
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (model.state_dim,):
-        raise ModelValidationError([f"x0 shape {x0.shape}, expected ({model.state_dim},)"])
-    M = delay.M if delay is not None else 0
-    if M == 0:
+    x0 = state_vector(x0, model.state_dim)
+    delay = bind_delay(delay, model.N)
+    if delay is None:
         return _dp_perfect(model, chain, x0, tau0)
-    if model.N < M:
-        raise ModelValidationError(["horizon shorter than round-trip delay"])
     return _dp_delayed(model, chain, delay, x0, tau0)
 
 
 # ---------------------------------------------------------------------------
 # Exact closed-loop policy evaluation
 # ---------------------------------------------------------------------------
-
-def _policy_checks(model, delay, policy):
-    if policy.observation != "full":
-        raise ModelValidationError(["exact policy evaluation covers full observation only"])
-    if policy.gains.N != model.N:
-        raise ModelValidationError(
-            [f"gains horizon {policy.gains.N} != model horizon {model.N}"]
-        )
-    eff_M = delay.M if delay is not None else 0
-    reg_M = policy.delay.M if policy.delay is not None else 0
-    if eff_M != reg_M:
-        raise ModelValidationError(
-            [f"delay M={eff_M} but policy gains built for M={reg_M}"]
-        )
-    return eff_M
-
 
 def _eval_perfect_moments(model, chain, policy, x0, tau0) -> float:
     """Availability-conditioned second-moment recursion (exact, O(N))."""
@@ -292,8 +273,7 @@ def _eval_perfect_enumeration(model, chain, policy, x0, tau0) -> float:
 def _eval_delayed_moments(model, chain, delay, policy, x0, tau0) -> float:
     """Gate-conditioned joint second-moment recursion over update cycles."""
     N, n, s = model.N, model.state_dim, model.control_dim
-    bound = delay.bound_to(N)
-    M, M_F, c = bound.M, bound.M_F, bound.c
+    M, M_F, c = delay.M, delay.M_F, delay.c
     T = chain.transition_matrix()
     Tm = np.linalg.matrix_power(T, M)
     g0 = _tau0_dist(chain, tau0) @ np.linalg.matrix_power(T, M_F)
@@ -347,18 +327,16 @@ def evaluate_policy_cost(
             guard, or a delay that disagrees with the policy's gains.
     """
     _check_oracle_scope(model, "exact policy evaluation")
-    eff_M = _policy_checks(model, delay, policy)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (model.state_dim,):
-        raise ModelValidationError([f"x0 shape {x0.shape}, expected ({model.state_dim},)"])
+    if policy.observation != "full":
+        raise ModelValidationError(["exact policy evaluation covers full observation only"])
+    delay = check_fits(policy, model, delay)
+    x0 = state_vector(x0, model.state_dim)
     if method not in ("moments", "enumeration"):
         raise ModelValidationError([f"unknown evaluation method {method!r}"])
-    if eff_M == 0:
+    if delay is None:
         if method == "enumeration":
             return _eval_perfect_enumeration(model, chain, policy, x0, tau0)
         return _eval_perfect_moments(model, chain, policy, x0, tau0)
-    if model.N < eff_M:
-        raise ModelValidationError(["horizon shorter than round-trip delay"])
     if method == "enumeration":
         raise ModelValidationError(
             ["enumeration evaluation covers the zero-delay loop only"]
@@ -408,13 +386,8 @@ def bound_check(
     seed = int(cfg.pop("seed", 0))
     if cfg:
         raise ModelValidationError([f"unknown bound_check config keys {sorted(cfg)}"])
-    if x0 is None:
-        x0 = np.zeros(model.state_dim)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-
-    pen_cfg = None  # exact enumeration
-    if model.N > EXACT_ENUMERATION_MAX_N:
-        pen_cfg = {"method": "monte-carlo", "replications": replications, "seed": seed}
+    x0 = state_vector(x0, model.state_dim)
+    pen_cfg = penalty_config_for(model.N, replications, seed)
     lower = min_cost(model, solve(model, p, delay, observation), x0, tau0, pen_cfg).total
     policy = sandwich_policy(model, p, q, delay, observation)
     upper = min_cost(model, policy, x0, tau0, pen_cfg).total
@@ -423,16 +396,13 @@ def bound_check(
         observation == "full" and model.N <= ORACLE_MAX_N and model.drift is None
     )
     if exact_ok:
-        policy_value = evaluate_policy_cost(
-            model, chain_true, delay if delayed else None, policy, x0, tau0=tau0
-        )
+        policy_value = evaluate_policy_cost(model, chain_true, delay, policy, x0, tau0=tau0)
         tolerance = 1e-9
         method = "exact"
     else:
         sim = run(
-            model, chain_true, delay if delayed else None, policy,
-            SimulationConfig(replications=replications, master_seed=seed),
-            x0=x0,
+            model, chain_true, delay, policy,
+            SimulationConfig(replications=replications, master_seed=seed), x0=x0,
         )
         policy_value = sim["mean_cost"]
         tolerance = 3.0 * sim["std_error"] + 1e-9

@@ -27,6 +27,7 @@ from .model import (
     DelayProfile,
     LinearSystemModel,
     ModelValidationError,
+    bind_delay,
 )
 from .riccati import (
     GainSchedule,
@@ -87,16 +88,40 @@ def solve(
         ModelValidationError: observation other than "full" or "partial",
             or any error of the recursion it runs.
     """
-    if delay is not None and delay.M >= 1:
-        gains = backward_recursion_delayed(model, p, delay)
-    else:
+    delay = bind_delay(delay, model.N)
+    if delay is None:
         gains = backward_recursion_perfect(model, p)
+    else:
+        gains = backward_recursion_delayed(model, p, delay)
     if observation == "partial":
         gains = gains.with_regime(gains.regime.replace("full-", "partial-"))
     return ControllerRegime(
         observation=observation, gains=gains, delay=gains.delay,
         compensate_drift=compensate_drift,
     )
+
+
+def check_fits(
+    regime: ControllerRegime, model: LinearSystemModel, delay: Optional[DelayProfile]
+) -> Optional[DelayProfile]:
+    """`bind_delay(delay, model.N)`, after checking the regime's gains were built for it.
+
+    Raises ModelValidationError "configuration inconsistencies" when the gains
+    were built for another round-trip delay or another horizon.
+    """
+    delay = bind_delay(delay, model.N)
+    M = delay.M if delay is not None else 0
+    gains_M = regime.delay.M if regime.delay is not None else 0
+    if M != gains_M:
+        raise ModelValidationError(
+            [f"configuration inconsistencies: delay M={M} but policy gains built for M={gains_M}"]
+        )
+    if regime.gains.N != model.N:
+        raise ModelValidationError(
+            [f"configuration inconsistencies: gains horizon {regime.gains.N} "
+             f"!= model horizon {model.N}"]
+        )
+    return delay
 
 
 def min_cost(

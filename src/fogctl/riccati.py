@@ -1,8 +1,12 @@
 """Backward gain recursions and exact minimum-cost formulas.
 
-Two recursions produce the time-varying gain schedule: one for the
-perfect-match setting (controller responds within the stage) and one for the
-delayed setting (controls arrive only every M stages). Both are parameterized
+One backward recursion produces the time-varying gain schedule. Each stage
+computes the feedback gain V_k, the no-control value L_k and the control
+benefit Lambda_k from K_{k+1}; the value K_k subtracts the availability
+correction p * Lambda_k only on the arrival grid, the stages k = 0 mod M at
+which a control can arrive. The perfect-match setting (controller responds
+within the stage) is the grid with M = 1; the delayed setting (round-trip
+delay M = M_F + M_B) adds the collateral weights P. Both are parameterized
 by the ON-persistence p of a symmetric availability chain (q = 1 - p).
 
 The min-cost functions evaluate the exact expected optimal cost as a
@@ -32,7 +36,10 @@ from .model import (
     LinearSystemModel,
     ModelValidationError,
     _freeze,
+    bind_delay,
+    state_vector,
     symmetrize,
+    tau0_pair,
 )
 
 REGIMES = ("full-perfect", "partial-perfect", "full-delayed", "partial-delayed")
@@ -132,6 +139,30 @@ def _stage_gains(model: LinearSystemModel, k: int, K_next: np.ndarray):
     return V, L, Lam
 
 
+def _backward(model: LinearSystemModel, p: float, M: int):
+    """(K, L, Lambda, V): K_k = L_k - p * Lambda_k on the arrival grid k = 0 mod M.
+
+    Off the grid K_k is the same object as L_k, so the equality is exact.
+    """
+    if not (0.0 <= p <= 1.0):
+        raise ModelValidationError([f"p must be in [0, 1], got {p}"])
+    N = model.N
+    K = [None] * (N + 1)
+    L = [None] * N
+    Lam = [None] * N
+    V = [None] * N
+    K[N] = _freeze(symmetrize(model.Q[N]))
+    # an overflowing stage is reported by _stage_gains' finiteness check alone
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(N - 1, -1, -1):
+            V_k, L_k, Lam_k = _stage_gains(model, k, K[k + 1])
+            V[k] = _freeze(V_k)
+            L[k] = _freeze(L_k)
+            Lam[k] = _freeze(Lam_k)
+            K[k] = _freeze(symmetrize(L_k - p * Lam_k)) if k % M == 0 else L[k]
+    return tuple(K), tuple(L), tuple(Lam), tuple(V)
+
+
 def backward_recursion_perfect(model: LinearSystemModel, p: float) -> GainSchedule:
     """Gain schedule for full observation with a per-stage control opportunity.
 
@@ -141,7 +172,7 @@ def backward_recursion_perfect(model: LinearSystemModel, p: float) -> GainSchedu
         Lambda_k = A_k^T K_{k+1} B_k V_k
         K_k = L_k - p * Lambda_k
     with K_N equal to the terminal weight. Every matrix is symmetrized after
-    each step.
+    each step. This is the recursion with an arrival at every stage (M = 1).
 
     Args:
         model: validated system model.
@@ -154,22 +185,9 @@ def backward_recursion_perfect(model: LinearSystemModel, p: float) -> GainSchedu
         ModelValidationError: p outside [0, 1], or a stage whose value
             matrix overflows (named, first going backward).
     """
-    if not (0.0 <= p <= 1.0):
-        raise ModelValidationError([f"p must be in [0, 1], got {p}"])
-    N = model.N
-    K = [None] * (N + 1)
-    L = [None] * N
-    Lam = [None] * N
-    V = [None] * N
-    K[N] = _freeze(symmetrize(model.Q[N]))
-    for k in range(N - 1, -1, -1):
-        V_k, L_k, Lam_k = _stage_gains(model, k, K[k + 1])
-        V[k] = _freeze(V_k)
-        L[k] = _freeze(L_k)
-        Lam[k] = _freeze(Lam_k)
-        K[k] = _freeze(symmetrize(L_k - p * Lam_k))
+    K, L, Lam, V = _backward(model, p, 1)
     return GainSchedule(
-        K=tuple(K), L=tuple(L), Lambda=tuple(Lam), V=tuple(V), P=None,
+        K=K, L=L, Lambda=Lam, V=V, P=None,
         regime="full-perfect", p_used=float(p), delay=None,
     )
 
@@ -199,29 +217,11 @@ def backward_recursion_delayed(
         ModelValidationError: when N < M ("horizon shorter than round-trip
             delay"), M = 0, or a stage's value matrix overflows.
     """
-    if not (0.0 <= p <= 1.0):
-        raise ModelValidationError([f"p must be in [0, 1], got {p}"])
-    delay = delay.bound_to(model.N)
-    M = delay.M
-    if M < 1:
+    if delay.M < 1:
         raise ModelValidationError(["delayed recursion requires M >= 1; use the perfect-match recursion for M = 0"])
-    N = model.N
-    if N < M:
-        raise ModelValidationError(["horizon shorter than round-trip delay"])
-    K = [None] * (N + 1)
-    L = [None] * N
-    Lam = [None] * N
-    V = [None] * N
-    K[N] = _freeze(symmetrize(model.Q[N]))
-    for k in range(N - 1, -1, -1):
-        V_k, L_k, Lam_k = _stage_gains(model, k, K[k + 1])
-        V[k] = _freeze(V_k)
-        L[k] = _freeze(L_k)
-        Lam[k] = _freeze(Lam_k)
-        if k % M == 0:
-            K[k] = _freeze(symmetrize(L_k - p * Lam_k))
-        else:
-            K[k] = L[k]  # exact off-grid identity, same array object
+    delay = bind_delay(delay, model.N)
+    M = delay.M
+    K, L, Lam, V = _backward(model, p, M)
     cM = delay.c * M
     P = [None] * (cM + 1)
     P[cM] = Lam[cM]
@@ -232,15 +232,9 @@ def backward_recursion_delayed(
             A = model.A[k]
             P[k] = _freeze(symmetrize(A.T @ P[k + 1] @ A))
     return GainSchedule(
-        K=tuple(K), L=tuple(L), Lambda=tuple(Lam), V=tuple(V), P=tuple(P),
+        K=K, L=L, Lambda=Lam, V=V, P=tuple(P),
         regime="full-delayed", p_used=float(p), delay=delay,
     )
-
-
-def _tau0_on_probability(tau0) -> float:
-    if isinstance(tau0, (tuple, list, np.ndarray)):
-        return float(tau0[1])
-    return float(tau0)
 
 
 def _require_regime(schedule: GainSchedule, expected: str):
@@ -275,8 +269,8 @@ def min_cost_full_perfect(
         CostBreakdown with zero collateral and estimation components.
     """
     _require_regime(schedule, "full-perfect")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    pi1 = _tau0_on_probability(tau0)
+    x0 = state_vector(x0, model.state_dim)
+    pi1 = tau0_pair(tau0)[1]
     initial = _quad(x0, schedule.L[0]) - pi1 * _quad(x0, schedule.Lambda[0])
     return CostBreakdown.assemble(initial, _disturbance_sum(schedule, model))
 
@@ -293,7 +287,7 @@ def min_cost_full_delayed(
     stationary initial chain state; see module docstring).
     """
     _require_regime(schedule, "full-delayed")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = state_vector(x0, model.state_dim)
     initial = _quad(x0, schedule.L[0])
     disturbance = _disturbance_sum(schedule, model)
     cM = len(schedule.P) - 1

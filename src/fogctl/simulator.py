@@ -59,9 +59,10 @@ from .model import (
     LinearSystemModel,
     ModelValidationError,
     ReliabilityChain,
+    state_vector,
     symmetrize,
 )
-from .policy import ControllerRegime
+from .policy import ControllerRegime, check_fits
 
 CHUNK_BYTES = 16 * 2**20  # draws held per replication block (module docstring)
 
@@ -82,34 +83,6 @@ class SimulationConfig:
             violations.append("master_seed must be a nonnegative integer")
         if violations:
             raise ModelValidationError(violations)
-
-
-@dataclass(frozen=True)
-class StageRecord:
-    """One stage of one replication."""
-
-    k: int
-    x: np.ndarray
-    z: Optional[np.ndarray]
-    tau: Optional[int]
-    u: Optional[np.ndarray]
-    x_hat: Optional[np.ndarray]
-    cost: float
-
-
-@dataclass(frozen=True)
-class SimulationTrace:
-    """Per-stage records of a single replication plus the terminal account."""
-
-    records: tuple
-    terminal_state: np.ndarray
-    terminal_cost: float
-    total: float
-
-    def __post_init__(self):
-        s = sum(r.cost for r in self.records) + self.terminal_cost
-        if abs(s - self.total) > 1e-9 * max(1.0, abs(self.total)):
-            raise ModelValidationError([f"trace total {self.total} != stage sum {s}"])
 
 
 @dataclass(frozen=True)
@@ -136,27 +109,6 @@ class SimulationBatch:
     @property
     def N(self) -> int:
         return self.x.shape[1] - 1
-
-    def trace(self, rep: int) -> SimulationTrace:
-        N = self.N
-        records = []
-        for k in range(N):
-            xh = None
-            if self.x_hat is not None and not np.isnan(self.x_hat[rep, k]).any():
-                xh = self.x_hat[rep, k]
-            z = None if self.z is None else self.z[rep, k]
-            records.append(
-                StageRecord(
-                    k=k, x=self.x[rep, k], z=z, tau=int(self.tau[rep, k]),
-                    u=self.u[rep, k], x_hat=xh, cost=float(self.stage_cost[rep, k]),
-                )
-            )
-        return SimulationTrace(
-            records=tuple(records),
-            terminal_state=self.x[rep, N],
-            terminal_cost=float(self.stage_cost[rep, N]),
-            total=float(self.totals[rep]),
-        )
 
     def to_csv(self, fh) -> None:
         """Write `rep,k,tau,x...,u...,xhat...,cost_stage` rows.
@@ -228,10 +180,7 @@ def sample_tau(chain: ReliabilityChain, chain_u: np.ndarray) -> np.ndarray:
     """ON/OFF paths from pre-drawn uniforms, one column per stage."""
     R, N = chain_u.shape
     tau = np.empty((R, N), dtype=np.int8)
-    if isinstance(chain.tau0, tuple):
-        tau[:, 0] = chain_u[:, 0] < chain.tau0[1]
-    else:
-        tau[:, 0] = int(chain.tau0)
+    tau[:, 0] = chain_u[:, 0] < chain.tau0_distribution()[1]  # uniforms lie in [0, 1)
     p, q = chain.p, chain.q
     for k in range(1, N):
         tau[:, k] = np.where(tau[:, k - 1] == 1, chain_u[:, k] < p, chain_u[:, k] < 1.0 - q)
@@ -300,28 +249,13 @@ def run(
         config.record_traces, else None).
     """
     N, n, s, m = model.N, model.state_dim, model.control_dim, model.obs_dim
-    eff_M = delay.M if delay is not None else 0
-    reg_M = regime.delay.M if regime.delay is not None else 0
-    if eff_M != reg_M:
-        raise ModelValidationError(
-            [f"configuration inconsistencies: delay M={eff_M} but regime gains built for M={reg_M}"]
-        )
-    if regime.gains.N != N:
-        raise ModelValidationError(
-            [f"configuration inconsistencies: gains horizon {regime.gains.N} != model horizon {N}"]
-        )
-    if eff_M >= 1 and N < eff_M:
-        raise ModelValidationError(["horizon shorter than round-trip delay"])
+    delay = check_fits(regime, model, delay)
+    x0 = state_vector(x0, n)
     R = int(config.replications)
-    if x0 is None:
-        x0 = np.zeros(n)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (n,):
-        raise ModelValidationError([f"x0 shape {x0.shape}, expected ({n},)"])
 
     ctrl_model = model if regime.compensate_drift else model.without_drift()
     partial = regime.observation == "partial"
-    body = _run_delayed if eff_M >= 1 else _run_perfect
+    body = _run_perfect if delay is None else _run_delayed
 
     totals = np.zeros(R)
     record = None
@@ -390,22 +324,32 @@ def _run_perfect(model, ctrl_model, regime, tau, w_eps, v_eps, x0, totals, recor
         else:
             u = -(x @ gains.V[k].T)
         u[~on] = 0.0
-        g = _quad_rows(x, model.Q[k]) + _quad_rows(u, model.R[k])
-        totals += g
-        if not np.isfinite(totals).all():
+        if partial and record is not None:
+            record["x_hat"][:, k] = xh
+            record["z"][:, k] = z
+        x = _stage(model, k, x, u, w_eps[:, k] @ Lw[k].T, totals, record)
+        if x is None:
             return k
-        if record is not None:
-            record["x"][:, k] = x
-            record["u"][:, k] = u
-            record["stage_cost"][:, k] = g
-            if partial:
-                record["x_hat"][:, k] = xh
-                record["z"][:, k] = z
-        x = x @ model.A[k].T + u @ model.B[k].T + (model.drift_at(k) + w_eps[:, k] @ Lw[k].T)
         if partial:
             xh = xh @ model.A[k].T + u @ model.B[k].T + ctrl_model.drift_at(k)
             Sg = predict_covariances(Sg, model.A[k], model.W[k])
     return _finish(model, x, totals, record)
+
+
+def _stage(model, k, x, u, w, totals, record):
+    """Charge stage k's cost, record the stage and step the plant with disturbance w.
+
+    Returns the next state, or None when a running total is not finite.
+    """
+    g = _quad_rows(x, model.Q[k]) + _quad_rows(u, model.R[k])
+    totals += g
+    if not np.isfinite(totals).all():
+        return None
+    if record is not None:
+        record["x"][:, k] = x
+        record["u"][:, k] = u
+        record["stage_cost"][:, k] = g
+    return x @ model.A[k].T + u @ model.B[k].T + (model.drift_at(k) + w)
 
 
 def _finish(model, x, totals, record):
@@ -485,15 +429,9 @@ def _run_delayed(model, ctrl_model, regime, tau, w_eps, v_eps, x0, totals, recor
             u = np.zeros((R, s))
         else:
             applied_at[k] = u
-        g = _quad_rows(x, model.Q[k]) + _quad_rows(u, model.R[k])
-        totals += g
-        if not np.isfinite(totals).all():
+        x = _stage(model, k, x, u, w_eps[:, k] @ Lw[k].T, totals, record)
+        if x is None:
             return k
-        if record is not None:
-            record["x"][:, k] = x
-            record["u"][:, k] = u
-            record["stage_cost"][:, k] = g
-        x = x @ model.A[k].T + u @ model.B[k].T + (model.drift_at(k) + w_eps[:, k] @ Lw[k].T)
     return _finish(model, x, totals, record)
 
 

@@ -99,12 +99,50 @@ class TestConfigErrors:
         cfg = scalar_config(N=4, p=0.9)
         cfg["system"]["A"] = 1e200
         cfg_path = write_config(tmp_path, cfg)
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = cli.main([command, "--config", cfg_path, "--out", str(tmp_path)])
+        rc = cli.main([command, "--config", cfg_path, "--out", str(tmp_path)])
         assert rc == 2
-        assert "error: non-finite value matrix at stage 3" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert err == [err[0]] and err[0].startswith("error: non-finite value matrix at stage 3")
         assert not (tmp_path / "gains.json").exists()
         assert not (tmp_path / "placement.csv").exists()
+
+    @pytest.mark.parametrize("command,edit,message", [
+        ("gains", {"reliability": {"p": "x"}}, "reliability.p must be a number"),
+        ("simulate", {"reliability": {"p": 0.5, "q": "x"}}, "reliability.q must be a number"),
+        ("placement", {"placement": {"delta_t": float("nan")}}, "delta_t must be finite"),
+        ("placement", {"placement": {"delta_t": "x"}}, "placement.delta_t must be a number"),
+        ("placement", {"placement": {"catalog": [
+            {"name": "e", "latency_seconds": float("nan"), "p": 0.9, "q": 0.1}]}},
+         "latency must be finite"),
+        ("placement", {"placement": {"catalog": [
+            {"name": "e", "latency_seconds": 1.0, "p": "x", "q": 0.1}]}},
+         "entry 'e': p must be a number"),
+    ], ids=["p-non-numeric", "q-non-numeric", "delta_t-nan", "delta_t-non-numeric",
+            "latency-nan", "catalog-p-non-numeric"])
+    def test_config_value_errors(self, tmp_path, capsys, command, edit, message):
+        cfg = scalar_config(N=4, p=0.9)
+        cfg.update(edit)
+        cfg_path = write_config(tmp_path, cfg)
+        rc = cli.main([command, "--config", cfg_path, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [err[0]] and err[0].startswith("error:") and message in err[0]
+
+    @pytest.mark.parametrize("command,flag", [
+        ("gains", ["--seed", "3"]),
+        ("gains", ["--replications", "9"]),
+        ("gains", ["--format", "json"]),
+        ("verify", ["--replications", "9"]),
+        ("placement", ["--format", "json"]),
+        ("waypoints", ["--seed", "3"]),
+    ])
+    def test_unread_flag_rejected(self, tmp_path, capsys, command, flag):
+        cfg_path = write_config(tmp_path, scalar_config())
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, "--config", cfg_path, "--out", str(tmp_path), *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
     def test_reliability_p_required(self, tmp_path, capsys):
         cfg = {"system": scalar_config()["system"]}
@@ -297,7 +335,7 @@ class TestPlacement:
         assert header == [
             "rank", "name", "latency_seconds", "M", "M_F", "M_B", "p", "q",
             "basis", "cost", "initial_state_term", "disturbance_trace_sum",
-            "collateral_trace_sum", "estimation_penalty",
+            "collateral_trace_sum", "estimation_penalty", "penalty_basis",
         ]
         rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
         assert [r["rank"] for r in rows] == [str(i) for i in range(1, 6)]
@@ -309,6 +347,7 @@ class TestPlacement:
         assert by_name["aws-lambda-us-west"]["M"] == "2"
         assert by_name["aws-lambda-tokyo"]["M"] == "3"
         assert all(r["basis"] == "exact" for r in rows)
+        assert all(r["penalty_basis"] == "none" for r in rows)
         assert rows[0]["name"] == "local-node"
 
     def test_perfect_endpoint_wins(self, tmp_path):
@@ -381,6 +420,32 @@ class TestPlacement:
         assert [r["name"] for r in base] == [r["name"] for r in scaled]
         for a, b in zip(base, scaled):
             assert b["cost"] == pytest.approx(7.0 * a["cost"], rel=1e-12)
+
+    @staticmethod
+    def partial_placement(tmp_path, N, seed):
+        cfg = {
+            "system": {"N": N, "A": 1.0, "B": 1.0, "Q": 1.0, "R": 1.0, "W": 1.0, "C": 1.0,
+                       "V_noise": 0.5, "x0": [1.0]},
+            "reliability": {"p": 0.9},
+            "placement": {"observation": "partial", "delta_t": 1.0, "penalty_replications": 200,
+                          "catalog": [{"name": "e", "latency_seconds": 1.0, "p": 0.9, "q": 0.1}]},
+        }
+        out = tmp_path / f"N{N}-seed{seed}"
+        rc = cli.main(["placement", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                       "--seed", str(seed)])
+        assert rc == 0
+        return (out / "placement.csv").read_text()
+
+    def test_penalty_basis_follows_horizon(self, tmp_path):
+        # exact enumeration up to N = EXACT_ENUMERATION_MAX_N, so the cost
+        # does not depend on the Monte Carlo seed; Monte Carlo above that
+        exact = self.partial_placement(tmp_path, 10, 0)
+        assert exact == self.partial_placement(tmp_path, 10, 1)
+        assert exact.splitlines()[1].endswith(",exact-enumeration")
+        assert fc.estimation.EXACT_ENUMERATION_MAX_N < 21
+        mc = self.partial_placement(tmp_path, 21, 0)
+        assert mc.splitlines()[1].endswith(",monte-carlo")
+        assert mc != self.partial_placement(tmp_path, 21, 1)
 
     def test_catalog_entry_validation(self, tmp_path, capsys):
         cfg = scalar_config(N=4, p=0.9, x0=0.0)

@@ -193,6 +193,28 @@ class TestMinCostFormulas:
         cmix = fc.min_cost_full_perfect(sched, model, x0, tau0=(0.25, 0.75)).total
         assert cmix == pytest.approx(0.25 * c0 + 0.75 * c1, rel=1e-12)
 
+    @pytest.mark.parametrize("delay,x0,tau0", [
+        (None, [3.0], 2),
+        (None, [3.0], -1),
+        (None, [3.0], (3.0, -2.0)),
+        (None, [3.0], (float("nan"), float("nan"))),
+        (None, [3.0], True),
+        (None, [1.0, 2.0], 1),
+        (None, [float("inf")], 1),
+        ((1, 1), [1.0, 2.0], 1),
+        ((1, 1), [[3.0]], 1),
+    ], ids=["tau0-2", "tau0-negative", "tau0-negative-mass", "tau0-nan", "tau0-bool",
+            "x0-shape", "x0-inf", "delayed-x0-shape", "delayed-x0-2d"])
+    def test_bad_x0_or_tau0_rejected(self, delay, x0, tau0):
+        model, _ = scalar_fixture(N=4)
+        delay = None if delay is None else fc.DelayProfile(M_F=delay[0], M_B=delay[1])
+        regime = fc.solve(model, 0.5, delay)
+        with pytest.raises(fc.ModelValidationError):
+            fc.min_cost(model, regime, x0, tau0)
+        if delay is None:
+            with pytest.raises(fc.ModelValidationError):
+                fc.min_cost_full_perfect(regime.gains, model, x0, tau0)
+
     def test_scalar_delayed_total(self):
         model, x0 = scalar_fixture(N=3)
         sched = fc.backward_recursion_delayed(model, 1.0, fc.DelayProfile(M_F=1, M_B=1))

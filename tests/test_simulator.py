@@ -347,9 +347,8 @@ class TestTracesAndCsv:
         model, x0 = scalar_fixture(N=4)
         out = run_simple(model, 0.6, None, x0, reps=5, seed=3, record=True)
         batch = out["traces"]
-        for r in range(batch.replications):
-            tr = batch.trace(r)  # SimulationTrace validates its own sum
-            assert tr.total == pytest.approx(float(batch.totals[r]), rel=1e-12)
+        assert batch.stage_cost.shape == (5, 5)  # N stages plus the terminal cost
+        np.testing.assert_allclose(batch.stage_cost.sum(axis=1), batch.totals, rtol=1e-12)
         assert out["mean_cost"] == pytest.approx(float(batch.totals.mean()), rel=1e-12)
 
     def test_csv_layout_full(self):
@@ -398,10 +397,13 @@ class TestTracesAndCsv:
     def test_stage_records(self):
         model, x0 = scalar_fixture(N=3)
         out = run_simple(model, 0.6, None, x0, reps=1, seed=8, record=True)
-        tr = out["traces"].trace(0)
-        assert [r.k for r in tr.records] == [0, 1, 2]
-        assert tr.records[0].x[0] == pytest.approx(1.0)
-        assert tr.records[0].tau in (0, 1)
+        batch = out["traces"]
+        assert (batch.replications, batch.N) == (1, 3)
+        assert batch.x.shape == (1, 4, 1) and batch.u.shape == (1, 3, 1)
+        assert batch.tau.shape == (1, 3) and batch.stage_cost.shape == (1, 4)
+        assert batch.x_hat is None and batch.z is None
+        assert batch.x[0, 0, 0] == pytest.approx(1.0)
+        assert set(batch.tau[0].tolist()) <= {0, 1}
 
 
 class TestTrackingMetrics:
