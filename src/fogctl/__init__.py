@@ -16,18 +16,15 @@ from .model import (
     ModelValidationError,
     ReliabilityChain,
     delay_from_config,
-    delay_to_config,
     is_pd,
     is_psd,
     make_system,
     min_eigenvalue,
     reliability_from_config,
-    reliability_to_config,
     stationary_on_probability,
     symmetric_chain,
     symmetrize,
     system_from_config,
-    system_to_config,
     validate_model,
 )
 from .riccati import (
@@ -78,7 +75,6 @@ from .drone import (
     make_waypoints,
     plan_from_config,
     scenario_from_config,
-    scenario_to_config,
     tracking_study,
 )
 
@@ -92,18 +88,15 @@ __all__ = [
     "ModelValidationError",
     "ReliabilityChain",
     "delay_from_config",
-    "delay_to_config",
     "is_pd",
     "is_psd",
     "make_system",
     "min_eigenvalue",
     "reliability_from_config",
-    "reliability_to_config",
     "stationary_on_probability",
     "symmetric_chain",
     "symmetrize",
     "system_from_config",
-    "system_to_config",
     "validate_model",
     "REGIMES",
     "GainSchedule",
@@ -142,7 +135,6 @@ __all__ = [
     "make_waypoints",
     "plan_from_config",
     "scenario_from_config",
-    "scenario_to_config",
     "tracking_study",
     "__version__",
 ]

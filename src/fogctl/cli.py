@@ -18,6 +18,7 @@ import numpy as np
 
 from .drone import (
     CONTROLLER_MODES,
+    _compensates_drift,
     build_system as drone_build_system,
     initial_state,
     scenario_from_config,
@@ -28,9 +29,14 @@ from .model import (
     ModelValidationError,
     ReliabilityChain,
     bind_delay,
-    config_number,
+    choice,
+    config_block,
+    count,
     delay_from_config,
+    flag,
+    listed,
     make_system,
+    number,
     reliability_from_config,
     symmetric_chain,
     system_from_config,
@@ -81,10 +87,9 @@ def split_delay(M: int, M_F: Optional[int] = None, M_B: Optional[int] = None) ->
         M_F = (M + 1) // 2
         M_B = M - M_F
     elif M_F is None:
-        M_F = M - int(M_B)
+        M_F = M - M_B
     elif M_B is None:
-        M_B = M - int(M_F)
-    M_F, M_B = int(M_F), int(M_B)
+        M_B = M - M_F
     if M_F < 0 or M_B < 0 or M_F + M_B != M:
         raise ConfigError(f"delay split M_F={M_F}, M_B={M_B} does not sum to M={M}")
     return DelayProfile(M_F=M_F, M_B=M_B)
@@ -111,15 +116,6 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _chain_from(cfg: dict) -> ReliabilityChain:
-    block = dict(cfg.get("reliability") or {})
-    if "p" not in block:
-        raise ConfigError("reliability.p required")
-    if "q" not in block:
-        block["q"] = 1.0 - config_number("reliability.p", block["p"])
-    return reliability_from_config(block)
-
-
 def _plant_from(cfg: dict):
     """Returns (model, x0, scenario-or-None) from system or scenario block."""
     has_sys = "system" in cfg
@@ -137,6 +133,14 @@ def _delay_from(cfg: dict, N: int) -> Optional[DelayProfile]:
     return bind_delay(delay_from_config(cfg.get("delay")), N)
 
 
+def _sweep_delay(entry) -> Optional[DelayProfile]:
+    """A sweep M entry: a round-trip stage count or an [M_F, M_B] pair."""
+    if isinstance(entry, list) and len(entry) == 2:
+        M_F, M_B = count(entry[0]), count(entry[1])
+        return split_delay(M_F + M_B, M_F, M_B)
+    return split_delay(count(entry))
+
+
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
@@ -148,7 +152,7 @@ def _write_json(path: Path, obj) -> None:
 def cmd_gains(config: dict, out_dir: Path) -> dict:
     """Run the applicable backward recursion and dump the schedule."""
     model, _, _ = _plant_from(config)
-    chain = _chain_from(config)
+    chain = reliability_from_config(config.get("reliability", {}))
     payload = solve(model, chain.p, _delay_from(config, model.N)).gains.to_jsonable()
     _write_json(out_dir / "gains.json", payload)
     return payload
@@ -168,40 +172,27 @@ def cmd_simulate(
     split) or explicit [M_F, M_B] pairs.
     """
     model, x0, scenario = _plant_from(config)
-    sim = dict(config.get("simulation") or {})
-    known = {"replications", "master_seed", "record_traces", "observation", "mode", "sweep"}
-    unknown = set(sim) - known
-    if unknown:
-        raise ConfigError(f"simulation: unknown keys {sorted(unknown)}")
-    reps = int(replications if replications is not None else sim.get("replications", 10_000))
-    master_seed = int(seed if seed is not None else sim.get("master_seed", 0))
-    record = bool(sim.get("record_traces", False))
+    sim = config_block("simulation", config.get("simulation", {}), {
+        "replications": count, "master_seed": count, "record_traces": flag,
+        "observation": choice("full", "partial"), "mode": choice(*CONTROLLER_MODES),
+        "sweep": None,
+    })
+    reps = sim.get("replications", 10_000) if replications is None else replications
+    master_seed = sim.get("master_seed", 0) if seed is None else seed
+    record = sim.get("record_traces", False)
     observation = sim.get("observation", "full")
     mode = sim.get("mode", "paper-faithful")
-    if mode not in CONTROLLER_MODES:
-        raise ConfigError(f"simulation.mode must be one of {CONTROLLER_MODES}, got {mode!r}")
-    compensate = mode == "affine-compensated"
+    compensate = _compensates_drift(mode)
 
-    base_chain = _chain_from(config)
+    base_chain = reliability_from_config(config.get("reliability", {}))
     base_delay = _delay_from(config, model.N)
-    sweep = sim.get("sweep")
+    sweep = config_block("simulation.sweep", sim.get("sweep", {}), {
+        "p": listed(number, "numbers"),
+        "M": listed(_sweep_delay, "stage counts or [M_F, M_B] pairs"),
+    })
     if sweep:
-        sweep = dict(sweep)
-        p_values = [float(v) for v in sweep.pop("p", [base_chain.p])]
-        m_entries = sweep.pop("M", None)
-        if sweep:
-            raise ConfigError(f"simulation.sweep: unknown keys {sorted(sweep)}")
-        if m_entries is None:
-            delays = [base_delay]
-        else:
-            delays = []
-            for entry in m_entries:
-                if isinstance(entry, (list, tuple)):
-                    if len(entry) != 2:
-                        raise ConfigError(f"sweep M entry {entry!r} is not [M_F, M_B]")
-                    delays.append(split_delay(int(entry[0]) + int(entry[1]), int(entry[0]), int(entry[1])))
-                else:
-                    delays.append(split_delay(int(entry)))
+        p_values = sweep.get("p", [base_chain.p])
+        delays = sweep.get("M", [base_delay])
         settings = [(p, d, True) for d in delays for p in p_values]
     else:
         settings = [(base_chain.p, base_delay, False)]
@@ -211,16 +202,16 @@ def cmd_simulate(
     rows = []
     for p, delay, from_sweep in settings:
         chain = symmetric_chain(p, tau0=base_chain.tau0) if from_sweep else base_chain
-        regime = solve(model, float(p), delay, observation, compensate)
+        regime = solve(model, p, delay, observation, compensate)
         need_traces = record or scenario is not None
         sim_cfg = SimulationConfig(
             replications=reps, master_seed=master_seed, record_traces=need_traces,
         )
         res = run(model, chain, delay, regime, sim_cfg, x0=x0)
         row = {
-            "p": float(p),
-            "q": float(chain.q),
-            "M": int(delay.M) if delay is not None else 0,
+            "p": p,
+            "q": chain.q,
+            "M": delay.M if delay is not None else 0,
             "observation": observation,
             "mean_cost": res["mean_cost"],
             "std_error": res["std_error"],
@@ -265,15 +256,13 @@ def cmd_verify(config: dict, out_dir: Path, seed: Optional[int] = None) -> int:
 
     Writes verify.json and returns the exit code (0 all pass, 3 otherwise).
     """
-    block = dict(config.get("verify") or {})
-    known = {"models", "sandwich", "seed", "tolerance"}
-    unknown = set(block) - known
-    if unknown:
-        raise ConfigError(f"verify: unknown keys {sorted(unknown)}")
-    n_models = int(block.get("models", 40))
-    n_sandwich = int(block.get("sandwich", 40))
-    tol = float(block.get("tolerance", 1e-8))
-    vseed = int(seed if seed is not None else block.get("seed", 0))
+    block = config_block("verify", config.get("verify", {}), {
+        "models": count, "sandwich": count, "seed": count, "tolerance": number,
+    })
+    n_models = block.get("models", 40)
+    n_sandwich = block.get("sandwich", 40)
+    tol = block.get("tolerance", 1e-8)
+    vseed = block.get("seed", 0) if seed is None else seed
     rng = np.random.default_rng(vseed)
 
     consistency = []
@@ -356,45 +345,37 @@ def cmd_placement(
     or, above EXACT_ENUMERATION_MAX_N stages, monte-carlo.
     """
     model, x0, scenario = _plant_from(config)
-    block = dict(config.get("placement") or {})
-    known = {"catalog", "delta_t", "observation", "penalty_replications", "seed"}
-    unknown = set(block) - known
-    if unknown:
-        raise ConfigError(f"placement: unknown keys {sorted(unknown)}")
+    block = config_block("placement", config.get("placement", {}), {
+        "catalog": None, "delta_t": number, "observation": choice("full", "partial"),
+        "penalty_replications": count, "seed": count,
+    })
     catalog = block.get("catalog", EXAMPLE_CATALOG)
-    if not catalog:
-        raise ConfigError("placement.catalog must be nonempty")
-    default_dt = scenario.delta_t if scenario is not None else 1.0
-    delta_t = config_number("placement.delta_t", block.get("delta_t", default_dt))
+    if not (isinstance(catalog, list) and catalog):
+        raise ConfigError(f"placement.catalog must be a nonempty list, got {catalog!r}")
+    delta_t = block.get("delta_t", scenario.delta_t if scenario is not None else 1.0)
     observation = block.get("observation", "full")
-    if observation not in ("full", "partial"):
-        raise ConfigError(f"placement.observation must be 'full' or 'partial', got {observation!r}")
-    pen_reps = int(replications if replications is not None else block.get("penalty_replications", 20_000))
-    pen_seed = int(seed if seed is not None else block.get("seed", 0))
+    pen_reps = block.get("penalty_replications", 20_000) if replications is None else replications
+    pen_seed = block.get("seed", 0) if seed is None else seed
     pen_cfg = penalty_config_for(model.N, pen_reps, pen_seed)
     penalty_basis = pen_cfg["method"] if observation == "partial" else "none"
 
     rows = []
-    for entry in catalog:
-        e = dict(entry)
+    for i, entry in enumerate(catalog):
+        where = f"placement.catalog[{i}]"
+        e = config_block(where, entry, {
+            "name": str, "latency_seconds": number, "p": number, "q": number,
+            "M_F": count, "M_B": count,
+        }, required=("name", "latency_seconds", "p", "q"))
+        name, latency, p, q = e["name"], e["latency_seconds"], e["p"], e["q"]
         try:
-            name = str(e.pop("name"))
-            latency, p, q = (
-                config_number(f"placement catalog entry {name!r}: {key}", e.pop(key))
-                for key in ("latency_seconds", "p", "q")
-            )
-        except KeyError as missing:
-            raise ConfigError(f"placement catalog entry missing key {missing}") from None
-        mf_over = e.pop("M_F", None)
-        mb_over = e.pop("M_B", None)
-        if e:
-            raise ConfigError(f"placement catalog entry {name!r}: unknown keys {sorted(e)}")
+            chain = ReliabilityChain(p=p, q=q)
+        except ModelValidationError as err:
+            raise ConfigError(f"{where}: {err}") from None
         M = latency_to_stages(latency, delta_t)
         if M > model.N:
             raise ConfigError(f"endpoint {name!r}: M={M} exceeds horizon N={model.N}")
-        delay = split_delay(M, mf_over, mb_over)
-        symmetric = abs(p - (1.0 - q)) <= 1e-12
-        if symmetric:
+        delay = split_delay(M, e.get("M_F"), e.get("M_B"))
+        if chain.symmetric:
             rate, basis = p, "exact"
         elif p > 1.0 - q:
             rate, basis = 1.0 - q, "upper-bound"

@@ -22,8 +22,13 @@ from .model import (
     ModelValidationError,
     ReliabilityChain,
     DelayProfile,
+    _floats,
     bind_delay,
+    config_block,
+    count,
     make_system,
+    number,
+    pair,
 )
 from .policy import solve
 from .simulator import (
@@ -36,6 +41,15 @@ from .simulator import (
 )
 
 CONTROLLER_MODES = ("paper-faithful", "affine-compensated")
+
+
+def _is_point(value) -> bool:
+    """Whether value is two finite numbers."""
+    try:
+        pair(value)
+    except ValueError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -61,25 +75,24 @@ class WaypointPlan:
 
     def __post_init__(self):
         violations = []
-        for label, count in (
-            ("approach_stages", self.approach_stages),
-            ("circle_stages", self.circle_stages),
-            ("return_stages", self.return_stages),
-        ):
-            if int(count) != count or count < 0:
-                violations.append(f"{label} must be a nonnegative integer, got {count}")
-        if self.approach_stages + self.circle_stages + self.return_stages < 1:
+        for label in ("approach_stages", "circle_stages", "return_stages"):
+            stages = getattr(self, label)
+            if not (isinstance(stages, (int, np.integer)) and stages >= 0):
+                violations.append(f"{label} must be a nonnegative integer, got {stages!r}")
+        if not violations and self.approach_stages + self.circle_stages + self.return_stages < 1:
             violations.append("plan must contain at least one stage")
-        if self.circle_radius < 0:
-            violations.append(f"circle_radius must be nonnegative, got {self.circle_radius}")
-        if self.circle_radius == 0 and self.circle_stages > 0:
+        if not (0 <= self.circle_radius < math.inf):
+            violations.append(
+                f"circle_radius must be finite and nonnegative, got {self.circle_radius}"
+            )
+        elif self.circle_radius == 0 and self.circle_stages != 0:
             violations.append("zero radius with nonzero circle stages")
         if not (self.speed_bound > 0):
             violations.append(f"speed_bound must be positive, got {self.speed_bound}")
-        if len(self.approach_target) != 2 or len(self.start) != 2:
-            violations.append("start and approach_target must be 2-vectors")
-        if self.circle_center is not None and len(self.circle_center) != 2:
-            violations.append("circle_center must be a 2-vector")
+        for label in ("start", "approach_target", "circle_center"):
+            point = getattr(self, label)
+            if point is not None and not _is_point(point):
+                violations.append(f"{label} must be two finite numbers, got {point!r}")
         if violations:
             raise ModelValidationError(violations)
 
@@ -108,8 +121,8 @@ def make_waypoints(plan: WaypointPlan, delta_t: float) -> np.ndarray:
     Raises:
         ModelValidationError: consecutive spacing above speed_bound*delta_t.
     """
-    if delta_t <= 0:
-        raise ModelValidationError([f"delta_t must be positive, got {delta_t}"])
+    if not (0 < delta_t < math.inf):
+        raise ModelValidationError([f"delta_t must be finite and positive, got {delta_t}"])
     start = np.asarray(plan.start, dtype=float)
     center = plan.center
     entry = plan.entry_point()
@@ -161,27 +174,31 @@ class DroneScenario:
     start_velocity: tuple = (0.0, 0.0)
 
     def __post_init__(self):
-        pts = np.asarray(self.waypoints, dtype=float)
+        pts = _floats("waypoints", self.waypoints)
         violations = []
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             violations.append(
                 f"waypoints must be an (N+1, 2) array with N >= 1, got shape {pts.shape}"
             )
-        if self.delta_t <= 0:
-            violations.append(f"delta_t must be positive, got {self.delta_t}")
-        if self.alpha < 0:
-            violations.append(f"alpha must be nonnegative, got {self.alpha}")
-        if self.sigma_x < 0 or self.sigma_v < 0:
-            violations.append("sigma_x and sigma_v must be nonnegative")
-        if abs(self.rho_value) > self.sigma_x * self.sigma_v:
+        elif not np.isfinite(pts).all():
+            violations.append("waypoints must be finite")
+        if not (0 < self.delta_t < math.inf):
+            violations.append(f"delta_t must be finite and positive, got {self.delta_t}")
+        for label in ("alpha", "sigma_x", "sigma_v"):
+            value = getattr(self, label)
+            if not (0 <= value < math.inf):
+                violations.append(f"{label} must be finite and nonnegative, got {value}")
+        if self.rho is not None and not math.isfinite(self.rho):
+            violations.append(f"rho must be finite, got {self.rho}")
+        elif abs(self.rho_value) > self.sigma_x * self.sigma_v:
             violations.append(
                 f"|rho| = {abs(self.rho_value)} exceeds sigma_x*sigma_v = "
                 f"{self.sigma_x * self.sigma_v} (disturbance covariance not PSD)"
             )
-        if self.start_position is not None and len(self.start_position) != 2:
-            violations.append("start_position must be a 2-vector")
-        if len(self.start_velocity) != 2:
-            violations.append("start_velocity must be a 2-vector")
+        for label in ("start_position", "start_velocity"):
+            point = getattr(self, label)
+            if point is not None and not _is_point(point):
+                violations.append(f"{label} must be two finite numbers, got {point!r}")
         if violations:
             raise ModelValidationError(violations)
         pts.setflags(write=False)
@@ -411,89 +428,52 @@ def error_consistency_check(
 # Config blocks
 # ---------------------------------------------------------------------------
 
-def plan_from_config(block: dict) -> WaypointPlan:
-    """Build a WaypointPlan from its nested config block."""
-    data = dict(block)
-    approach = dict(data.pop("approach", {}))
-    circle = dict(data.pop("circle", {}))
-    ret = dict(data.pop("return", {}))
-    start = data.pop("start", (0.0, 0.0))
-    speed_bound = data.pop("speed_bound", math.inf)
-    if data:
-        raise ConfigError(f"unknown plan keys {sorted(data)}")
-    target = approach.pop("target", None)
-    a_stages = approach.pop("stages", 0)
-    if approach:
-        raise ConfigError(f"unknown approach keys {sorted(approach)}")
-    center = circle.pop("center", None)
-    radius = circle.pop("radius", 0.0)
-    c_stages = circle.pop("stages", 0)
-    if circle:
-        raise ConfigError(f"unknown circle keys {sorted(circle)}")
-    r_stages = ret.pop("stages", 0)
-    if ret:
-        raise ConfigError(f"unknown return keys {sorted(ret)}")
+def plan_from_config(block) -> WaypointPlan:
+    """Build a WaypointPlan from its nested config block (``scenario.plan``)."""
+    where = "scenario.plan"
+    plan = config_block(where, block, {
+        "approach": None, "circle": None, "return": None, "start": pair, "speed_bound": number,
+    })
+    approach = config_block(
+        f"{where}.approach", plan.get("approach", {}), {"target": pair, "stages": count}
+    )
+    circle = config_block(
+        f"{where}.circle", plan.get("circle", {}),
+        {"center": pair, "radius": number, "stages": count},
+    )
+    ret = config_block(f"{where}.return", plan.get("return", {}), {"stages": count})
+    target = approach.get("target", circle.get("center"))
     if target is None:
-        if center is None:
-            raise ConfigError("plan needs approach.target or circle.center")
-        target = center
+        raise ConfigError(f"{where} needs approach.target or circle.center")
     return WaypointPlan(
-        approach_target=tuple(target),
-        approach_stages=int(a_stages),
-        circle_radius=float(radius),
-        circle_stages=int(c_stages),
-        return_stages=int(r_stages),
-        start=tuple(start),
-        circle_center=None if center is None else tuple(center),
-        speed_bound=float(speed_bound),
+        approach_target=target,
+        approach_stages=approach.get("stages", 0),
+        circle_radius=circle.get("radius", 0.0),
+        circle_stages=circle.get("stages", 0),
+        return_stages=ret.get("stages", 0),
+        start=plan.get("start", (0.0, 0.0)),
+        circle_center=circle.get("center"),
+        speed_bound=plan.get("speed_bound", math.inf),
     )
 
 
-def scenario_from_config(block: dict) -> DroneScenario:
+def scenario_from_config(block) -> DroneScenario:
     """Build a DroneScenario from its config block.
 
     The block gives either explicit `waypoints` ([[x, y], ...]) or a `plan`
     sub-block to generate them.
     """
-    data = dict(block)
-    delta_t = float(data.pop("delta_t", 1.0))
-    alpha = float(data.pop("alpha", 0.1))
-    sigma_x = float(data.pop("sigma_x", 0.1))
-    sigma_v = float(data.pop("sigma_v", 0.1))
-    rho = data.pop("rho", None)
-    start_position = data.pop("start_position", None)
-    start_velocity = tuple(data.pop("start_velocity", (0.0, 0.0)))
-    waypoints = data.pop("waypoints", None)
-    plan_block = data.pop("plan", None)
-    if data:
-        raise ConfigError(f"unknown scenario keys {sorted(data)}")
-    if (waypoints is None) == (plan_block is None):
+    entries = config_block("scenario", block, {
+        "delta_t": number, "alpha": number, "sigma_x": number, "sigma_v": number,
+        "rho": number, "start_position": pair, "start_velocity": pair,
+        "waypoints": None, "plan": None,
+    })
+    if ("waypoints" in entries) == ("plan" in entries):
         raise ConfigError("scenario needs exactly one of 'waypoints' or 'plan'")
-    if plan_block is not None:
-        waypoints = make_waypoints(plan_from_config(plan_block), delta_t)
-    return DroneScenario(
-        waypoints=np.asarray(waypoints, dtype=float),
-        delta_t=delta_t,
-        alpha=alpha,
-        sigma_x=sigma_x,
-        sigma_v=sigma_v,
-        rho=None if rho is None else float(rho),
-        start_position=None if start_position is None else tuple(start_position),
-        start_velocity=start_velocity,
-    )
-
-
-def scenario_to_config(scenario: DroneScenario) -> dict:
-    """Inverse of scenario_from_config (always emits explicit waypoints)."""
-    block = {
-        "delta_t": scenario.delta_t,
-        "alpha": scenario.alpha,
-        "sigma_x": scenario.sigma_x,
-        "sigma_v": scenario.sigma_v,
-        "rho": scenario.rho_value,
-        "start_velocity": list(scenario.start_velocity),
-        "waypoints": np.asarray(scenario.waypoints).tolist(),
-    }
-    if scenario.start_position is not None:
-        block["start_position"] = list(scenario.start_position)
-    return block
+    try:
+        if "plan" in entries:
+            plan = plan_from_config(entries.pop("plan"))
+            entries["waypoints"] = make_waypoints(plan, entries.get("delta_t", 1.0))
+        return DroneScenario(**entries)
+    except ModelValidationError as e:
+        raise ConfigError(f"scenario: {e}") from e

@@ -18,12 +18,19 @@ This module holds the domain vocabulary shared by the whole package:
 All types are immutable after validation; stored arrays are read-only, and
 malformed or non-finite input raises ``ModelValidationError`` naming the
 field.
-The module also provides per-type (de)serialization to the JSON config
-format used by the command line front end.
+
+The module also holds the one reader of the JSON config used by the command
+line front end: ``config_block`` checks one config object against a table of
+keys and converts each entry with its reader (``number``, ``count``, ``flag``,
+``pair``, ``choice``, ``listed``), so a malformed entry raises ``ConfigError``
+naming its path (``"simulation.replications must be a whole number >= 0,
+got 2.7"``).
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
@@ -312,17 +319,16 @@ def tau0_pair(tau0) -> tuple:
             raise ModelValidationError([f"tau0 point value must be 0 or 1, got {tau0}"])
         return (float(1 - tau0), float(tau0))
     try:
-        pair = (float(tau0[0]), float(tau0[1]))
-        entries = len(tau0)
-    except (TypeError, IndexError, ValueError):
+        dist = pair(tau0)
+    except ValueError:
         raise ModelValidationError(
             [f"tau0 must be 0, 1, or a 2-entry distribution, got {tau0!r}"]
         ) from None
-    if entries != 2 or not (min(pair) >= -1e-12 and abs(sum(pair) - 1.0) <= 1e-9):
+    if not (min(dist) >= -1e-12 and abs(sum(dist) - 1.0) <= 1e-9):
         raise ModelValidationError(
             [f"tau0 distribution must be nonnegative and sum to 1, got {tau0!r}"]
         )
-    return pair
+    return dist
 
 
 @dataclass(frozen=True)
@@ -482,6 +488,102 @@ def state_vector(x0, n: int) -> np.ndarray:
     return x0
 
 
+# Config entry readers: each returns the converted entry or raises ValueError
+# with the reason, which ``config_block`` turns into a ConfigError naming the
+# entry. JSON true/false are not numbers here.
+
+def number(value) -> float:
+    """A finite number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError("must be a number")
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return float(value)
+
+
+def count(value) -> int:
+    """A whole number >= 0 (2.0 reads as 2)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+        value >= 0 and value % 1 == 0
+    ):
+        raise ValueError("must be a whole number >= 0")
+    return int(value)
+
+
+def flag(value) -> bool:
+    """JSON true or false."""
+    if not isinstance(value, bool):
+        raise ValueError("must be true or false")
+    return value
+
+
+def pair(value) -> tuple:
+    """Two finite numbers (a list, tuple or array of two), as a tuple."""
+    if isinstance(value, (list, tuple, np.ndarray)) and len(value) == 2:
+        try:
+            return (number(value[0]), number(value[1]))
+        except ValueError:
+            pass
+    raise ValueError("must be two finite numbers")
+
+
+def choice(*options):
+    """Reader accepting exactly one of options."""
+    def read(value):
+        if value not in options:
+            raise ValueError(f"must be one of {list(options)}")
+        return value
+    return read
+
+
+def listed(read, what: str):
+    """Reader of a list whose entries each pass read."""
+    def read_list(value) -> list:
+        try:
+            if isinstance(value, list):
+                return [read(v) for v in value]
+        except ValueError:
+            pass
+        raise ValueError(f"must be a list of {what}")
+    return read_list
+
+
+def config_block(where: str, block, fields: dict, required=()) -> dict:
+    """The entries of one config object, each converted by its reader.
+
+    Args:
+        where: the block's path in the config (``"placement.catalog[2]"``).
+        block: the parsed JSON value.
+        fields: key -> reader (see ``number``, ``count``, ...) or None to
+            pass the entry through unchanged (arrays, nested blocks).
+        required: keys that must be present.
+
+    Returns:
+        key -> converted entry, for the keys present in block.
+
+    Raises:
+        ConfigError: when block is not an object, has unknown or missing
+            keys (``"<where>: unknown keys [...]"``), or an entry fails its
+            reader (``"<where>.<key> <reason>, got <value>"``).
+    """
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be an object, got {block!r}")
+    unknown = sorted(set(block) - set(fields))
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown}")
+    missing = [key for key in required if key not in block]
+    if missing:
+        raise ConfigError(f"{where}: missing keys {missing}")
+    entries = {}
+    for key, value in block.items():
+        read = fields[key]
+        try:
+            entries[key] = value if read is None else read(value)
+        except ValueError as e:
+            raise ConfigError(f"{where}.{key} {e}, got {value!r}") from None
+    return entries
+
+
 @dataclass(frozen=True)
 class CostBreakdown:
     """Decomposition of an expected total cost.
@@ -537,103 +639,43 @@ class CostBreakdown:
 
 
 # ---------------------------------------------------------------------------
-# Config block (de)serialization for the types owned by this module.
+# Config blocks for the types owned by this module.
 # ---------------------------------------------------------------------------
 
-def system_to_config(model: LinearSystemModel, x0: Optional[np.ndarray] = None) -> dict:
-    """Canonical config block for a system (explicit per-stage arrays)."""
-    block = {"N": model.N}
-    for name in ("A", "B", "C", "Q", "R", "W", "V_noise", "drift"):
-        stack = getattr(model, name)
-        if stack is not None:
-            block[name] = stack.tolist()
-    if x0 is not None:
-        block["x0"] = np.asarray(x0, dtype=float).tolist()
-    return block
-
-
-def config_number(what: str, value) -> float:
-    """A config entry as a float; ConfigError naming the entry otherwise."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be a number, got {value!r}") from None
-
-
-_SYSTEM_KEYS = {"N", "A", "B", "C", "Q", "R", "W", "V_noise", "drift", "x0"}
-
-
-def system_from_config(block: dict):
+def system_from_config(block) -> tuple:
     """Parse a system block into (model, x0).
 
     Raises:
-        ConfigError: on unknown keys, missing required entries, a non-integer
-            N, a non-finite x0, or any ModelValidationError of the system.
+        ConfigError: on a malformed block or entry (see ``config_block``),
+            or any ModelValidationError of the system or x0.
     """
-    unknown = set(block) - _SYSTEM_KEYS
-    if unknown:
-        raise ConfigError(f"system: unknown keys {sorted(unknown)}")
-    missing = {"N", "A", "B", "Q", "R", "W"} - set(block)
-    if missing:
-        raise ConfigError(f"system: missing required keys {sorted(missing)}")
+    arrays = dict.fromkeys(("A", "B", "C", "Q", "R", "W", "V_noise", "drift", "x0"))
+    entries = config_block(
+        "system", block, {"N": count, **arrays}, required=("N", "A", "B", "Q", "R", "W")
+    )
+    x0 = entries.pop("x0", None)
     try:
-        N = int(block["N"])
-        if N != block["N"]:
-            raise ValueError
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"system: N must be an integer, got {block['N']!r}") from None
-    try:
-        model = make_system(
-            A=block["A"], B=block["B"], Q=block["Q"], R=block["R"], W=block["W"],
-            C=block.get("C"), V_noise=block.get("V_noise"),
-            drift=block.get("drift"), N=N,
-        )
-        x0 = None if block.get("x0") is None else state_vector(block["x0"], model.state_dim)
+        model = make_system(**entries)
+        return model, None if x0 is None else state_vector(x0, model.state_dim)
     except ModelValidationError as e:
         raise ConfigError(f"system: {e}") from e
-    return model, x0
 
 
-def reliability_to_config(chain: ReliabilityChain) -> dict:
-    tau0 = chain.tau0 if not isinstance(chain.tau0, tuple) else list(chain.tau0)
-    return {"p": chain.p, "q": chain.q, "tau0": tau0}
-
-
-def reliability_from_config(block: dict) -> ReliabilityChain:
-    unknown = set(block) - {"p", "q", "tau0"}
-    if unknown:
-        raise ConfigError(f"reliability: unknown keys {sorted(unknown)}")
-    if "p" not in block:
-        raise ConfigError("reliability.p required")
-    if "q" not in block:
-        raise ConfigError("reliability.q required")
-    tau0 = block.get("tau0", 1)
-    if isinstance(tau0, list):
-        tau0 = tuple(tau0)
-    p, q = (config_number(f"reliability.{key}", block[key]) for key in ("p", "q"))
+def reliability_from_config(block) -> ReliabilityChain:
+    """Parse a reliability block; q defaults to 1 - p (a symmetric chain)."""
+    entries = config_block(
+        "reliability", block, {"p": number, "q": number, "tau0": None}, required=("p",)
+    )
+    p = entries["p"]
     try:
-        return ReliabilityChain(p=p, q=q, tau0=tau0)
+        return ReliabilityChain(p=p, q=entries.get("q", 1.0 - p), tau0=entries.get("tau0", 1))
     except ModelValidationError as e:
         raise ConfigError(f"reliability: {e}") from e
 
 
-def delay_to_config(delay: Optional[DelayProfile]) -> Optional[dict]:
-    if delay is None:
-        return None
-    return {"M_F": delay.M_F, "M_B": delay.M_B}
-
-
-def delay_from_config(block, N: Optional[int] = None) -> Optional[DelayProfile]:
+def delay_from_config(block) -> Optional[DelayProfile]:
+    """Parse a delay block ({"M_F": ..., "M_B": ...}); None means no delay."""
     if block is None:
         return None
-    unknown = set(block) - {"M_F", "M_B"}
-    if unknown:
-        raise ConfigError(f"delay: unknown keys {sorted(unknown)}")
-    missing = {"M_F", "M_B"} - set(block)
-    if missing:
-        raise ConfigError(f"delay: missing required keys {sorted(missing)}")
-    try:
-        profile = DelayProfile(M_F=int(block["M_F"]), M_B=int(block["M_B"]), N=N)
-    except ModelValidationError as e:
-        raise ConfigError(f"delay: {e}") from e
-    return profile
+    entries = config_block("delay", block, {"M_F": count, "M_B": count}, required=("M_F", "M_B"))
+    return DelayProfile(**entries)

@@ -376,20 +376,13 @@ def _run_delayed(model, ctrl_model, regime, tau, w_eps, v_eps, x0, totals, recor
     services = {j * M + M_F: j for j in range(c)}
 
     x = np.broadcast_to(x0, (R, n)).copy()
-    saved = {}       # epoch j -> state (full) or measurement (partial) at stage jM
-    pending = {}     # arrival stage -> control awaiting application
-    applied_at = {}  # arrival stage -> control actually applied there
+    saved = {}     # epoch j -> state (full) or measurement (partial) at stage jM
+    arrivals = {}  # arrival stage -> control applied there; other stages apply zero
+    zero = np.zeros((R, s))
     if partial:
         xh_b = np.broadcast_to(x0, (R, n)).copy()   # boundary estimate
         ids = np.zeros(R, dtype=np.intp)            # gate-history node per replication
         Sg_b = np.zeros((1, n, n))                  # boundary covariance per node
-
-    def control_at_boundary(t):
-        if t == 0:
-            return np.zeros((R, s))
-        if t in applied_at:
-            return applied_at[t]
-        return pending.get(t, np.zeros((R, s)))  # M_B = 0: same-stage service
 
     for k in range(N):
         j_b = k // M
@@ -405,10 +398,10 @@ def _run_delayed(model, ctrl_model, regime, tau, w_eps, v_eps, x0, totals, recor
             j = services[k]
             t0, t1 = j * M, (j + 1) * M
             gate = tau[:, k] == 1
-            u_win = control_at_boundary(t0)
+            u_win = arrivals.get(t0, zero)
             if partial:
                 if j >= 1:
-                    u_prev = control_at_boundary((j - 1) * M)
+                    u_prev = arrivals.get(t0 - M, zero)
                     xh_b = propagate_mean(ctrl_model, xh_b, u_prev, (j - 1) * M, t0)
                     Phi_w = transition_product(model, t0, (j - 1) * M)
                     Xi_w = window_noise(model, (j - 1) * M, t0)
@@ -423,13 +416,8 @@ def _run_delayed(model, ctrl_model, regime, tau, w_eps, v_eps, x0, totals, recor
                 mean = propagate_mean(ctrl_model, saved[j], u_win, t0, t1)
             u_new = -(mean @ gains.V[t1].T)
             u_new[~gate] = 0.0
-            pending[t1] = u_new
-        u = pending.pop(k, None)
-        if u is None:
-            u = np.zeros((R, s))
-        else:
-            applied_at[k] = u
-        x = _stage(model, k, x, u, w_eps[:, k] @ Lw[k].T, totals, record)
+            arrivals[t1] = u_new
+        x = _stage(model, k, x, arrivals.get(k, zero), w_eps[:, k] @ Lw[k].T, totals, record)
         if x is None:
             return k
     return _finish(model, x, totals, record)

@@ -25,6 +25,93 @@ def scalar_config(N=1, p=1.0, x0=1.0, **extra):
     return cfg
 
 
+def scenario_config(**scenario):
+    plan = {
+        "approach": {"target": [2.0, 0.0], "stages": 1},
+        "circle": {"radius": 1.0, "stages": 4},
+        "return": {"stages": 2},
+    }
+    return {"scenario": {"plan": plan, **scenario}, "reliability": {"p": 0.9}}
+
+
+def edited(cfg, keys, value):
+    """cfg with the entry at the key path set to value (blocks made as needed)."""
+    block = cfg
+    for key in keys[:-1]:
+        block = block.setdefault(key, {})
+    block[keys[-1]] = value
+    return cfg
+
+
+def system_config():
+    return scalar_config(N=4, p=0.9)
+
+
+def waypoints_config():
+    return {"scenario": {"waypoints": [[0, 0], [1, 0], [2, 0]]}}
+
+
+# (command, base config, key path, malformed value, text naming the entry)
+MALFORMED_ENTRIES = {
+    "replications-non-numeric":
+        ("simulate", system_config, "simulation.replications", "x", "simulation.replications"),
+    "master_seed-non-numeric":
+        ("simulate", system_config, "simulation.master_seed", "x", "simulation.master_seed"),
+    "penalty_replications-non-numeric":
+        ("placement", system_config, "placement.penalty_replications", "x",
+         "placement.penalty_replications"),
+    "seed-non-numeric": ("verify", dict, "verify.seed", "x", "verify.seed"),
+    "models-non-numeric": ("verify", dict, "verify.models", "x", "verify.models"),
+    "tolerance-non-numeric": ("verify", dict, "verify.tolerance", "x", "verify.tolerance"),
+    "M_F-non-numeric": ("gains", system_config, "delay", {"M_F": "x", "M_B": 1}, "delay.M_F"),
+    "delta_t-non-numeric":
+        ("waypoints", scenario_config, "scenario.delta_t", "x", "scenario.delta_t"),
+    "alpha-non-numeric": ("gains", scenario_config, "scenario.alpha", "x", "scenario.alpha"),
+    "stages-non-numeric":
+        ("waypoints", scenario_config, "scenario.plan.approach.stages", "x",
+         "scenario.plan.approach.stages"),
+    "radius-non-numeric":
+        ("waypoints", scenario_config, "scenario.plan.circle.radius", "x",
+         "scenario.plan.circle.radius"),
+    "replications-fractional":
+        ("simulate", system_config, "simulation.replications", 2.7, "simulation.replications"),
+    "M_F-fractional": ("gains", system_config, "delay", {"M_F": 1.5, "M_B": 1}, "delay.M_F"),
+    "models-negative": ("verify", dict, "verify.models", -5, "verify.models"),
+    "seed-negative": ("placement", system_config, "placement.seed", -1, "placement.seed"),
+    "record_traces-string":
+        ("simulate", system_config, "simulation.record_traces", "no", "simulation.record_traces"),
+    "p-bool": ("gains", system_config, "reliability.p", True, "reliability.p"),
+    "sweep-p-non-list":
+        ("simulate", system_config, "simulation.sweep.p", 0.5, "simulation.sweep.p"),
+    "sweep-p-non-numeric":
+        ("simulate", system_config, "simulation.sweep.p", [0.5, "x"], "simulation.sweep.p"),
+    "sweep-M-non-numeric":
+        ("simulate", system_config, "simulation.sweep.M", [0, "x"], "simulation.sweep.M"),
+    "simulation-non-object": ("simulate", system_config, "simulation", 5, "simulation"),
+    "reliability-non-object": ("gains", system_config, "reliability", [0.9], "reliability"),
+    "catalog-entry-non-object":
+        ("placement", system_config, "placement.catalog", [5], "placement.catalog[0]"),
+    "catalog-non-list":
+        ("placement", system_config, "placement.catalog", {"name": "e"}, "placement.catalog"),
+    "catalog-p-above-one":
+        ("placement", system_config, "placement.catalog",
+         [{"name": "e", "latency_seconds": 0.0, "p": 1.5, "q": 0.1}], "placement.catalog[0]"),
+    "catalog-q-negative":
+        ("placement", system_config, "placement.catalog",
+         [{"name": "e", "latency_seconds": 0.0, "p": 0.9, "q": -3.0}], "placement.catalog[0]"),
+    "start_velocity-scalar":
+        ("gains", scenario_config, "scenario.start_velocity", 1.0, "scenario.start_velocity"),
+    "target-scalar":
+        ("waypoints", scenario_config, "scenario.plan.approach.target", 5,
+         "scenario.plan.approach.target"),
+    "waypoints-non-numeric":
+        ("waypoints", waypoints_config, "scenario.waypoints", [["a", 0], [1, 0]],
+         "scenario: waypoints"),
+    "delta_t-nan":
+        ("gains", scenario_config, "scenario.delta_t", float("nan"), "scenario.delta_t"),
+}
+
+
 class TestHelpers:
     def test_latency_to_stages(self):
         assert cli.latency_to_stages(0.0, 1.0) == 0
@@ -74,25 +161,36 @@ class TestGains:
 
 class TestConfigErrors:
     @pytest.mark.parametrize("command", ["gains", "placement"])
-    @pytest.mark.parametrize("block", [
-        {"A": [1.0, 0.5]},
-        {"A": [[1.0, "x"]]},
-        {"A": [[1, 2], [1]]},
-        {"N": "x"},
-        {"N": 2.5},
-        {"A": [[float("nan")]]},
-        {"x0": [float("nan")]},
+    @pytest.mark.parametrize("block,message", [
+        ({"A": [1.0, 0.5]}, "error: system:"),
+        ({"A": [[1.0, "x"]]}, "error: system:"),
+        ({"A": [[1, 2], [1]]}, "error: system:"),
+        ({"N": "x"}, "error: system.N must be a whole number"),
+        ({"N": 2.5}, "error: system.N must be a whole number"),
+        ({"A": [[float("nan")]]}, "error: system:"),
+        ({"x0": [float("nan")]}, "error: system:"),
     ], ids=["A-1d", "A-non-numeric", "A-ragged", "N-non-numeric", "N-fractional", "A-nan",
          "x0-nan"])
-    def test_malformed_system_block(self, tmp_path, capsys, command, block):
+    def test_malformed_system_block(self, tmp_path, capsys, command, block, message):
         cfg = scalar_config(N=4, p=0.9)
         cfg["system"].update(block)
         cfg_path = write_config(tmp_path, cfg)
         rc = cli.main([command, "--config", cfg_path, "--out", str(tmp_path)])
         assert rc == 2
-        assert "error: system:" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "gains.json").exists()
         assert not (tmp_path / "placement.csv").exists()
+
+    @pytest.mark.parametrize("case", MALFORMED_ENTRIES.values(), ids=MALFORMED_ENTRIES.keys())
+    def test_malformed_entry(self, tmp_path, capsys, case):
+        command, base, keys, value, path = case
+        cfg_path = write_config(tmp_path, edited(base(), keys.split("."), value))
+        out = tmp_path / "out"
+        rc = cli.main([command, "--config", cfg_path, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [err[0]] and err[0].startswith("error:") and path in err[0]
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["gains", "placement"])
     def test_overflowing_recursion(self, tmp_path, capsys, command):
@@ -113,10 +211,10 @@ class TestConfigErrors:
         ("placement", {"placement": {"delta_t": "x"}}, "placement.delta_t must be a number"),
         ("placement", {"placement": {"catalog": [
             {"name": "e", "latency_seconds": float("nan"), "p": 0.9, "q": 0.1}]}},
-         "latency must be finite"),
+         "placement.catalog[0].latency_seconds must be finite"),
         ("placement", {"placement": {"catalog": [
             {"name": "e", "latency_seconds": 1.0, "p": "x", "q": 0.1}]}},
-         "entry 'e': p must be a number"),
+         "placement.catalog[0].p must be a number"),
     ], ids=["p-non-numeric", "q-non-numeric", "delta_t-nan", "delta_t-non-numeric",
             "latency-nan", "catalog-p-non-numeric"])
     def test_config_value_errors(self, tmp_path, capsys, command, edit, message):
@@ -149,7 +247,7 @@ class TestConfigErrors:
         cfg_path = write_config(tmp_path, cfg)
         rc = cli.main(["gains", "--config", cfg_path, "--out", str(tmp_path)])
         assert rc == 2
-        assert "reliability.p required" in capsys.readouterr().err
+        assert "reliability: missing keys ['p']" in capsys.readouterr().err
 
     def test_q_defaults_to_complement(self, tmp_path):
         cfg = scalar_config(N=3, p=0.8)

@@ -5,6 +5,8 @@ import pytest
 
 import fogctl as fc
 
+NAN = float("nan")
+
 
 def square_plan(side=4.0, stages_per_leg=3):
     return fc.WaypointPlan(
@@ -48,6 +50,17 @@ class TestWaypointPlan:
                 approach_target=(1, 0), approach_stages=-1,
                 circle_radius=0.0, circle_stages=0, return_stages=1,
             )
+
+    @pytest.mark.parametrize("field,value", [
+        ("circle_radius", NAN), ("speed_bound", NAN), ("approach_target", (NAN, 0.0)),
+        ("start", (0.0, NAN)), ("circle_center", (NAN, NAN)),
+    ])
+    def test_nan_field_rejected(self, field, value):
+        kwargs = dict(approach_target=(2.0, 0.0), approach_stages=1, circle_radius=1.0,
+                      circle_stages=4, return_stages=0)
+        kwargs[field] = value
+        with pytest.raises(fc.ModelValidationError, match=f"^{field} must"):
+            fc.WaypointPlan(**kwargs)
 
     def test_entry_point_nearest(self):
         plan = fc.WaypointPlan(
@@ -123,6 +136,10 @@ class TestMakeWaypoints:
         with pytest.raises(fc.ModelValidationError, match="delta_t"):
             fc.make_waypoints(square_plan(), 0.0)
 
+    def test_delta_t_nan_rejected(self):
+        with pytest.raises(fc.ModelValidationError, match="delta_t must be finite"):
+            fc.make_waypoints(square_plan(), NAN)
+
 
 class TestDroneScenario:
     def test_rho_default_and_bound(self):
@@ -136,6 +153,16 @@ class TestDroneScenario:
             fc.DroneScenario(waypoints=np.zeros((1, 2)))
         with pytest.raises(fc.ModelValidationError, match="delta_t"):
             fc.DroneScenario(waypoints=np.zeros((3, 2)), delta_t=0.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("delta_t", NAN), ("alpha", NAN), ("sigma_x", NAN), ("sigma_v", NAN), ("rho", NAN),
+        ("waypoints", [[0.0, 0.0], [NAN, 1.0]]), ("start_position", (NAN, 0.0)),
+        ("start_velocity", (0.0, NAN)),
+    ])
+    def test_nan_field_rejected(self, field, value):
+        kwargs = {"waypoints": [[0.0, 0.0], [1.0, 0.0]], field: value}
+        with pytest.raises(fc.ModelValidationError, match=f"^{field} must"):
+            fc.DroneScenario(**kwargs)
 
     def test_N_property(self):
         sc = demo_scenario(N_circle=12)
@@ -301,15 +328,17 @@ class TestErrorConsistency:
 
 class TestScenarioConfig:
     def test_round_trip(self):
-        sc = fc.DroneScenario(
-            waypoints=demo_scenario().waypoints, delta_t=0.5, alpha=0.2,
-            sigma_x=0.3, sigma_v=0.2, rho=0.01, start_position=(1.0, 1.0),
-        )
-        sc2 = fc.scenario_from_config(fc.scenario_to_config(sc))
-        assert sc2.delta_t == sc.delta_t and sc2.alpha == sc.alpha
-        assert sc2.rho_value == pytest.approx(sc.rho_value)
-        assert np.allclose(sc2.waypoints, sc.waypoints)
-        assert sc2.start_position == (1.0, 1.0)
+        sc = fc.scenario_from_config({
+            "waypoints": [[0, 0], [1, 0], [1, 1]], "delta_t": 0.5, "alpha": 0.2,
+            "sigma_x": 0.3, "sigma_v": 0.2, "rho": 0.01,
+            "start_position": [1, 1], "start_velocity": [0.5, -0.5],
+        })
+        assert sc.waypoints.dtype == float
+        assert np.array_equal(sc.waypoints, [[0, 0], [1, 0], [1, 1]])
+        assert (sc.delta_t, sc.alpha, sc.sigma_x, sc.sigma_v) == (0.5, 0.2, 0.3, 0.2)
+        assert sc.rho == sc.rho_value == 0.01
+        assert sc.start_position == (1.0, 1.0)
+        assert sc.start_velocity == (0.5, -0.5)
 
     def test_exactly_one_source_of_waypoints(self):
         with pytest.raises(fc.ConfigError, match="exactly one"):
@@ -332,11 +361,11 @@ class TestScenarioConfig:
         assert np.allclose(sc.waypoints[1], [1.0, 0.0])
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(fc.ConfigError, match="unknown scenario keys"):
+        with pytest.raises(fc.ConfigError, match="scenario: unknown keys"):
             fc.scenario_from_config({"waypoints": [[0, 0], [1, 0]], "spin": 2})
-        with pytest.raises(fc.ConfigError, match="unknown plan keys"):
+        with pytest.raises(fc.ConfigError, match=r"scenario\.plan: unknown keys"):
             fc.plan_from_config({"warp": 9})
-        with pytest.raises(fc.ConfigError, match="unknown circle keys"):
+        with pytest.raises(fc.ConfigError, match=r"scenario\.plan\.circle: unknown keys"):
             fc.plan_from_config({
                 "approach": {"target": [1, 0], "stages": 1},
                 "circle": {"radius": 1.0, "stages": 4, "clockwise": True},

@@ -203,8 +203,9 @@ class TestMinCostFormulas:
         (None, [float("inf")], 1),
         ((1, 1), [1.0, 2.0], 1),
         ((1, 1), [[3.0]], 1),
+        (None, [3.0], (True, False)),
     ], ids=["tau0-2", "tau0-negative", "tau0-negative-mass", "tau0-nan", "tau0-bool",
-            "x0-shape", "x0-inf", "delayed-x0-shape", "delayed-x0-2d"])
+            "x0-shape", "x0-inf", "delayed-x0-shape", "delayed-x0-2d", "tau0-bool-entries"])
     def test_bad_x0_or_tau0_rejected(self, delay, x0, tau0):
         model, _ = scalar_fixture(N=4)
         delay = None if delay is None else fc.DelayProfile(M_F=delay[0], M_B=delay[1])
