@@ -5,7 +5,7 @@ measurement update runs only at stages where the endpoint served the request.
 The helpers here act on batches: covariances per ON/OFF history node
 (`gated_posterior`, `predict_covariances`, `advance_histories`) and means
 per replication row (`propagate_mean`, the deterministic M-step propagation
-of the last transmitted (state, control) pair used by the delayed regimes).
+of the last transmitted (state, control) pair, the identity for M = 0).
 
 The expected estimation penalty quantifies the exact cost of acting on a
 conditional mean instead of the true state. For linear-Gaussian models each
@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import LinearSystemModel, ModelValidationError, symmetrize
+from .model import LinearSystemModel, ModelValidationError, arrival_grid, symmetrize
 
 PENALTY_METHODS = ("exact-enumeration", "monte-carlo")
 EXACT_ENUMERATION_MAX_N = 20
@@ -71,9 +71,12 @@ def propagate_mean(
 
     Propagates each row of base (R, n) through the model's dynamics and
     known drift from stage t0 to t1 with zero-mean disturbances: the delayed
-    regimes' M-step predictor. Pass a drift-stripped model for the zero-mean
-    variant.
+    regimes' M-step predictor. Returns base itself when t1 == t0 (perfect
+    match: the control acts at the stage it is computed). Pass a
+    drift-stripped model for the zero-mean variant.
     """
+    if t1 == t0:
+        return base
     mean = base @ model.A[t0].T + u_first @ model.B[t0].T + model.drift_at(t0)
     for t in range(t0 + 1, t1):
         mean = mean @ model.A[t].T + model.drift_at(t)
@@ -81,7 +84,7 @@ def propagate_mean(
 
 
 # ---------------------------------------------------------------------------
-# Window algebra shared by the delayed penalty and the simulator
+# Window algebra shared by the penalty and the simulator
 # ---------------------------------------------------------------------------
 
 def transition_product(model: LinearSystemModel, t1: int, t0: int) -> np.ndarray:
@@ -196,21 +199,6 @@ def _branch(post: np.ndarray, prior: np.ndarray, probs: np.ndarray, p: float):
     return children, probs
 
 
-def _delayed_weights(model: LinearSystemModel, schedule) -> list:
-    """Effective penalty weights, one per interior service epoch k = 1..c-1.
-
-    The weight for epoch k transports the arrival-stage control benefit back
-    to the estimation stage kM: A_{kM}^T P_{kM+1} A_{kM}.
-    """
-    delay = schedule.delay.bound_to(model.N)
-    M, c = delay.M, delay.c
-    out = []
-    for k in range(1, c):
-        A = model.A[k * M]
-        out.append(symmetrize(A.T @ schedule.P[k * M + 1] @ A))
-    return out
-
-
 def _penalty_sweep(Sig0, steps, p, cfg):
     """Conditional penalty terms over a sequence of update epochs.
 
@@ -251,34 +239,6 @@ def _penalty_sweep(Sig0, steps, p, cfg):
     totals = p * samples.sum(axis=1)
     se = float(totals.std(ddof=1) / np.sqrt(len(totals)))
     return samples.mean(axis=0), float(totals.mean()), se
-
-
-def _penalty_perfect_terms(model, p, schedule, cfg):
-    steps = [
-        (model.C[k], model.V_noise[k], schedule.Lambda[k], model.A[k], model.W[k])
-        for k in range(1, model.N)
-    ]
-    per, total, se = _penalty_sweep(model.W[0], steps, p, cfg)
-    return np.concatenate([[0.0], per]), total, se
-
-
-def _penalty_delayed_terms(model, p, schedule, cfg):
-    delay = schedule.delay.bound_to(model.N)
-    M, c = delay.M, delay.c
-    stages = [k * M for k in range(1, c)]
-    if c <= 1:
-        return np.zeros(0), 0.0, 0.0, stages
-    weights = _delayed_weights(model, schedule)
-    steps = [
-        (
-            model.C[k * M], model.V_noise[k * M], weights[k - 1],
-            transition_product(model, (k + 1) * M, k * M),
-            window_noise(model, k * M, (k + 1) * M),
-        )
-        for k in range(1, c)
-    ]
-    per, total, se = _penalty_sweep(window_noise(model, 0, M), steps, p, cfg)
-    return per, total, se, stages
 
 
 def expected_estimation_penalty(
@@ -327,13 +287,25 @@ def expected_estimation_penalty(
                 f"(got N = {model.N}); use method 'monte-carlo'"
             ]
         )
-    if regime == "partial-perfect":
-        per, total, se = _penalty_perfect_terms(model, p, schedule, cfg)
-        stages = tuple(range(model.N))
-    else:
-        if schedule.delay is None:
-            raise ModelValidationError(["partial-delayed penalty requires a delayed schedule"])
-        per, total, se, stages = _penalty_delayed_terms(model, p, schedule, cfg)
+    if regime == "partial-delayed" and schedule.delay is None:
+        raise ModelValidationError(["partial-delayed penalty requires a delayed schedule"])
+    delay = schedule.delay if regime == "partial-delayed" else None
+    step, _, M, epochs = arrival_grid(delay, model.N)
+    steps = []
+    for j in range(1, epochs):
+        t = j * step
+        if M == 0:
+            weight = schedule.Lambda[t]
+        else:  # the arrival-stage control benefit, transported back to stage t
+            weight = symmetrize(model.A[t].T @ schedule.P[t + 1] @ model.A[t])
+        steps.append((
+            model.C[t], model.V_noise[t], weight,
+            transition_product(model, t + step, t), window_noise(model, t, t + step),
+        ))
+    per, total, se = _penalty_sweep(window_noise(model, 0, step), steps, p, cfg)
+    stages = [j * step for j in range(1, epochs)]
+    if M == 0:  # perfect match also lists stage 0, where x0 is known exactly
+        per, stages = np.concatenate([[0.0], per]), [0] + stages
     return EstimationPenalty(
         per_stage=tuple(float(v) for v in per),
         total=float(total),

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
@@ -248,8 +249,10 @@ def make_system(
         A validated LinearSystemModel.
 
     Raises:
-        ModelValidationError: on non-numeric or non-finite input, or any
-            dimension or definiteness violation.
+        ModelValidationError: on non-numeric or non-finite input, any
+            dimension or definiteness violation, or stage arrays larger than
+            the machine's physical memory or than the memory left (naming N
+            and the MiB needed).
     """
     A, B, Q = _floats("A", A), _floats("B", B), _floats("Q", Q)
     if N is None:
@@ -266,11 +269,35 @@ def make_system(
     m = C.shape[-2] if C.ndim >= 2 else 1
     raw = dict(A=A, B=B, C=C, Q=Q, R=R, W=W, drift=drift,
                V_noise=np.zeros((m, m)) if V_noise is None else V_noise)
-    stacks = {
-        name: None if raw[name] is None else _stage_stack(name, raw[name], *layout)
-        for name, layout in _stage_layout(N, n, s, m).items()
-    }
-    return validate_model(LinearSystemModel(N=N, **stacks))
+    layout = _stage_layout(N, n, s, m)
+    mib = 8 * sum(
+        count * math.prod(shape) for name, (count, shape, _) in layout.items()
+        if raw[name] is not None
+    ) / 2**20
+    physical = _physical_mib()
+    if mib > physical:
+        raise ModelValidationError(
+            [f"N = {N}: the stage arrays need {mib:.0f} MiB, more than this "
+             f"machine's {physical:.0f} MiB of memory"]
+        )
+    try:
+        stacks = {
+            name: None if raw[name] is None else _stage_stack(name, raw[name], *fields)
+            for name, fields in layout.items()
+        }
+        return validate_model(LinearSystemModel(N=N, **stacks))
+    except MemoryError:
+        raise ModelValidationError(
+            [f"N = {N}: out of memory building the stage arrays ({mib:.0f} MiB needed)"]
+        ) from None
+
+
+def _physical_mib() -> float:
+    """Physical memory in MiB, or infinity where the platform does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**20
+    except (AttributeError, OSError, ValueError):
+        return math.inf
 
 
 def validate_model(model: LinearSystemModel) -> LinearSystemModel:
@@ -474,6 +501,20 @@ def bind_delay(delay: Optional[DelayProfile], N: int) -> Optional[DelayProfile]:
     if N < delay.M:
         raise ModelValidationError(["horizon shorter than round-trip delay"])
     return delay
+
+
+def arrival_grid(delay: Optional[DelayProfile], N: int) -> tuple:
+    """(step, M_F, M, epochs): the epochs on which a controller acts.
+
+    Epoch j starts at stage j step, is served at j step + M_F, and its
+    control arrives at j step + M. Perfect match (None or M = 0) is
+    (1, 0, 0, N): every stage is an epoch, served and acted on at once. A
+    delay is (M, M_F, M, c), bound to horizon N as in `bind_delay`.
+    """
+    delay = bind_delay(delay, N)
+    if delay is None:
+        return 1, 0, 0, N
+    return delay.M, delay.M_F, delay.M, delay.c
 
 
 def state_vector(x0, n: int) -> np.ndarray:

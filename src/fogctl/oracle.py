@@ -7,9 +7,9 @@ exact closed-loop moment recursions for fixed policies. None of it reuses
 the production recursions, so agreement between the two is evidence, not
 tautology.
 
-The exact oracles cover full observation, no drift, and short horizons
-(the guard is N <= 16); anything outside that envelope raises instead of
-silently approximating.
+The exact oracles cover full observation without drift; path enumeration,
+which costs 2^N, is also limited to N <= 16. Anything outside that envelope
+raises instead of silently approximating.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .model import (
     bind_delay,
     state_vector,
     symmetrize,
+    tau0_pair,
 )
 from .policy import ControllerRegime, check_fits, min_cost, sandwich_policy, solve
 from .riccati import REGIMES
@@ -64,27 +65,22 @@ def enumerate_tau_paths(N: int, chain: ReliabilityChain) -> list:
 
 
 def _check_oracle_scope(model: LinearSystemModel, what: str) -> None:
-    if model.N > ORACLE_MAX_N:
-        raise ModelValidationError(
-            [f"{what} limited to N <= {ORACLE_MAX_N}, got N={model.N}"]
-        )
     if model.drift is not None:
         raise ModelValidationError([f"{what} does not support drift terms"])
 
 
 def _tau0_dist(chain: ReliabilityChain, tau0) -> np.ndarray:
+    """tau0 as (P[0], P[1]) through `tau0_pair`; None means the chain's own."""
     if tau0 is None:
         return chain.tau0_distribution()
-    if isinstance(tau0, tuple):
-        return np.asarray(tau0, dtype=float)
-    return np.array([1.0, 0.0]) if int(tau0) == 0 else np.array([0.0, 1.0])
+    return np.array(tau0_pair(tau0))
 
 
 # ---------------------------------------------------------------------------
 # Exact minimum cost by dynamic programming
 # ---------------------------------------------------------------------------
 
-def _dp_perfect(model, chain, x0, tau0) -> float:
+def _dp_perfect(model, chain, x0, dist) -> float:
     """Value iteration over (stage, availability state) quadratics."""
     N = model.N
     T = chain.transition_matrix()
@@ -106,7 +102,6 @@ def _dp_perfect(model, chain, x0, tau0) -> float:
             newG[t] = symmetrize(Gk)
             newg[t] = float(np.trace(Gbar @ W)) + gbar
         G, g = newG, newg
-    dist = _tau0_dist(chain, tau0)
     return float(
         dist[0] * (x0 @ G[0] @ x0 + g[0]) + dist[1] * (x0 @ G[1] @ x0 + g[1])
     )
@@ -138,7 +133,7 @@ def _epoch_quadratic(model, t0, t1, include_end):
     return symmetrize(E), e, cur_map, cur_cov
 
 
-def _dp_delayed(model, chain, delay, x0, tau0) -> float:
+def _dp_delayed(model, chain, delay, x0, dist) -> float:
     """Value iteration over (update cycle, gate state) quadratics.
 
     The joint variable per cycle is y_j = (state at the cycle start, control
@@ -173,7 +168,7 @@ def _dp_delayed(model, chain, delay, x0, tau0) -> float:
             newH[gate] = symmetrize(E_j + G_end.T @ Hred @ G_end)
             newh[gate] = e_j + float(np.trace(Hxx @ Xi)) + hbar
         H, h = newH, newh
-    g0 = _tau0_dist(chain, tau0) @ np.linalg.matrix_power(T, M_F)
+    g0 = dist @ np.linalg.matrix_power(T, M_F)
     return float(
         g0[0] * (y0 @ H[0] @ y0 + h[0]) + g0[1] * (y0 @ H[1] @ y0 + h[1])
     )
@@ -193,9 +188,8 @@ def brute_force_min_cost(
     chain's initial state when given (0, 1, or a distribution pair).
 
     Raises:
-        ModelValidationError: horizon above the guard, drift present,
-            partial observation requested, or horizon shorter than the
-            round-trip delay.
+        ModelValidationError: drift present, partial observation requested,
+            a malformed tau0, or horizon shorter than the round-trip delay.
     """
     _check_oracle_scope(model, "the exact oracle")
     if observation != "full":
@@ -203,21 +197,21 @@ def brute_force_min_cost(
             ["the exact oracle covers full observation only"]
         )
     x0 = state_vector(x0, model.state_dim)
+    dist = _tau0_dist(chain, tau0)
     delay = bind_delay(delay, model.N)
     if delay is None:
-        return _dp_perfect(model, chain, x0, tau0)
-    return _dp_delayed(model, chain, delay, x0, tau0)
+        return _dp_perfect(model, chain, x0, dist)
+    return _dp_delayed(model, chain, delay, x0, dist)
 
 
 # ---------------------------------------------------------------------------
 # Exact closed-loop policy evaluation
 # ---------------------------------------------------------------------------
 
-def _eval_perfect_moments(model, chain, policy, x0, tau0) -> float:
+def _eval_perfect_moments(model, chain, policy, x0, dist) -> float:
     """Availability-conditioned second-moment recursion (exact, O(N))."""
     N = model.N
     T = chain.transition_matrix()
-    dist = _tau0_dist(chain, tau0)
     mass = {t: float(dist[t]) for t in (0, 1)}
     mom = {t: mass[t] * np.outer(x0, x0) for t in (0, 1)}
     total = 0.0
@@ -240,13 +234,10 @@ def _eval_perfect_moments(model, chain, policy, x0, tau0) -> float:
     return total
 
 
-def _eval_perfect_enumeration(model, chain, policy, x0, tau0) -> float:
+def _eval_perfect_enumeration(model, chain, policy, x0, dist) -> float:
     """Path-by-path conditional rollout; cross-checks the moment recursion."""
     N, n = model.N, model.state_dim
-    override = ReliabilityChain(
-        p=chain.p, q=chain.q,
-        tau0=tuple(_tau0_dist(chain, tau0)) if tau0 is not None else chain.tau0,
-    )
+    override = ReliabilityChain(p=chain.p, q=chain.q, tau0=tuple(dist))
     total = 0.0
     for path in enumerate_tau_paths(N, override):
         mu = np.asarray(x0, dtype=float)
@@ -270,13 +261,13 @@ def _eval_perfect_enumeration(model, chain, policy, x0, tau0) -> float:
     return total
 
 
-def _eval_delayed_moments(model, chain, delay, policy, x0, tau0) -> float:
+def _eval_delayed_moments(model, chain, delay, policy, x0, dist) -> float:
     """Gate-conditioned joint second-moment recursion over update cycles."""
     N, n, s = model.N, model.state_dim, model.control_dim
     M, M_F, c = delay.M, delay.M_F, delay.c
     T = chain.transition_matrix()
     Tm = np.linalg.matrix_power(T, M)
-    g0 = _tau0_dist(chain, tau0) @ np.linalg.matrix_power(T, M_F)
+    g0 = dist @ np.linalg.matrix_power(T, M_F)
     y0 = np.concatenate([np.asarray(x0, dtype=float), np.zeros(s)])
     mass = {gate: float(g0[gate]) for gate in (0, 1)}
     mom = {gate: mass[gate] * np.outer(y0, y0) for gate in (0, 1)}
@@ -323,25 +314,27 @@ def evaluate_policy_cost(
     matched-case computation path by path as a cross-check.
 
     Raises:
-        ModelValidationError: partial observation, drift, horizon above the
-            guard, or a delay that disagrees with the policy's gains.
+        ModelValidationError: partial observation, drift, a malformed tau0,
+            N > 16 with method="enumeration", or a delay that disagrees with
+            the policy's gains.
     """
     _check_oracle_scope(model, "exact policy evaluation")
     if policy.observation != "full":
         raise ModelValidationError(["exact policy evaluation covers full observation only"])
     delay = check_fits(policy, model, delay)
     x0 = state_vector(x0, model.state_dim)
+    dist = _tau0_dist(chain, tau0)
     if method not in ("moments", "enumeration"):
         raise ModelValidationError([f"unknown evaluation method {method!r}"])
     if delay is None:
         if method == "enumeration":
-            return _eval_perfect_enumeration(model, chain, policy, x0, tau0)
-        return _eval_perfect_moments(model, chain, policy, x0, tau0)
+            return _eval_perfect_enumeration(model, chain, policy, x0, dist)
+        return _eval_perfect_moments(model, chain, policy, x0, dist)
     if method == "enumeration":
         raise ModelValidationError(
             ["enumeration evaluation covers the zero-delay loop only"]
         )
-    return _eval_delayed_moments(model, chain, delay, policy, x0, tau0)
+    return _eval_delayed_moments(model, chain, delay, policy, x0, dist)
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +385,7 @@ def bound_check(
     policy = sandwich_policy(model, p, q, delay, observation)
     upper = min_cost(model, policy, x0, tau0, pen_cfg).total
     chain_true = ReliabilityChain(p=p, q=q, tau0=tau0)
-    exact_ok = (
-        observation == "full" and model.N <= ORACLE_MAX_N and model.drift is None
-    )
-    if exact_ok:
+    if observation == "full" and model.drift is None:
         policy_value = evaluate_policy_cost(model, chain_true, delay, policy, x0, tau0=tau0)
         tolerance = 1e-9
         method = "exact"

@@ -9,7 +9,8 @@ caller that needs a regime or a closed-form cost goes through these two.
 The control law itself is linear feedback through the schedule's gains,
 gated by the endpoint's availability when the control is generated; the
 simulator runs it on batches of replications. Delayed regimes act only on
-the arrival grid (stages divisible by M) and never emit a control at stage 0.
+the arrival grid (stages divisible by M) and never emit a control at stage 0;
+perfect match is the M = 0 grid, acting at every stage (`arrival_grid`).
 
 The sandwich policy runs the symmetric-chain gains computed at the pessimistic
 parameter p' = 1 - q on an asymmetric chain with p > 1 - q; its expected cost

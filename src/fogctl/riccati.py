@@ -36,6 +36,7 @@ from .model import (
     LinearSystemModel,
     ModelValidationError,
     _freeze,
+    arrival_grid,
     bind_delay,
     state_vector,
     symmetrize,
@@ -172,7 +173,8 @@ def backward_recursion_perfect(model: LinearSystemModel, p: float) -> GainSchedu
         Lambda_k = A_k^T K_{k+1} B_k V_k
         K_k = L_k - p * Lambda_k
     with K_N equal to the terminal weight. Every matrix is symmetrized after
-    each step. This is the recursion with an arrival at every stage (M = 1).
+    each step. This is the recursion with an arrival at every stage (the
+    perfect-match `arrival_grid`, step 1).
 
     Args:
         model: validated system model.
@@ -185,7 +187,7 @@ def backward_recursion_perfect(model: LinearSystemModel, p: float) -> GainSchedu
         ModelValidationError: p outside [0, 1], or a stage whose value
             matrix overflows (named, first going backward).
     """
-    K, L, Lam, V = _backward(model, p, 1)
+    K, L, Lam, V = _backward(model, p, arrival_grid(None, model.N)[0])
     return GainSchedule(
         K=K, L=L, Lambda=Lam, V=V, P=None,
         regime="full-perfect", p_used=float(p), delay=None,

@@ -3,7 +3,13 @@
 Per replication and stage: the measurement is generated at the plant, reaches
 the controller after the forward delay, the availability chain is sampled on
 the controller clock, and a generated control reaches the plant after the
-backward delay. With zero delay this collapses into a single stage.
+backward delay. Every regime runs through one block body on the grid of
+`model.arrival_grid`: epoch j saves the state (or, under partial
+observation, the measurement) at stage j step, is served at j step + M_F,
+and its gated control arrives at j step + M; other stages apply zero
+control. Perfect match is the M = 0 grid, each stage an epoch served and
+acted on at once. Served entries are dropped and only the last two epochs'
+arrivals kept, so the body's memory does not grow with N.
 
 Replications run in blocks of consecutive replications, each block in lock
 step on vectorized arrays. Three independent substreams (disturbance,
@@ -25,9 +31,11 @@ product takes BLAS's matrix-vector path, which rounds differently. Per
 replication, totals and traces are bit for bit independent of the blocking,
 and mean and standard error are taken once over all R totals.
 
-Under partial observation the intermittent Kalman filter's error covariance
-and gain depend on the replication's ON/OFF history alone (the service-gate
-history in the delayed regimes), never on the noise. Each replication
+Under partial observation the intermittent Kalman filter runs on the epoch
+boundaries: the boundary estimate is propagated over one grid step, and the
+saved measurement updates it when the epoch is served (stage 0 needs no
+update, x0 being known). Its error covariance and gain depend on the
+replication's service-gate history alone, never on the noise. Each replication
 therefore carries a history id, and the covariances are computed once per
 distinct sampled history node instead of once per replication; each
 replication gathers its node's gain for the mean update. Every node runs the
@@ -59,6 +67,7 @@ from .model import (
     LinearSystemModel,
     ModelValidationError,
     ReliabilityChain,
+    arrival_grid,
     state_vector,
     symmetrize,
 )
@@ -249,13 +258,12 @@ def run(
         config.record_traces, else None).
     """
     N, n, s, m = model.N, model.state_dim, model.control_dim, model.obs_dim
-    delay = check_fits(regime, model, delay)
+    check_fits(regime, model, delay)
     x0 = state_vector(x0, n)
     R = int(config.replications)
 
     ctrl_model = model if regime.compensate_drift else model.without_drift()
     partial = regime.observation == "partial"
-    body = _run_perfect if delay is None else _run_delayed
 
     totals = np.zeros(R)
     record = None
@@ -280,7 +288,8 @@ def run(
         if record is not None:
             block_record = {name: arr[lo:hi] for name, arr in record.items()}
             block_record["tau"][:] = tau
-        bad = body(model, ctrl_model, regime, tau, w_eps, v_eps, x0, totals[lo:hi], block_record)
+        bad = _run_block(model, ctrl_model, regime, tau, w_eps, v_eps, x0, totals[lo:hi],
+                         block_record)
         if bad is not None and (first_bad is None or bad < first_bad):
             first_bad = bad
         del w_eps, v_eps, chain_u  # freed before the next block draws
@@ -296,88 +305,25 @@ def run(
     return {"mean_cost": mean_cost, "std_error": std_error, "traces": traces}
 
 
-# Each block body advances one block of replications through all stages. It
-# accumulates into `totals` and writes the traces into `record` (views of the
-# run's arrays, or None), and returns the first stage whose running total is
-# not finite, stopping there, or None.
+def _run_block(model, ctrl_model, regime, tau, w_eps, v_eps, x0, totals, record):
+    """Advance one block of replications through all stages on the arrival grid.
 
-def _run_perfect(model, ctrl_model, regime, tau, w_eps, v_eps, x0, totals, record):
-    N, n = model.N, model.state_dim
-    R = tau.shape[0]
-    gains = regime.gains
-    partial = regime.observation == "partial"
-    Lw = [psd_sqrt(model.W[k]) for k in range(N)]
-    Lv = [psd_sqrt(model.V_noise[k]) for k in range(N)] if partial else None
-
-    x = np.broadcast_to(x0, (R, n)).copy()
-    if partial:
-        xh = np.broadcast_to(x0, (R, n)).copy()
-        ids = np.zeros(R, dtype=np.intp)  # history node of each replication
-        Sg = np.zeros((1, n, n))          # prior covariance per history node
-
-    for k in range(N):
-        on = tau[:, k] == 1
-        if partial:
-            z = x @ model.C[k].T + v_eps[:, k] @ Lv[k].T
-            ids, Sg = _filter_update(ids, Sg, xh, on, z, model.C[k], model.V_noise[k])
-            u = -(xh @ gains.V[k].T)
-        else:
-            u = -(x @ gains.V[k].T)
-        u[~on] = 0.0
-        if partial and record is not None:
-            record["x_hat"][:, k] = xh
-            record["z"][:, k] = z
-        x = _stage(model, k, x, u, w_eps[:, k] @ Lw[k].T, totals, record)
-        if x is None:
-            return k
-        if partial:
-            xh = xh @ model.A[k].T + u @ model.B[k].T + ctrl_model.drift_at(k)
-            Sg = predict_covariances(Sg, model.A[k], model.W[k])
-    return _finish(model, x, totals, record)
-
-
-def _stage(model, k, x, u, w, totals, record):
-    """Charge stage k's cost, record the stage and step the plant with disturbance w.
-
-    Returns the next state, or None when a running total is not finite.
+    Accumulates into `totals` and writes the traces into `record` (views of
+    the run's arrays, or None). Returns the first stage whose running total
+    is not finite, stopping there, or None.
     """
-    g = _quad_rows(x, model.Q[k]) + _quad_rows(u, model.R[k])
-    totals += g
-    if not np.isfinite(totals).all():
-        return None
-    if record is not None:
-        record["x"][:, k] = x
-        record["u"][:, k] = u
-        record["stage_cost"][:, k] = g
-    return x @ model.A[k].T + u @ model.B[k].T + (model.drift_at(k) + w)
-
-
-def _finish(model, x, totals, record):
-    """Add the terminal cost: returns N if a total is then not finite, else None."""
-    g_term = _quad_rows(x, model.Q[model.N])
-    totals += g_term
-    if not np.isfinite(totals).all():
-        return model.N
-    if record is not None:
-        record["x"][:, model.N] = x
-        record["stage_cost"][:, model.N] = g_term
-    return None
-
-
-def _run_delayed(model, ctrl_model, regime, tau, w_eps, v_eps, x0, totals, record):
     N, n, s = model.N, model.state_dim, model.control_dim
     R = tau.shape[0]
     gains = regime.gains
     partial = regime.observation == "partial"
-    delay = regime.delay.bound_to(N)
-    M, M_F, c = delay.M, delay.M_F, delay.c
+    step, M_F, M, epochs = arrival_grid(regime.delay, N)
     Lw = [psd_sqrt(model.W[k]) for k in range(N)]
     Lv = [psd_sqrt(model.V_noise[k]) for k in range(N)] if partial else None
-    services = {j * M + M_F: j for j in range(c)}
+    services = {j * step + M_F: j for j in range(epochs)}
 
     x = np.broadcast_to(x0, (R, n)).copy()
-    saved = {}     # epoch j -> state (full) or measurement (partial) at stage jM
-    arrivals = {}  # arrival stage -> control applied there; other stages apply zero
+    saved = {}     # epoch -> state (full) or measurement (partial) at its start, until served
+    arrivals = {}  # arrival stage -> control, last two epochs; other stages apply zero
     zero = np.zeros((R, s))
     if partial:
         xh_b = np.broadcast_to(x0, (R, n)).copy()   # boundary estimate
@@ -385,42 +331,55 @@ def _run_delayed(model, ctrl_model, regime, tau, w_eps, v_eps, x0, totals, recor
         Sg_b = np.zeros((1, n, n))                  # boundary covariance per node
 
     for k in range(N):
-        j_b = k // M
-        if k % M == 0 and j_b < c:
+        j_b, phase = divmod(k, step)
+        if phase == 0 and j_b < epochs:
             if partial:
-                zb = x @ model.C[k].T + v_eps[:, k] @ Lv[k].T
-                saved[j_b] = zb
+                saved[j_b] = x @ model.C[k].T + v_eps[:, k] @ Lv[k].T
                 if record is not None:
-                    record["z"][:, k] = zb
+                    record["z"][:, k] = saved[j_b]
             else:
-                saved[j_b] = x.copy()
+                saved[j_b] = x  # x is rebound at every stage, never written in place
         if k in services:
             j = services[k]
-            t0, t1 = j * M, (j + 1) * M
+            t0 = j * step
             gate = tau[:, k] == 1
-            u_win = arrivals.get(t0, zero)
+            base = saved.pop(j)  # the state, or the measurement updating the estimate
             if partial:
-                if j >= 1:
-                    u_prev = arrivals.get(t0 - M, zero)
-                    xh_b = propagate_mean(ctrl_model, xh_b, u_prev, (j - 1) * M, t0)
-                    Phi_w = transition_product(model, t0, (j - 1) * M)
-                    Xi_w = window_noise(model, (j - 1) * M, t0)
+                if j >= 1:  # the estimate at stage 0 is x0 exactly
+                    u_prev = arrivals.get(t0 - step, zero)
+                    xh_b = propagate_mean(ctrl_model, xh_b, u_prev, t0 - step, t0)
+                    Phi_w = transition_product(model, t0, t0 - step)
+                    Xi_w = window_noise(model, t0 - step, t0)
                     Sg_b = predict_covariances(Sg_b, Phi_w, Xi_w)
                     ids, Sg_b = _filter_update(
-                        ids, Sg_b, xh_b, gate, saved[j], model.C[t0], model.V_noise[t0]
+                        ids, Sg_b, xh_b, gate, base, model.C[t0], model.V_noise[t0]
                     )
                 if record is not None:
                     record["x_hat"][:, t0] = xh_b
-                mean = propagate_mean(ctrl_model, xh_b, u_win, t0, t1)
-            else:
-                mean = propagate_mean(ctrl_model, saved[j], u_win, t0, t1)
-            u_new = -(mean @ gains.V[t1].T)
+                base = xh_b
+            base = propagate_mean(ctrl_model, base, arrivals.get(t0, zero), t0, t0 + M)
+            u_new = -(base @ gains.V[t0 + M].T)
             u_new[~gate] = 0.0
-            arrivals[t1] = u_new
-        x = _stage(model, k, x, arrivals.get(k, zero), w_eps[:, k] @ Lw[k].T, totals, record)
-        if x is None:
+            arrivals[t0 + M] = u_new
+            arrivals.pop(t0 + M - 2 * step, None)
+        u = arrivals.get(k, zero)
+        g = _quad_rows(x, model.Q[k]) + _quad_rows(u, model.R[k])
+        totals += g
+        if not np.isfinite(totals).all():
             return k
-    return _finish(model, x, totals, record)
+        if record is not None:
+            record["x"][:, k] = x
+            record["u"][:, k] = u
+            record["stage_cost"][:, k] = g
+        x = x @ model.A[k].T + u @ model.B[k].T + (model.drift_at(k) + w_eps[:, k] @ Lw[k].T)
+    g_term = _quad_rows(x, model.Q[N])
+    totals += g_term
+    if not np.isfinite(totals).all():
+        return N
+    if record is not None:
+        record["x"][:, N] = x
+        record["stage_cost"][:, N] = g_term
+    return None
 
 
 def tracking_metrics(batch: SimulationBatch, alpha: float) -> dict:

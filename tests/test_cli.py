@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,6 +184,31 @@ class TestConfigErrors:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "gains.json").exists()
         assert not (tmp_path / "placement.csv").exists()
+
+    def test_huge_horizon_exits_2(self, tmp_path):
+        # N = 10^8 asks for about 5 GiB of stage arrays; the child's address
+        # space is capped at 600 MiB, so the stacking itself runs out of memory
+        cfg_path = write_config(tmp_path, scalar_config(N=100_000_000, p=0.9))
+        limit = 600 * 2**20
+        code = (
+            "import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from fogctl import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        src = str(Path(fc.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "gains", "--config", cfg_path,
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        err = proc.stderr.splitlines()
+        assert proc.returncode == 2, proc.stderr
+        assert err == [err[0]] and err[0].startswith("error: system: N = 100000000: ")
+        assert "MiB" in err[0]
+        assert not (tmp_path / "out" / "gains.json").exists()
 
     @pytest.mark.parametrize("case", MALFORMED_ENTRIES.values(), ids=MALFORMED_ENTRIES.keys())
     def test_malformed_entry(self, tmp_path, capsys, case):

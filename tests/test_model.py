@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fogctl as fc
+from fogctl.model import arrival_grid
 
 from reference import random_model
 
@@ -61,6 +62,11 @@ class TestMakeSystemAndValidation:
     def test_horizon_must_be_positive(self):
         with pytest.raises(fc.ModelValidationError):
             fc.make_system(A=1.0, B=1.0, Q=1.0, R=1.0, W=1.0, N=0)
+
+    def test_horizon_beyond_physical_memory_rejected_before_stacking(self):
+        # 7 stage fields of 10^13 stages: far past any machine's memory
+        with pytest.raises(fc.ModelValidationError, match=r"N = 10000000000000: .* MiB"):
+            fc.make_system(A=1.0, B=1.0, Q=1.0, R=1.0, W=1.0, N=10**13)
 
     def test_drift_stored_and_strippable(self):
         drift = np.array([[0.5], [-0.5]])
@@ -266,6 +272,15 @@ class TestDelayProfile:
         assert d.a + d.c * d.M == N
         assert 1 <= d.a <= d.M
         assert d.c >= 0
+
+    @pytest.mark.parametrize("delay,grid", [
+        (None, (1, 0, 0, 7)), ((0, 0), (1, 0, 0, 7)), ((1, 1), (2, 1, 2, 3)),
+        ((2, 1), (3, 2, 3, 2)), ((0, 3), (3, 0, 3, 2)),
+    ])
+    def test_arrival_grid(self, delay, grid):
+        # perfect match is the M = 0 grid: every stage an epoch, served and acted on at once
+        delay = None if delay is None else fc.DelayProfile(M_F=delay[0], M_B=delay[1])
+        assert arrival_grid(delay, 7) == grid
 
     def test_requires_bound_for_derived(self):
         with pytest.raises(fc.ModelValidationError):

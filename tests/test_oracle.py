@@ -107,13 +107,38 @@ class TestBruteForceMinimum:
         )
         with pytest.raises(fc.ModelValidationError, match="drift"):
             fc.brute_force_min_cost(drifty, chain, None, np.zeros(1))
+        # the DP is O(N): only path enumeration keeps the N <= 16 guard
         long_model, _ = scalar_fixture(N=17)
-        with pytest.raises(fc.ModelValidationError, match="N <= 16"):
-            fc.brute_force_min_cost(long_model, chain, None, np.zeros(1))
+        dp = fc.brute_force_min_cost(long_model, chain, None, x0)
+        want = fc.min_cost(long_model, fc.solve(long_model, 0.5), x0, 1).total
+        assert dp == pytest.approx(want, rel=1e-9)
         with pytest.raises(fc.ModelValidationError, match="horizon shorter"):
             fc.brute_force_min_cost(
                 model, chain, fc.DelayProfile(M_F=2, M_B=2), x0
             )
+
+    @pytest.mark.parametrize("tau0,valid", [
+        (2, False), ((3.0, -2.0), False), (True, False),
+        ((float("nan"), float("nan")), False), ([0.3, 0.7], True),
+    ], ids=["point-2", "negative-mass", "bool", "nan", "list-distribution"])
+    def test_tau0_read_as_production_reads_it(self, tau0, valid):
+        # tau0 = 2 used to read as 1, (3, -2) as a distribution, True as 1,
+        # and a list ended in a TypeError
+        model = fc.make_system(A=1.1, B=1.0, Q=1.0, R=1.0, W=1.0, N=6)
+        x0 = np.array([1.0])
+        chain = fc.symmetric_chain(0.7)
+        policy = make_regime(model, 0.7, None)
+        oracles = (
+            lambda: fc.brute_force_min_cost(model, chain, None, x0, tau0=tau0),
+            lambda: fc.evaluate_policy_cost(model, chain, None, policy, x0, tau0=tau0),
+        )
+        for oracle in oracles:
+            if valid:
+                want = fc.min_cost(model, fc.solve(model, 0.7), x0, tuple(tau0)).total
+                assert oracle() == pytest.approx(want, rel=1e-10)
+            else:
+                with pytest.raises(fc.ModelValidationError, match="tau0"):
+                    oracle()
 
 
 class TestPolicyEvaluation:
@@ -203,14 +228,29 @@ class TestBoundCheck:
             assert out["holds"], out
 
     def test_monte_carlo_fallback_above_oracle_scope(self):
+        # partial observation lies outside the exact oracles' scope
         model, x0 = scalar_fixture(N=18)
         out = fc.bound_check(
-            model, 0.9, 0.4, None, "full-perfect", x0=x0,
+            model, 0.9, 0.4, None, "partial-perfect", x0=x0,
             config={"replications": 4000, "seed": 5},
         )
         assert out["method"] == "monte-carlo"
         assert out["holds"], out
         assert out["tolerance"] > 1e-9
+
+    def test_exact_past_enumeration_limit(self):
+        # the moment recursion is O(N), so full observation stays exact at N = 24
+        model = fc.make_system(
+            A=[[1.0, 0.1], [0.0, 1.0]], B=[[0.0], [0.1]], Q=np.eye(2), R=1.0,
+            W=0.01 * np.eye(2), N=24,
+        )
+        out = fc.bound_check(
+            model, 0.9, 0.3, None, "full-perfect", x0=[1.0, 0.0],
+            config={"replications": 20000},
+        )
+        assert out["method"] == "exact"
+        assert out["tolerance"] == 1e-9
+        assert out["holds"], out
 
     def test_symmetric_chain_rejected(self):
         model, _ = scalar_fixture(N=3)

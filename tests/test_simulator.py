@@ -265,18 +265,20 @@ class TestBlocks:
             else:
                 assert np.array_equal(a, b, equal_nan=True), name
 
-    def test_memory_bounded_by_block(self):
+    @pytest.mark.parametrize("observation,delay", REGIMES)
+    def test_memory_bounded_by_block(self, observation, delay):
         # the draws for all replications would take R N (n + m + 1) 8 bytes
         R, N = 400_000, 8
         model = fc.make_system(
             A=[[1.0, 0.1], [0.0, 1.0]], B=[[0.0], [0.1]], C=[[1.0, 0.0]],
             Q=np.eye(2), R=1.0, W=0.01 * np.eye(2), V_noise=0.1, N=N,
         )
-        regime = make_regime(model, 0.8, None, observation="partial")
+        delay = None if delay is None else fc.DelayProfile(M_F=delay[0], M_B=delay[1])
+        regime = make_regime(model, 0.8, delay, observation=observation)
         cfg = fc.SimulationConfig(replications=R, master_seed=3)
         tracemalloc.start()
         try:
-            fc.run(model, fc.symmetric_chain(0.8), None, regime, cfg, x0=np.ones(2))
+            fc.run(model, fc.symmetric_chain(0.8), delay, regime, cfg, x0=np.ones(2))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
