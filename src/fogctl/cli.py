@@ -44,7 +44,7 @@ from .model import (
 from .estimation import penalty_config_for
 from .oracle import bound_check, brute_force_min_cost
 from .policy import min_cost, solve
-from .simulator import SimulationConfig, run, tracking_metrics
+from .simulator import SimulationConfig, sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -186,30 +186,30 @@ def cmd_simulate(
 
     base_chain = reliability_from_config(config.get("reliability", {}))
     base_delay = _delay_from(config, model.N)
-    sweep = config_block("simulation.sweep", sim.get("sweep", {}), {
+    grid = config_block("simulation.sweep", sim.get("sweep", {}), {
         "p": listed(number, "numbers"),
         "M": listed(_sweep_delay, "stage counts or [M_F, M_B] pairs"),
     })
-    if sweep:
-        p_values = sweep.get("p", [base_chain.p])
-        delays = sweep.get("M", [base_delay])
+    if grid:
+        p_values = grid.get("p", [base_chain.p])
+        delays = grid.get("M", [base_delay])
         settings = [(p, d, True) for d in delays for p in p_values]
     else:
         settings = [(base_chain.p, base_delay, False)]
     if record and len(settings) > 1:
         raise ConfigError("record_traces requires a single-point configuration (no sweep)")
 
-    rows = []
+    points = []
     for p, delay, from_sweep in settings:
         chain = symmetric_chain(p, tau0=base_chain.tau0) if from_sweep else base_chain
-        regime = solve(model, p, delay, observation, compensate)
-        need_traces = record or scenario is not None
-        sim_cfg = SimulationConfig(
-            replications=reps, master_seed=master_seed, record_traces=need_traces,
-        )
-        res = run(model, chain, delay, regime, sim_cfg, x0=x0)
+        points.append((chain, delay, solve(model, p, delay, observation, compensate)))
+    sim_cfg = SimulationConfig(replications=reps, master_seed=master_seed, record_traces=record)
+    alpha = scenario.alpha if scenario is not None else None
+    results = sweep(model, points, sim_cfg, x0=x0, alpha=alpha)
+    rows = []
+    for (chain, delay, _), res in zip(points, results):
         row = {
-            "p": p,
+            "p": chain.p,
             "q": chain.q,
             "M": delay.M if delay is not None else 0,
             "observation": observation,
@@ -218,11 +218,11 @@ def cmd_simulate(
         }
         if scenario is not None:
             row["mode"] = mode
-            row.update(tracking_metrics(res["traces"], scenario.alpha))
+            row.update(res["tracking"])
         rows.append(row)
-        if record:
-            with open(out_dir / "trace.csv", "w") as fh:
-                res["traces"].to_csv(fh)
+    if record:
+        with open(out_dir / "trace.csv", "w") as fh:
+            results[0]["traces"].to_csv(fh)
     summary = {
         "rows": rows,
         "replications": reps,

@@ -37,7 +37,7 @@ from .simulator import (
     psd_sqrt,
     run,
     sample_tau,
-    tracking_metrics,
+    sweep,
 )
 
 CONTROLLER_MODES = ("paper-faithful", "affine-compensated")
@@ -274,35 +274,31 @@ def tracking_study(
 ) -> list:
     """Sweep availability and delay settings; one metrics row per pair.
 
-    All runs share the same master seed, hence the same disturbance,
-    measurement, and chain uniform draws (common random numbers), which
-    makes cross-setting comparisons far tighter than independent sampling.
+    All points run on one pass of the same disturbance and chain draws
+    (common random numbers, see `simulator.sweep`), which makes
+    cross-setting comparisons far tighter than independent sampling.
     """
     compensate = _compensates_drift(mode)
     model = build_system(scenario)
-    x0 = initial_state(scenario)
-    rows = []
+    points = []
     for delay in delays:
         eff = bind_delay(delay, model.N)
         for p in p_values:
-            regime = solve(model, p, eff, compensate_drift=compensate)
             chain = ReliabilityChain(p=p, q=1.0 - p, tau0=1)
-            cfg = SimulationConfig(
-                replications=replications, master_seed=master_seed, record_traces=True
-            )
-            res = run(model, chain, eff, regime, cfg, x0=x0)
-            metrics = tracking_metrics(res["traces"], scenario.alpha)
-            rows.append(
-                {
-                    "p": float(p),
-                    "M": int(eff.M) if eff is not None else 0,
-                    "mode": mode,
-                    "mean_cost": res["mean_cost"],
-                    "std_error": res["std_error"],
-                    **metrics,
-                }
-            )
-    return rows
+            points.append((chain, eff, solve(model, p, eff, compensate_drift=compensate)))
+    cfg = SimulationConfig(replications=replications, master_seed=master_seed)
+    results = sweep(model, points, cfg, x0=initial_state(scenario), alpha=scenario.alpha)
+    return [
+        {
+            "p": float(chain.p),
+            "M": int(eff.M) if eff is not None else 0,
+            "mode": mode,
+            "mean_cost": res["mean_cost"],
+            "std_error": res["std_error"],
+            **res["tracking"],
+        }
+        for (chain, eff, _), res in zip(points, results)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -102,20 +102,29 @@ def solve(
     )
 
 
+def _split(delay: Optional[DelayProfile]) -> tuple:
+    return (0, 0) if delay is None else (delay.M_F, delay.M_B)
+
+
 def check_fits(
     regime: ControllerRegime, model: LinearSystemModel, delay: Optional[DelayProfile]
 ) -> Optional[DelayProfile]:
     """`bind_delay(delay, model.N)`, after checking the regime's gains were built for it.
 
     Raises ModelValidationError "configuration inconsistencies" when the gains
-    were built for another round-trip delay or another horizon.
+    were built for another delay split (M_F, M_B) or another horizon.
     """
     delay = bind_delay(delay, model.N)
-    M = delay.M if delay is not None else 0
-    gains_M = regime.delay.M if regime.delay is not None else 0
-    if M != gains_M:
+    (M_F, M_B), (gains_M_F, gains_M_B) = _split(delay), _split(regime.delay)
+    if M_F + M_B != gains_M_F + gains_M_B:
         raise ModelValidationError(
-            [f"configuration inconsistencies: delay M={M} but policy gains built for M={gains_M}"]
+            [f"configuration inconsistencies: delay M={M_F + M_B} but policy gains "
+             f"built for M={gains_M_F + gains_M_B}"]
+        )
+    if M_F != gains_M_F:
+        raise ModelValidationError(
+            [f"configuration inconsistencies: delay split M_F={M_F}, M_B={M_B} but policy "
+             f"gains built for M_F={gains_M_F}, M_B={gains_M_B}"]
         )
     if regime.gains.N != model.N:
         raise ModelValidationError(

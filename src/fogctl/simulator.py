@@ -8,28 +8,40 @@ backward delay. Every regime runs through one block body on the grid of
 observation, the measurement) at stage j step, is served at j step + M_F,
 and its gated control arrives at j step + M; other stages apply zero
 control. Perfect match is the M = 0 grid, each stage an epoch served and
-acted on at once. Served entries are dropped and only the last two epochs'
-arrivals kept, so the body's memory does not grow with N.
+acted on at once. Served entries are dropped and each arrival is kept only
+until its last reader (its epoch's service, or under partial observation the
+next epoch's filter prediction), so the body's memory does not grow with N.
 
 Replications run in blocks of consecutive replications, each block in lock
 step on vectorized arrays. Three independent substreams (disturbance,
-measurement noise, chain) spawn from the master seed, and every run draws
-the same fixed count of variates regardless of regime, so runs with the same
+measurement noise, chain) spawn from the master seed, so runs with the same
 seed share noise realizations (common random numbers across regime or
-parameter comparisons).
+parameter comparisons). A run draws the measurement noise only when a
+regime observes partially: full observation never reads it, and leaving
+its substream undrawn changes no other draw.
+
+`sweep` runs several points (chain, delay, regime) on one plant, seed and
+R; `run` is its one-point case. Each block is drawn once and every point
+runs on those draws in turn; a stage's noise is scaled on its first read
+and dropped after its last. A sweep thus pays for its noise once, and each
+point's results are bit for bit those of its own `run`.
 
 A block holds max(2, CHUNK_BYTES // (8 N (n + m + 1))) replications, so its
-draws (N (n + m + 1) doubles per replication) take at most CHUNK_BYTES and
-the working memory of a run does not grow with R; only the totals, and the
-traces when recorded, are kept for all R replications. Each block takes its
+draws (at most N (n + m + 1) doubles per replication) take at most
+CHUNK_BYTES and the working memory of a run does not grow with R. When a
+sweep streams the tracking metrics, the block's x and u traces count
+towards the budget too, and are reduced to three per-replication numbers
+before the next block; only the totals, those numbers, and the traces when
+recorded, are kept for all R replications. Each block takes its
 draws in order from the three substreams, and a numpy generator yields the
 same sequence whether it is drawn in one call or in consecutive pieces, so
 the draws are exactly those of `noise_streams` for all R at once. Every row
 of a block runs the arithmetic it would run in any other block: a one-row
 remainder is folded into the block before it, because a one-row matrix
 product takes BLAS's matrix-vector path, which rounds differently. Per
-replication, totals and traces are bit for bit independent of the blocking,
-and mean and standard error are taken once over all R totals.
+replication, totals, traces and tracking reductions are bit for bit
+independent of the blocking, and means and standard errors are taken once
+over all R values.
 
 Under partial observation the intermittent Kalman filter runs on the epoch
 boundaries: the boundary estimate is propagated over one grid step, and the
@@ -124,6 +136,7 @@ class SimulationBatch:
 
         The estimate columns appear only when an estimator was active. The
         terminal row of each replication leaves tau, u (and xhat) empty.
+        Rows are formatted and written one replication at a time.
         """
         n = self.x.shape[2]
         s = self.u.shape[2]
@@ -134,24 +147,26 @@ class SimulationBatch:
         if with_xhat:
             header += [f"xhat{i}" for i in range(n)]
         header.append("cost_stage")
+        fh.write(",".join(header) + "\n")
         N = self.N
-        x, u, tau, cost = (a.tolist() for a in (self.x, self.u, self.tau, self.stage_cost))
         no_xhat = [""] * n if with_xhat else []
-        if with_xhat:
-            x_hat = self.x_hat.tolist()
-            held = (~np.isnan(self.x_hat).any(axis=2)).tolist()
-        lines = [",".join(header)]
         for r in range(self.replications):
+            x, u, tau, cost = (a[r].tolist() for a in (self.x, self.u, self.tau, self.stage_cost))
+            if with_xhat:
+                x_hat = self.x_hat[r].tolist()
+                held = (~np.isnan(self.x_hat[r]).any(axis=1)).tolist()
+            lines = []
             for k in range(N):
-                row = [str(r), str(k), str(tau[r][k]), *map(repr, x[r][k]), *map(repr, u[r][k])]
+                row = [str(r), str(k), str(tau[k]), *map(repr, x[k]), *map(repr, u[k])]
                 if with_xhat:
-                    row += map(repr, x_hat[r][k]) if held[r][k] else no_xhat
-                row.append(repr(cost[r][k]))
+                    row += map(repr, x_hat[k]) if held[k] else no_xhat
+                row.append(repr(cost[k]))
                 lines.append(",".join(row))
-            row = [str(r), str(N), "", *map(repr, x[r][N]), *[""] * s, *no_xhat, repr(cost[r][N])]
-            lines.append(",".join(row))
-        lines.append("")
-        fh.write("\n".join(lines))
+            lines.append(",".join(
+                [str(r), str(N), "", *map(repr, x[N]), *[""] * s, *no_xhat, repr(cost[N])]
+            ))
+            lines.append("")
+            fh.write("\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +249,50 @@ def _filter_update(ids, Sg, xh, gate, z, C, V):
 # The engine
 # ---------------------------------------------------------------------------
 
+@dataclass
+class _PointRun:
+    """One sweep point's controller and its accumulators over all R replications."""
+
+    chain: ReliabilityChain
+    regime: ControllerRegime
+    ctrl_model: LinearSystemModel
+    totals: np.ndarray
+    record: Optional[dict]
+    mse: Optional[np.ndarray] = None     # per replication, when tracking metrics are asked
+    energy: Optional[np.ndarray] = None  # per replication, likewise
+    e2_max: float = -np.inf
+    first_bad: Optional[int] = None
+
+
+def _block_rows(model: LinearSystemModel, streamed: bool) -> int:
+    """Replications per block (module docstring).
+
+    A block's draws take 8 N (n + m + 1) bytes per replication, counting the
+    measurement noise whether it is drawn or not; streamed tracking metrics
+    add the block's x and u traces, 8 ((N + 1) n + N s) bytes.
+    """
+    N, n, s, m = model.N, model.state_dim, model.control_dim, model.obs_dim
+    per_rep = 8 * N * (n + m + 1)
+    if streamed:
+        per_rep += 8 * ((N + 1) * n + N * s)
+    return max(2, CHUNK_BYTES // per_rep)
+
+
+def _trace_arrays(model: LinearSystemModel, R: int, partial: bool) -> dict:
+    """Trace arrays for R replications, laid out as SimulationBatch's fields."""
+    N, n, s, m = model.N, model.state_dim, model.control_dim, model.obs_dim
+    arrays = {
+        "x": np.empty((R, N + 1, n)),
+        "u": np.empty((R, N, s)),
+        "tau": np.empty((R, N), dtype=np.int8),
+        "stage_cost": np.empty((R, N + 1)),
+    }
+    if partial:
+        arrays["x_hat"] = np.full((R, N, n), np.nan)
+        arrays["z"] = np.full((R, N, m), np.nan)
+    return arrays
+
+
 def run(
     model: LinearSystemModel,
     chain: ReliabilityChain,
@@ -257,59 +316,123 @@ def run(
         dict with mean_cost, std_error, and traces (a SimulationBatch when
         config.record_traces, else None).
     """
+    return sweep(model, [(chain, delay, regime)], config, x0)[0]
+
+
+def sweep(
+    model: LinearSystemModel,
+    points,
+    config: SimulationConfig,
+    x0: Optional[np.ndarray] = None,
+    alpha: Optional[float] = None,
+) -> list:
+    """Simulate several (chain, delay, regime) points on one pass of draws.
+
+    The points share the plant, seed, replication count and x0, so each
+    block is drawn once and every point runs on those draws in turn: the
+    common random numbers of the module docstring, drawn once rather than
+    once per point. Each point's results are those `run` returns for it
+    alone, bit for bit.
+
+    Args:
+        model, config, x0: as for `run`; record_traces keeps every point's traces.
+        points: (chain, delay, regime) triples, as `run` takes them.
+        alpha: when given, each result also carries "tracking", the
+            `tracking_metrics` of the point at this weight, reduced block by
+            block so that no trace outlives its block.
+
+    Returns:
+        one `run` result dict per point, in order.
+    """
     N, n, s, m = model.N, model.state_dim, model.control_dim, model.obs_dim
-    check_fits(regime, model, delay)
+    for _, delay, regime in points:
+        check_fits(regime, model, delay)
     x0 = state_vector(x0, n)
     R = int(config.replications)
+    if alpha is not None:
+        _check_tracking_layout(n, s)
+    w_reads = [len(points)] * N  # every point reads every stage's disturbance
+    v_reads = [0] * N            # a partially observed point measures at its epoch starts
+    for _, _, regime in points:
+        if regime.observation == "partial":
+            step, _, _, epochs = arrival_grid(regime.delay, N)
+            for j in range(epochs):
+                v_reads[j * step] += 1
+    partial = any(v_reads)
 
-    ctrl_model = model if regime.compensate_drift else model.without_drift()
-    partial = regime.observation == "partial"
-
-    totals = np.zeros(R)
-    record = None
-    if config.record_traces:
-        record = {
-            "x": np.empty((R, N + 1, n)),
-            "u": np.empty((R, N, s)),
-            "tau": np.empty((R, N), dtype=np.int8),
-            "stage_cost": np.empty((R, N + 1)),
-        }
-        if partial:
-            record["x_hat"] = np.full((R, N, n), np.nan)
-            record["z"] = np.full((R, N, m), np.nan)
+    runs = []
+    for chain, _, regime in points:
+        pt = _PointRun(
+            chain=chain, regime=regime,
+            ctrl_model=model if regime.compensate_drift else model.without_drift(),
+            totals=np.zeros(R),
+            record=(_trace_arrays(model, R, regime.observation == "partial")
+                    if config.record_traces else None),
+        )
+        if alpha is not None:
+            pt.mse, pt.energy = np.empty(R), np.empty(R)
+        runs.append(pt)
+    streamed = alpha is not None and not config.record_traces
+    blocks = _blocks(R, _block_rows(model, streamed))
+    scratch = {}  # block-local x and u traces, reduced to tracking metrics per block
+    if streamed:
+        widest = max(hi - lo for lo, hi in blocks)
+        scratch = {"x": np.empty((widest, N + 1, n)), "u": np.empty((widest, N, s))}
+    Lw = [psd_sqrt(model.W[k]) for k in range(N)]
+    Lv = [psd_sqrt(model.V_noise[k]) for k in range(N)] if partial else None
 
     streams = _substreams(config.master_seed)
-    rows = max(2, CHUNK_BYTES // (8 * N * (n + m + 1)))
-    first_bad = None
-    for lo, hi in _blocks(R, rows):
-        w_eps, v_eps, chain_u = _draw(streams, hi - lo, N, n, m)
-        tau = sample_tau(chain, chain_u)
-        block_record = None
-        if record is not None:
-            block_record = {name: arr[lo:hi] for name, arr in record.items()}
-            block_record["tau"][:] = tau
-        bad = _run_block(model, ctrl_model, regime, tau, w_eps, v_eps, x0, totals[lo:hi],
-                         block_record)
-        if bad is not None and (first_bad is None or bad < first_bad):
-            first_bad = bad
-        del w_eps, v_eps, chain_u  # freed before the next block draws
-    if first_bad is not None:
-        raise ModelValidationError(
-            [f"non-finite simulated cost at stage {first_bad}: the plant is unstable "
-             "or badly scaled for this horizon"]
-        )
+    for lo, hi in blocks:
+        # full observation reads no measurement noise: its substream stays undrawn
+        w_eps, v_eps, chain_u = _draw(streams, hi - lo, N, n, m if partial else 0)
+        w = _SharedNoise(w_eps, Lw, w_reads, model.drift_at)
+        v = _SharedNoise(v_eps, Lv, v_reads)
+        taus = {}
+        for pt in runs:
+            if pt.chain not in taus:
+                taus[pt.chain] = sample_tau(pt.chain, chain_u)
+            tau = taus[pt.chain]
+            if pt.record is not None:
+                record = {name: arr[lo:hi] for name, arr in pt.record.items()}
+                record["tau"][:] = tau
+            else:
+                record = {name: arr[:hi - lo] for name, arr in scratch.items()}
+            bad = _run_block(model, pt.ctrl_model, pt.regime, tau, w, v, x0,
+                             pt.totals[lo:hi], record)
+            if bad is not None:
+                pt.first_bad = bad if pt.first_bad is None else min(pt.first_bad, bad)
+            elif alpha is not None:
+                pt.mse[lo:hi], pt.energy[lo:hi], e2_max = _tracking_rows(
+                    record["x"], record["u"], alpha
+                )
+                pt.e2_max = max(pt.e2_max, e2_max)
+        del w_eps, v_eps, w, v, chain_u, taus  # freed before the next block draws
 
-    mean_cost = float(totals.mean())
-    std_error = float(totals.std(ddof=1) / np.sqrt(R)) if R > 1 else 0.0
-    traces = None if record is None else SimulationBatch(totals=totals, **record)
-    return {"mean_cost": mean_cost, "std_error": std_error, "traces": traces}
+    results = []
+    for pt in runs:
+        if pt.first_bad is not None:
+            raise ModelValidationError(
+                [f"non-finite simulated cost at stage {pt.first_bad}: the plant is unstable "
+                 "or badly scaled for this horizon"]
+            )
+        res = {
+            "mean_cost": float(pt.totals.mean()),
+            "std_error": float(pt.totals.std(ddof=1) / np.sqrt(R)) if R > 1 else 0.0,
+            "traces": None if pt.record is None else SimulationBatch(totals=pt.totals, **pt.record),
+        }
+        if alpha is not None:
+            res["tracking"] = _tracking_summary(pt.mse, pt.energy, pt.e2_max)
+        results.append(res)
+    return results
 
 
-def _run_block(model, ctrl_model, regime, tau, w_eps, v_eps, x0, totals, record):
+def _run_block(model, ctrl_model, regime, tau, w, v, x0, totals, record):
     """Advance one block of replications through all stages on the arrival grid.
 
-    Accumulates into `totals` and writes the traces into `record` (views of
-    the run's arrays, or None). Returns the first stage whose running total
+    w(k) is the block's disturbance at stage k (drift included) and v(k) its
+    measurement noise, both scaled. Accumulates into `totals` and writes each
+    trace that `record` holds (a subset of SimulationBatch's trace fields, as
+    arrays over the block's rows). Returns the first stage whose running total
     is not finite, stopping there, or None.
     """
     N, n, s = model.N, model.state_dim, model.control_dim
@@ -317,14 +440,15 @@ def _run_block(model, ctrl_model, regime, tau, w_eps, v_eps, x0, totals, record)
     gains = regime.gains
     partial = regime.observation == "partial"
     step, M_F, M, epochs = arrival_grid(regime.delay, N)
-    Lw = [psd_sqrt(model.W[k]) for k in range(N)]
-    Lv = [psd_sqrt(model.V_noise[k]) for k in range(N)] if partial else None
     services = {j * step + M_F: j for j in range(epochs)}
+    # an arrival is last read by the service of its own epoch, or under
+    # partial observation as the next epoch's u_prev
+    last_read = M_F + (step if partial else 0)
 
     x = np.broadcast_to(x0, (R, n)).copy()
     saved = {}     # epoch -> state (full) or measurement (partial) at its start, until served
-    arrivals = {}  # arrival stage -> control, last two epochs; other stages apply zero
-    zero = np.zeros((R, s))
+    arrivals = {}  # arrival stage -> control, until last read; other stages apply zero
+    zero = np.zeros((R, s)) if M else None  # perfect match has an arrival at every stage
     if partial:
         xh_b = np.broadcast_to(x0, (R, n)).copy()   # boundary estimate
         ids = np.zeros(R, dtype=np.intp)            # gate-history node per replication
@@ -334,9 +458,8 @@ def _run_block(model, ctrl_model, regime, tau, w_eps, v_eps, x0, totals, record)
         j_b, phase = divmod(k, step)
         if phase == 0 and j_b < epochs:
             if partial:
-                saved[j_b] = x @ model.C[k].T + v_eps[:, k] @ Lv[k].T
-                if record is not None:
-                    record["z"][:, k] = saved[j_b]
+                saved[j_b] = x @ model.C[k].T + v(k)
+                _keep(record, k, z=saved[j_b])
             else:
                 saved[j_b] = x  # x is rebound at every stage, never written in place
         if k in services:
@@ -354,32 +477,95 @@ def _run_block(model, ctrl_model, regime, tau, w_eps, v_eps, x0, totals, record)
                     ids, Sg_b = _filter_update(
                         ids, Sg_b, xh_b, gate, base, model.C[t0], model.V_noise[t0]
                     )
-                if record is not None:
-                    record["x_hat"][:, t0] = xh_b
+                _keep(record, t0, x_hat=xh_b)
                 base = xh_b
             base = propagate_mean(ctrl_model, base, arrivals.get(t0, zero), t0, t0 + M)
             u_new = -(base @ gains.V[t0 + M].T)
             u_new[~gate] = 0.0
             arrivals[t0 + M] = u_new
-            arrivals.pop(t0 + M - 2 * step, None)
         u = arrivals.get(k, zero)
         g = _quad_rows(x, model.Q[k]) + _quad_rows(u, model.R[k])
         totals += g
         if not np.isfinite(totals).all():
             return k
-        if record is not None:
-            record["x"][:, k] = x
-            record["u"][:, k] = u
-            record["stage_cost"][:, k] = g
-        x = x @ model.A[k].T + u @ model.B[k].T + (model.drift_at(k) + w_eps[:, k] @ Lw[k].T)
+        _keep(record, k, x=x, u=u, stage_cost=g)
+        x = x @ model.A[k].T + u @ model.B[k].T + w(k)
+        arrivals.pop(k - last_read, None)
     g_term = _quad_rows(x, model.Q[N])
     totals += g_term
     if not np.isfinite(totals).all():
         return N
-    if record is not None:
-        record["x"][:, N] = x
-        record["stage_cost"][:, N] = g_term
+    _keep(record, N, x=x, stage_cost=g_term)
     return None
+
+
+class _SharedNoise:
+    """One block's noise, scaled stage by stage on first read for all points.
+
+    reads[k] counts the points that read stage k; the last of them drops
+    it, so a one-point run holds one scaled stage at a time.
+    """
+
+    def __init__(self, eps, L, reads, shift=None):
+        self.eps, self.L, self.shift = eps, L, shift
+        self.unread = list(reads)
+        self.scaled = {}
+
+    def __call__(self, k: int) -> np.ndarray:
+        y = self.scaled.pop(k, None)
+        if y is None:
+            y = self.eps[:, k] @ self.L[k].T
+            if self.shift is not None:
+                y = self.shift(k) + y
+        self.unread[k] -= 1
+        if self.unread[k] > 0:
+            self.scaled[k] = y
+        return y
+
+
+def _keep(record: dict, k: int, **traces) -> None:
+    """Write stage k of each of these traces that the record holds."""
+    for name, value in traces.items():
+        if name in record:
+            record[name][:, k] = value
+
+
+# ---------------------------------------------------------------------------
+# Tracking metrics
+# ---------------------------------------------------------------------------
+
+def _check_tracking_layout(n: int, s: int) -> None:
+    if n != 4 or s != 2:
+        raise ModelValidationError(
+            ["tracking metrics require the planar error-state layout (4-dim state, 2-dim control)"]
+        )
+
+
+def _tracking_rows(x: np.ndarray, u: np.ndarray, alpha: float):
+    """Per-replication reductions of trace rows x (R, N+1, 4) and u (R, N, 2).
+
+    Returns the mean squared position error and alpha times the velocity
+    plus control energy of each row, and the largest squared position
+    error. Each row reduces on its own, so the result for a row is the same
+    in any block of rows.
+    """
+    e2 = x[:, :, 0] ** 2 + x[:, :, 1] ** 2
+    v2 = (x[:, :, 2] ** 2 + x[:, :, 3] ** 2).sum(axis=1)
+    u2 = (u[:, :, 0] ** 2 + u[:, :, 1] ** 2).sum(axis=1)
+    return e2.mean(axis=1), alpha * (v2 + u2), e2.max()
+
+
+def _tracking_summary(mse_rep: np.ndarray, energy_rep: np.ndarray, e2_max) -> dict:
+    R = mse_rep.shape[0]
+    mse = float(mse_rep.mean())
+    mse_se = float(mse_rep.std(ddof=1) / np.sqrt(R)) if R > 1 else 0.0
+    return {
+        "rms_position_error": float(np.sqrt(mse)),
+        "mean_control_energy": float(energy_rep.mean()),
+        "max_deviation": float(np.sqrt(e2_max)),
+        "mse_position_error": mse,
+        "mse_std_error": mse_se,
+    }
 
 
 def tracking_metrics(batch: SimulationBatch, alpha: float) -> dict:
@@ -389,27 +575,11 @@ def tracking_metrics(batch: SimulationBatch, alpha: float) -> dict:
     norm, the mean total control-plus-velocity energy, and the maximum
     position deviation. Also reports the mean squared position error with
     its standard error, which is what statistical comparisons should use.
+    `sweep` computes the same numbers block by block, without traces.
 
     Raises:
         ModelValidationError: unless the state is 4-dimensional (position
             error stacked on velocity) with 2-dimensional control.
     """
-    if batch.x.shape[2] != 4 or batch.u.shape[2] != 2:
-        raise ModelValidationError(
-            ["tracking metrics require the planar error-state layout (4-dim state, 2-dim control)"]
-        )
-    e2 = batch.x[:, :, 0] ** 2 + batch.x[:, :, 1] ** 2
-    mse_rep = e2.mean(axis=1)
-    R = mse_rep.shape[0]
-    mse = float(mse_rep.mean())
-    mse_se = float(mse_rep.std(ddof=1) / np.sqrt(R)) if R > 1 else 0.0
-    v2 = (batch.x[:, :, 2] ** 2 + batch.x[:, :, 3] ** 2).sum(axis=1)
-    u2 = (batch.u[:, :, 0] ** 2 + batch.u[:, :, 1] ** 2).sum(axis=1)
-    energy_rep = alpha * (v2 + u2)
-    return {
-        "rms_position_error": float(np.sqrt(mse)),
-        "mean_control_energy": float(energy_rep.mean()),
-        "max_deviation": float(np.sqrt(e2.max())),
-        "mse_position_error": mse,
-        "mse_std_error": mse_se,
-    }
+    _check_tracking_layout(batch.x.shape[2], batch.u.shape[2])
+    return _tracking_summary(*_tracking_rows(batch.x, batch.u, alpha))

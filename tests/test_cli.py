@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -406,6 +407,36 @@ class TestSimulate:
         row = json.loads((tmp_path / "summary.json").read_text())["rows"][0]
         assert row["mode"] == "affine-compensated"
         assert "rms_position_error" in row and "max_deviation" in row
+
+    def test_scenario_memory_flat_in_replications(self, tmp_path, monkeypatch):
+        # the tracking metrics are streamed block by block: ten times the
+        # replications adds only each point's totals, position MSE and energy
+        # vectors, plus two vectors of standard-error temporaries
+        from fogctl import simulator
+
+        cfg = {
+            "scenario": {"plan": {"approach": {"target": [6.0, 2.0], "stages": 2},
+                                  "circle": {"radius": 3.0, "stages": 8},
+                                  "return": {"stages": 2}}},
+            "reliability": {"p": 0.9},
+            "delay": {"M_F": 2, "M_B": 1},
+            "simulation": {"master_seed": 5, "sweep": {"p": [0.5, 0.9], "M": [0, 3]}},
+        }
+        model = fc.build_system(fc.scenario_from_config(cfg["scenario"]))
+        N, n, s, m = model.N, model.state_dim, model.control_dim, model.obs_dim
+        per_rep = 8 * N * (n + m + 1) + 8 * ((N + 1) * n + N * s)
+        monkeypatch.setattr(simulator, "CHUNK_BYTES", 50 * per_rep)  # 50-row blocks
+        R, points = 400, 4
+        peaks = []
+        for reps in (R, 10 * R):
+            tracemalloc.start()
+            try:
+                cli.cmd_simulate(cfg, tmp_path, replications=reps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len(json.loads((tmp_path / "summary.json").read_text())["rows"]) == points
+        assert peaks[1] - peaks[0] <= 9 * R * 8 * (3 * points + 2)
 
 
 class TestVerify:

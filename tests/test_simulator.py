@@ -28,9 +28,13 @@ def run_simple(model, p, delay, x0, reps=2000, seed=0, observation="full", recor
     return fc.run(model, chain, delay, regime, cfg, x0=x0)
 
 
-def set_block_rows(monkeypatch, model, rows):
-    """Patch the draw budget so that `run` takes `rows` replications per block."""
-    per_rep = 8 * model.N * (model.state_dim + model.obs_dim + 1)
+def set_block_rows(monkeypatch, model, rows, streamed=False):
+    """Patch the block budget so that `run` (or a `sweep` whose tracking
+    metrics are streamed) takes `rows` replications per block."""
+    N, n, s, m = model.N, model.state_dim, model.control_dim, model.obs_dim
+    per_rep = 8 * N * (n + m + 1)
+    if streamed:
+        per_rep += 8 * ((N + 1) * n + N * s)
     monkeypatch.setattr(simulator, "CHUNK_BYTES", rows * per_rep)
 
 
@@ -170,6 +174,18 @@ class TestRunBasics:
             fc.run(model, chain, None, regime_p, cfg, x0=x0)
         with pytest.raises(fc.ModelValidationError, match="x0 shape"):
             fc.run(model, chain, None, make_regime(model, 0.5, None), cfg, x0=np.zeros(2))
+
+
+    @pytest.mark.parametrize("split", [(2, 1), (0, 3), (3, 0)])
+    def test_delay_split_must_match_gains(self, split):
+        # gains for (M_F, M_B) = (1, 2) served at another split of M = 3
+        model = fc.make_system(A=1.1, B=1.0, Q=1.0, R=1.0, W=1.0, N=9)
+        regime = fc.solve(model, 0.7, fc.DelayProfile(M_F=1, M_B=2))
+        chain = fc.symmetric_chain(0.7)
+        cfg = fc.SimulationConfig(replications=2000, master_seed=1)
+        fc.run(model, chain, fc.DelayProfile(M_F=1, M_B=2), regime, cfg, x0=np.ones(1))
+        with pytest.raises(fc.ModelValidationError, match="configuration inconsistencies"):
+            fc.run(model, chain, fc.DelayProfile(*split), regime, cfg, x0=np.ones(1))
 
 
 class TestPartialObservationLoop:
@@ -429,3 +445,150 @@ class TestTrackingMetrics:
         assert m["mean_control_energy"] == pytest.approx(0.1 * (25.0 + 5.0))
         assert m["mse_position_error"] == pytest.approx(2.5)
         assert m["mse_std_error"] == 0.0
+
+
+class ByteCounter:
+    """A text sink that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+class TestCsvMemory:
+    def test_to_csv_peak_is_one_replication(self):
+        # the whole file is about 1.1 MiB; held as one list of lines and one
+        # joined string it took about 5.8 MiB of Python heap
+        rng = np.random.default_rng(0)
+        R, N = 100, 60
+        x_hat = rng.normal(size=(R, N, 4))
+        x_hat[:, 1::2] = np.nan
+        batch = fc.SimulationBatch(
+            x=rng.normal(size=(R, N + 1, 4)), u=rng.normal(size=(R, N, 2)),
+            tau=rng.integers(0, 2, size=(R, N)).astype(np.int8),
+            stage_cost=rng.normal(size=(R, N + 1)), totals=rng.normal(size=R), x_hat=x_hat,
+        )
+        sink = ByteCounter()
+        tracemalloc.start()
+        try:
+            batch.to_csv(sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.chars > 2**20
+        assert peak < 2**18
+
+
+def drift_plant():
+    """A two-state plant with drift and a noisy one-dimensional measurement."""
+    return fc.make_system(
+        A=[[1.0, 0.2], [0.0, 0.9]], B=[[0.0], [1.0]], C=[[1.0, 0.0]],
+        Q=np.eye(2), R=0.5, W=0.05 * np.eye(2), V_noise=0.2,
+        drift=np.tile([0.1, -0.05], (9, 1)), N=9,
+    )
+
+
+def assert_same_result(got, want):
+    assert got["mean_cost"] == want["mean_cost"]
+    assert got["std_error"] == want["std_error"]
+    for name in ("x", "u", "tau", "stage_cost", "totals", "x_hat", "z"):
+        a, b = getattr(got["traces"], name), getattr(want["traces"], name)
+        if b is None:
+            assert a is None, name
+        else:
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+
+class TestSweep:
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_points_equal_separate_runs(self, monkeypatch, rows):
+        # all four regimes, mixed delay splits, drift compensation on and
+        # off, and chains with and without a shared tau path; rows = 3 over
+        # R = 64 folds a one-row remainder into the last block
+        model, x0 = drift_plant(), np.array([1.0, -0.5])
+        if rows is not None:
+            set_block_rows(monkeypatch, model, rows)
+        points = []
+        for i, (observation, delay, compensate, chain) in enumerate([
+            ("full", None, False, fc.symmetric_chain(0.7)),
+            ("partial", None, True, fc.symmetric_chain(0.7)),
+            ("full", (1, 1), True, fc.ReliabilityChain(p=0.9, q=0.4)),
+            ("partial", (2, 1), False, fc.symmetric_chain(0.5, tau0=(0.4, 0.6))),
+            ("full", (0, 2), False, fc.symmetric_chain(0.5, tau0=(0.4, 0.6))),
+            ("partial", (1, 2), True, fc.symmetric_chain(0.95, tau0=0)),
+        ]):
+            delay = None if delay is None else fc.DelayProfile(*delay)
+            regime = fc.solve(model, chain.p, delay, observation, compensate)
+            points.append((chain, delay, regime))
+        cfg = fc.SimulationConfig(replications=64, master_seed=23, record_traces=True)
+        swept = simulator.sweep(model, points, cfg, x0=x0)
+        assert len(swept) == len(points)
+        for (chain, delay, regime), got in zip(points, swept):
+            assert_same_result(got, fc.run(model, chain, delay, regime, cfg, x0=x0))
+
+    @pytest.mark.parametrize("observation,m_drawn", [("full", 0), ("partial", 1)])
+    def test_full_observation_draws_no_measurement_noise(self, monkeypatch, observation, m_drawn):
+        model = drift_plant()
+        drawn = []
+        draw = simulator._draw
+
+        def spy(streams, R, N, n, m):
+            drawn.append(m)
+            return draw(streams, R, N, n, m)
+
+        monkeypatch.setattr(simulator, "_draw", spy)
+        regime = fc.solve(model, 0.8, None, observation)
+        fc.run(model, fc.symmetric_chain(0.8), None, regime, fc.SimulationConfig(5), x0=None)
+        assert drawn == [m_drawn]
+
+    def test_sweep_checks_every_point(self):
+        model = drift_plant()
+        fits = (fc.symmetric_chain(0.8), None, fc.solve(model, 0.8))
+        misfit = (fc.symmetric_chain(0.8), None, fc.solve(model, 0.8, fc.DelayProfile(1, 1)))
+        with pytest.raises(fc.ModelValidationError, match="configuration inconsistencies"):
+            simulator.sweep(model, [fits, misfit], fc.SimulationConfig(5))
+
+
+class TestStreamedTracking:
+    @staticmethod
+    def scenario():
+        plan = fc.WaypointPlan(
+            approach_target=(4.0, 1.0), approach_stages=3,
+            circle_radius=2.0, circle_stages=8, return_stages=3,
+        )
+        return fc.DroneScenario(waypoints=fc.make_waypoints(plan, 1.0), alpha=0.2)
+
+    def test_equals_tracking_metrics_of_the_traces(self, monkeypatch):
+        scenario = self.scenario()
+        model, x0 = fc.build_system(scenario), fc.initial_state(scenario)
+        points = []
+        for observation, delay, compensate in [
+            ("full", None, False), ("full", (2, 1), True), ("partial", (1, 1), False),
+        ]:
+            delay = None if delay is None else fc.DelayProfile(*delay)
+            chain = fc.symmetric_chain(0.75)
+            points.append((chain, delay, fc.solve(model, 0.75, delay, observation, compensate)))
+        traced = fc.SimulationConfig(replications=64, master_seed=3, record_traces=True)
+        want = [
+            fc.tracking_metrics(fc.run(model, *point, traced, x0=x0)["traces"], scenario.alpha)
+            for point in points
+        ]
+        # blocks of three rows, the one-row remainder folded into the last
+        set_block_rows(monkeypatch, model, 3, streamed=True)
+        blocks = simulator._blocks(64, simulator._block_rows(model, True))
+        assert len(blocks) > 1 and blocks[-1] == (60, 64)
+        untraced = fc.SimulationConfig(replications=64, master_seed=3)
+        streamed = simulator.sweep(model, points, untraced, x0=x0, alpha=scenario.alpha)
+        assert [res["tracking"] for res in streamed] == want
+        assert all(res["traces"] is None for res in streamed)
+        recorded = simulator.sweep(model, points, traced, x0=x0, alpha=scenario.alpha)
+        assert [res["tracking"] for res in recorded] == want
+
+    def test_layout_checked_before_running(self):
+        model, x0 = scalar_fixture(N=3)
+        point = (fc.symmetric_chain(0.6), None, fc.solve(model, 0.6))
+        with pytest.raises(fc.ModelValidationError, match="planar error-state layout"):
+            simulator.sweep(model, [point], fc.SimulationConfig(2), x0=x0, alpha=0.1)
