@@ -16,10 +16,7 @@ from .model import (
     ModelValidationError,
     ReliabilityChain,
     delay_from_config,
-    is_pd,
-    is_psd,
     make_system,
-    min_eigenvalue,
     reliability_from_config,
     stationary_on_probability,
     symmetric_chain,
@@ -88,10 +85,7 @@ __all__ = [
     "ModelValidationError",
     "ReliabilityChain",
     "delay_from_config",
-    "is_pd",
-    "is_psd",
     "make_system",
-    "min_eigenvalue",
     "reliability_from_config",
     "stationary_on_probability",
     "symmetric_chain",

@@ -43,7 +43,7 @@ from .model import (
 )
 from .estimation import penalty_config_for
 from .oracle import bound_check, brute_force_min_cost
-from .policy import min_cost, solve
+from .policy import min_cost, sandwich_policy, solve
 from .simulator import SimulationConfig, sweep
 
 EXIT_OK = 0
@@ -338,11 +338,12 @@ def cmd_placement(
     """Rank candidate endpoints by closed-form expected cost.
 
     Symmetric endpoints get the exact minimum cost. Sticky endpoints
-    (p > 1 - q) are ranked by the proven upper bound (the rate-(1-q)
-    symmetric cost); anything else falls back to the pessimistic-rate
-    estimate min(p, 1-q) and is labeled as such. The penalty_basis column
-    names the estimation penalty: none (full observation), exact-enumeration
-    or, above EXACT_ENUMERATION_MAX_N stages, monte-carlo.
+    (p > 1 - q) are ranked by the proven upper bound, the symmetric cost of
+    `sandwich_policy`'s rate-(1-q) gains; anything else falls back to the
+    pessimistic-rate estimate min(p, 1-q) and is labeled as such. The
+    penalty_basis column names the estimation penalty: none (full
+    observation), exact-enumeration or, above EXACT_ENUMERATION_MAX_N
+    stages, monte-carlo.
     """
     model, x0, scenario = _plant_from(config)
     block = config_block("placement", config.get("placement", {}), {
@@ -376,12 +377,12 @@ def cmd_placement(
             raise ConfigError(f"endpoint {name!r}: M={M} exceeds horizon N={model.N}")
         delay = split_delay(M, e.get("M_F"), e.get("M_B"))
         if chain.symmetric:
-            rate, basis = p, "exact"
+            basis, regime = "exact", solve(model, p, delay, observation)
         elif p > 1.0 - q:
-            rate, basis = 1.0 - q, "upper-bound"
-        else:
-            rate, basis = min(p, 1.0 - q), "pessimistic-estimate"
-        breakdown = min_cost(model, solve(model, rate, delay, observation), x0, 1, pen_cfg)
+            basis, regime = "upper-bound", sandwich_policy(model, p, q, delay, observation)
+        else:  # p < 1 - q: the pessimistic rate min(p, 1 - q) is p
+            basis, regime = "pessimistic-estimate", solve(model, p, delay, observation)
+        breakdown = min_cost(model, regime, x0, 1, pen_cfg)
         rows.append(
             {
                 "name": name,

@@ -29,6 +29,7 @@ from .model import (
     make_system,
     number,
     pair,
+    symmetric_chain,
 )
 from .policy import solve
 from .simulator import (
@@ -284,7 +285,7 @@ def tracking_study(
     for delay in delays:
         eff = bind_delay(delay, model.N)
         for p in p_values:
-            chain = ReliabilityChain(p=p, q=1.0 - p, tau0=1)
+            chain = symmetric_chain(p)
             points.append((chain, eff, solve(model, p, eff, compensate_drift=compensate)))
     cfg = SimulationConfig(replications=replications, master_seed=master_seed)
     results = sweep(model, points, cfg, x0=initial_state(scenario), alpha=scenario.alpha)

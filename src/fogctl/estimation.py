@@ -73,7 +73,8 @@ def propagate_mean(
     known drift from stage t0 to t1 with zero-mean disturbances: the delayed
     regimes' M-step predictor. Returns base itself when t1 == t0 (perfect
     match: the control acts at the stage it is computed). Pass a
-    drift-stripped model for the zero-mean variant.
+    drift-stripped model for the zero-mean variant; its `drift_at` is the
+    scalar 0.0, which adds the same bits as a zero vector.
     """
     if t1 == t0:
         return base
@@ -106,10 +107,6 @@ def window_noise(model: LinearSystemModel, t0: int, t1: int) -> np.ndarray:
     return symmetrize(Xi)
 
 
-def _batch_sym(X: np.ndarray) -> np.ndarray:
-    return (X + np.swapaxes(X, -1, -2)) / 2.0
-
-
 def gated_posterior(Sig: np.ndarray, C: np.ndarray, V: np.ndarray):
     """Gains and Joseph-form posterior covariances for a batch of priors (P, n, n).
 
@@ -123,18 +120,18 @@ def gated_posterior(Sig: np.ndarray, C: np.ndarray, V: np.ndarray):
         (gain, posterior) with shapes (P, n, m) and (P, n, n).
     """
     n = Sig.shape[-1]
-    S = _batch_sym(np.matmul(np.matmul(C, Sig), C.T) + V)
+    S = symmetrize(np.matmul(np.matmul(C, Sig), C.T) + V)
     Sinv = np.linalg.pinv(S, hermitian=True)
     gain = np.matmul(np.matmul(Sig, C.T), Sinv)
     IKC = np.eye(n) - np.matmul(gain, C)
     post = np.matmul(np.matmul(IKC, Sig), np.swapaxes(IKC, -1, -2))
     post = post + np.matmul(np.matmul(gain, V), np.swapaxes(gain, -1, -2))
-    return gain, _batch_sym(post)
+    return gain, symmetrize(post)
 
 
 def predict_covariances(Sig: np.ndarray, Phi: np.ndarray, Xi: np.ndarray) -> np.ndarray:
     """Batched time update Phi Sig Phi^T + Xi of covariances (P, n, n)."""
-    return _batch_sym(np.matmul(np.matmul(Phi, Sig), Phi.T) + Xi)
+    return symmetrize(np.matmul(np.matmul(Phi, Sig), Phi.T) + Xi)
 
 
 def advance_histories(ids: np.ndarray, served: np.ndarray, n_nodes: int):

@@ -62,48 +62,14 @@ class ConfigError(ValueError):
     """An external configuration document is malformed."""
 
 
-def symmetrize(X: np.ndarray, warn_label: Optional[str] = None) -> np.ndarray:
-    """Return (X + X^T) / 2, warning if the asymmetry is significant.
+def symmetrize(X: np.ndarray) -> np.ndarray:
+    """(X + X^T) / 2 as a float array, for one matrix or a stack (..., n, n).
 
-    Args:
-        X: square matrix.
-        warn_label: when given, a warning naming this matrix is emitted if
-            the asymmetry exceeds ``SYMMETRY_WARN_TOL``.
+    The same arithmetic per matrix whether it is symmetrized alone or in a
+    stack, so the results agree bit for bit.
     """
     X = np.asarray(X, dtype=float)
-    asym = float(np.max(np.abs(X - X.T))) if X.size else 0.0
-    if warn_label is not None and asym > SYMMETRY_WARN_TOL:
-        warnings.warn(
-            f"{warn_label}: asymmetry {asym:.3e} exceeds {SYMMETRY_WARN_TOL:.0e}; "
-            "symmetrizing",
-            stacklevel=2,
-        )
-    return (X + X.T) / 2.0
-
-
-def min_eigenvalue(X: np.ndarray) -> float:
-    """Smallest eigenvalue of a symmetric matrix."""
-    return float(np.linalg.eigvalsh(symmetrize(X))[0])
-
-
-def is_psd(X: np.ndarray, tol: float = PSD_EIG_TOL) -> bool:
-    """Whether a symmetric matrix is positive semidefinite within tolerance."""
-    return min_eigenvalue(X) >= tol
-
-
-def is_pd(X: np.ndarray, tol: float = PD_CHECK_TOL) -> bool:
-    """Whether a symmetric matrix is positive definite.
-
-    Uses a Cholesky attempt on X - tol*I so that near-singular matrices are
-    rejected consistently with the validation contract.
-    """
-    X = symmetrize(X)
-    n = X.shape[0]
-    try:
-        np.linalg.cholesky(X - tol * np.eye(n))
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    return (X + np.swapaxes(X, -1, -2)) / 2.0
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -161,15 +127,14 @@ def _stage_stack(
     if not np.isfinite(arr).all():
         raise ModelValidationError([f"{name}: non-finite entries"])
     if symmetric:
-        swapped = arr.swapaxes(1, 2)
-        asym = np.abs(arr - swapped).max(axis=(1, 2), initial=0.0)
+        asym = np.abs(arr - arr.swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
         for k in np.flatnonzero(asym > SYMMETRY_WARN_TOL):
             warnings.warn(
                 f"{name}[{k}]: asymmetry {asym[k]:.3e} exceeds "
                 f"{SYMMETRY_WARN_TOL:.0e}; symmetrizing",
                 stacklevel=2,
             )
-        arr = (arr + swapped) / 2.0
+        arr = symmetrize(arr)
     # order="C": a stride-order copy of a broadcast puts the stage axis
     # innermost, and matmul rounds differently on such non-contiguous stages.
     return _freeze(np.array(arr, order="C"))
@@ -216,10 +181,14 @@ class LinearSystemModel:
     def obs_dim(self) -> int:
         return self.C.shape[1]
 
-    def drift_at(self, k: int) -> np.ndarray:
-        """Known disturbance mean at stage k (zeros when no drift is set)."""
+    def drift_at(self, k: int) -> Union[np.ndarray, float]:
+        """Known disturbance mean at stage k, or the scalar 0.0 when no drift is set.
+
+        Adding 0.0 gives the same bits as adding a zero vector, without
+        broadcasting a vector over every row.
+        """
         if self.drift is None:
-            return np.zeros(self.state_dim)
+            return 0.0
         return self.drift[k]
 
     def without_drift(self) -> "LinearSystemModel":
@@ -304,7 +273,9 @@ def validate_model(model: LinearSystemModel) -> LinearSystemModel:
     """Check every model invariant, returning the model unchanged if valid.
 
     Shapes are one comparison per field; definiteness is one batched
-    ``eigvalsh`` per field, with the tolerances of ``is_psd`` and ``is_pd``.
+    ``eigvalsh`` per field: R's smallest eigenvalue must exceed
+    ``PD_CHECK_TOL``, and that of Q, W and V_noise must be at least
+    ``PSD_EIG_TOL``. This is the package's only definiteness check.
 
     Args:
         model: candidate model.

@@ -111,8 +111,9 @@ class SimulationBatch:
     """Replication-major arrays recorded by a simulation run.
 
     x has N+1 stage slots (terminal state included); u, tau and x_hat have N.
-    stage_cost's final column is the terminal cost. x_hat rows are NaN at
-    stages where the controller held no estimate.
+    stage_cost's final column is the terminal cost. x_hat, recorded under
+    partial observation only, is NaN at stages where the controller held no
+    estimate. These are the columns `to_csv` writes.
     """
 
     x: np.ndarray
@@ -121,7 +122,6 @@ class SimulationBatch:
     stage_cost: np.ndarray
     totals: np.ndarray
     x_hat: Optional[np.ndarray] = None
-    z: Optional[np.ndarray] = None
 
     @property
     def replications(self) -> int:
@@ -280,7 +280,7 @@ def _block_rows(model: LinearSystemModel, streamed: bool) -> int:
 
 def _trace_arrays(model: LinearSystemModel, R: int, partial: bool) -> dict:
     """Trace arrays for R replications, laid out as SimulationBatch's fields."""
-    N, n, s, m = model.N, model.state_dim, model.control_dim, model.obs_dim
+    N, n, s = model.N, model.state_dim, model.control_dim
     arrays = {
         "x": np.empty((R, N + 1, n)),
         "u": np.empty((R, N, s)),
@@ -289,7 +289,6 @@ def _trace_arrays(model: LinearSystemModel, R: int, partial: bool) -> dict:
     }
     if partial:
         arrays["x_hat"] = np.full((R, N, n), np.nan)
-        arrays["z"] = np.full((R, N, m), np.nan)
     return arrays
 
 
@@ -459,7 +458,6 @@ def _run_block(model, ctrl_model, regime, tau, w, v, x0, totals, record):
         if phase == 0 and j_b < epochs:
             if partial:
                 saved[j_b] = x @ model.C[k].T + v(k)
-                _keep(record, k, z=saved[j_b])
             else:
                 saved[j_b] = x  # x is rebound at every stage, never written in place
         if k in services:

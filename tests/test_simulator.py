@@ -274,7 +274,7 @@ class TestBlocks:
         assert len(simulator._blocks(64, rows)) > 1
         blocked = run_simple(model, 0.6, delay, x0, reps=64, seed=23,
                              observation=observation, record=True)["traces"]
-        for name in ("totals", "x", "u", "tau", "stage_cost", "x_hat", "z"):
+        for name in ("totals", "x", "u", "tau", "stage_cost", "x_hat"):
             a, b = getattr(whole, name), getattr(blocked, name)
             if a is None:
                 assert b is None and observation == "full"
@@ -419,7 +419,7 @@ class TestTracesAndCsv:
         assert (batch.replications, batch.N) == (1, 3)
         assert batch.x.shape == (1, 4, 1) and batch.u.shape == (1, 3, 1)
         assert batch.tau.shape == (1, 3) and batch.stage_cost.shape == (1, 4)
-        assert batch.x_hat is None and batch.z is None
+        assert batch.x_hat is None
         assert batch.x[0, 0, 0] == pytest.approx(1.0)
         assert set(batch.tau[0].tolist()) <= {0, 1}
 
@@ -493,7 +493,7 @@ def drift_plant():
 def assert_same_result(got, want):
     assert got["mean_cost"] == want["mean_cost"]
     assert got["std_error"] == want["std_error"]
-    for name in ("x", "u", "tau", "stage_cost", "totals", "x_hat", "z"):
+    for name in ("x", "u", "tau", "stage_cost", "totals", "x_hat"):
         a, b = getattr(got["traces"], name), getattr(want["traces"], name)
         if b is None:
             assert a is None, name
@@ -550,6 +550,32 @@ class TestSweep:
         misfit = (fc.symmetric_chain(0.8), None, fc.solve(model, 0.8, fc.DelayProfile(1, 1)))
         with pytest.raises(fc.ModelValidationError, match="configuration inconsistencies"):
             simulator.sweep(model, [fits, misfit], fc.SimulationConfig(5))
+
+
+class TestZeroDrift:
+    @staticmethod
+    def plants():
+        """A noisy plant, and one with W = V = 0 and x0 = 0 whose traces are
+        all zeros, some of them -0.0: where a matrix product returns -0.0,
+        adding 0.0 flips it, so skipping the add would change those bits."""
+        noisy = dict(A=[[1.0, 0.2], [0.0, 0.9]], B=[[0.0], [1.0]], C=[[1.0, 0.0]],
+                     Q=np.eye(2), R=0.5, W=0.05 * np.eye(2), V_noise=0.2, N=9)
+        still = dict(noisy, W=np.zeros((2, 2)), V_noise=0.0)
+        return [(noisy, np.array([1.0, -0.5])), (still, np.zeros(2))]
+
+    @pytest.mark.parametrize("compensate", [False, True])
+    @pytest.mark.parametrize("observation,delay", REGIMES)
+    def test_explicit_zero_drift_is_byte_equal_to_none(self, observation, delay, compensate):
+        delay = None if delay is None else fc.DelayProfile(M_F=delay[0], M_B=delay[1])
+        chain = fc.symmetric_chain(0.7)
+        cfg = fc.SimulationConfig(replications=40, master_seed=31, record_traces=True)
+        for inputs, x0 in self.plants():
+            results = []
+            for drift in (None, np.zeros((inputs["N"], 2))):
+                model = fc.make_system(**inputs, drift=drift)
+                regime = fc.solve(model, chain.p, delay, observation, compensate)
+                results.append(fc.run(model, chain, delay, regime, cfg, x0=x0))
+            assert_same_result(*results)
 
 
 class TestStreamedTracking:
