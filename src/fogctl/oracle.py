@@ -7,14 +7,19 @@ exact closed-loop moment recursions for fixed policies. None of it reuses
 the production recursions, so agreement between the two is evidence, not
 tautology.
 
-The exact oracles cover full observation without drift; path enumeration,
-which costs 2^N, is also limited to N <= 16. Anything outside that envelope
-raises instead of silently approximating.
+Path enumeration walks the availability histories as one breadth-first
+prefix tree: stage k holds every positive-probability prefix tau_0..tau_k
+as a row of stacked arrays, so the rollout takes a few batched operations
+per stage over about 2^(N+1) nodes in all, where a path-by-path loop would
+take N 2^N steps. Its widest stage holds up to 2^N nodes, so it is limited
+to N <= 16 and checked against the machine's memory before it starts.
+
+The exact oracles cover full observation without drift. Anything outside
+that envelope raises instead of silently approximating.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,7 +31,9 @@ from .model import (
     LinearSystemModel,
     ModelValidationError,
     ReliabilityChain,
+    _physical_mib,
     bind_delay,
+    count,
     state_vector,
     symmetrize,
     tau0_pair,
@@ -46,22 +53,71 @@ class TauPath:
     probability: float
 
 
-def enumerate_tau_paths(N: int, chain: ReliabilityChain) -> list:
-    """All positive-probability availability paths of length N."""
-    if N > ORACLE_MAX_N:
+def _check_enumeration_horizon(N) -> int:
+    """N as an int, or ModelValidationError unless 1 <= N <= ORACLE_MAX_N."""
+    try:
+        whole = count(N)
+    except ValueError:
+        whole = 0
+    if whole < 1:
+        raise ModelValidationError([f"path enumeration needs a whole number N >= 1, got {N!r}"])
+    if whole > ORACLE_MAX_N:
         raise ModelValidationError(
-            [f"path enumeration limited to N <= {ORACLE_MAX_N}, got N={N}"]
+            [f"path enumeration limited to N <= {ORACLE_MAX_N}, got N={whole}"]
         )
-    dist = chain.tau0_distribution()
-    T = chain.transition_matrix()
-    paths = []
-    for bits in itertools.product((0, 1), repeat=N):
-        prob = dist[bits[0]]
-        for a, b in zip(bits, bits[1:]):
-            prob *= T[a, b]
-        if prob > 0.0:
-            paths.append(TauPath(states=bits, probability=float(prob)))
-    return paths
+    return whole
+
+
+def _prefix_tree(N: int, dist: np.ndarray, T: np.ndarray):
+    """The prefix tree of positive-probability availability histories, stage by stage.
+
+    Yields, for k = 0..N-1, (parent, state, prob) over the prefixes
+    tau_0..tau_k of positive probability, in lexicographic order: parent
+    indexes each prefix's own prefix in the previous stage (all zeros at
+    k = 0), state is tau_k, and prob is dist[tau_0] T[tau_0, tau_1] ...
+    T[tau_{k-1}, tau_k], multiplied left to right. A prefix of probability
+    zero has no descendants.
+    """
+    prob = np.asarray(dist, dtype=float)
+    state = np.array([0, 1])
+    parent = np.zeros(2, dtype=np.intp)
+    for k in range(N):
+        if k:
+            parent = np.repeat(np.arange(len(prob)), 2)
+            prob = (prob[:, None] * T[state]).ravel()  # child j of node i at 2 i + j
+            state = np.tile([0, 1], len(state))
+        keep = np.flatnonzero(prob > 0.0)
+        parent, state, prob = parent[keep], state[keep], prob[keep]
+        yield parent, state, prob
+
+
+def _widest_stage(N: int, dist: np.ndarray, T: np.ndarray) -> int:
+    """Nodes in the last, widest stage of `_prefix_tree`: every node has a child.
+
+    Counted from the zero pattern of dist and T, so a probability product
+    that underflows to zero is still counted.
+    """
+    ends = (np.asarray(dist) > 0.0).astype(np.int64)  # positive prefixes ending in 0 and 1
+    for _ in range(N - 1):
+        ends = ends @ (T > 0.0)
+    return int(ends.sum())
+
+
+def enumerate_tau_paths(N: int, chain: ReliabilityChain) -> list:
+    """All positive-probability availability paths of length N, in lexicographic order.
+
+    Raises:
+        ModelValidationError: unless N is a whole number with 1 <= N <= 16.
+    """
+    N = _check_enumeration_horizon(N)
+    states = np.zeros((1, 0), dtype=np.int8)
+    tree = _prefix_tree(N, chain.tau0_distribution(), chain.transition_matrix())
+    for parent, state, prob in tree:
+        states = np.column_stack([states[parent], state])
+    return [
+        TauPath(states=tuple(row), probability=float(pr))
+        for row, pr in zip(states.tolist(), prob.tolist())
+    ]
 
 
 def _check_oracle_scope(model: LinearSystemModel, what: str) -> None:
@@ -235,30 +291,55 @@ def _eval_perfect_moments(model, chain, policy, x0, dist) -> float:
 
 
 def _eval_perfect_enumeration(model, chain, policy, x0, dist) -> float:
-    """Path-by-path conditional rollout; cross-checks the moment recursion."""
-    N, n = model.N, model.state_dim
-    override = ReliabilityChain(p=chain.p, q=chain.q, tau0=tuple(dist))
-    total = 0.0
-    for path in enumerate_tau_paths(N, override):
-        mu = np.asarray(x0, dtype=float)
-        Sig = np.zeros((n, n))
-        cost = 0.0
-        for k, t in enumerate(path.states):
-            Qk = model.Q[k]
-            cost += float(mu @ Qk @ mu + np.trace(Qk @ Sig))
-            if t == 1:
-                V = policy.gains.V[k]
-                VRV = V.T @ model.R[k] @ V
-                cost += float(mu @ VRV @ mu + np.trace(VRV @ Sig))
-                Acl = model.A[k] - model.B[k] @ V
-            else:
-                Acl = model.A[k]
-            mu = Acl @ mu
-            Sig = symmetrize(Acl @ Sig @ Acl.T + model.W[k])
-        QN = model.Q[N]
-        cost += float(mu @ QN @ mu + np.trace(QN @ Sig))
-        total += path.probability * cost
-    return total
+    """Rollout over the prefix tree of availability histories.
+
+    Each node of stage k carries its history's conditional state mean and
+    covariance at stage k and its cost so far, stacked over the stage's
+    nodes; the stage cost and the closed-loop step (A - B V_k where tau_k
+    is ON, A where it is OFF) act on all of them at once, and each child
+    starts from its parent's result. The expected cost is the
+    probability-weighted sum over the leaves. Cross-checks the moment
+    recursion.
+    """
+    N, n = _check_enumeration_horizon(model.N), model.state_dim
+    T = chain.transition_matrix()
+    widest = _widest_stage(N, dist, T)
+    # doubles per node of the widest stage: three n x n stacks (the
+    # covariances, those of one availability state, and a product
+    # temporary), two of means, and about eight entries of cost, tree
+    # index, probability and mask
+    mib = 8 * widest * (3 * n * n + 2 * n + 8) / 2**20
+    physical = _physical_mib()
+    if mib > physical:
+        raise ModelValidationError(
+            [f"N = {N}, n = {n}: path enumeration needs {mib:.0f} MiB for {widest} "
+             f"histories, more than this machine's {physical:.0f} MiB of memory"]
+        )
+    try:
+        mu = x0[None, :]
+        Sig = np.zeros((1, n, n))
+        cost = np.zeros(1)
+        for k, (parent, state, prob) in enumerate(_prefix_tree(N, dist, T)):
+            V = policy.gains.V[k]
+            mu, Sig = mu[parent], Sig[parent]
+            on = state == 1
+            cost = cost[parent] + _node_cost(model.Q[k], mu, Sig)
+            cost[on] += _node_cost(V.T @ model.R[k] @ V, mu[on], Sig[on])
+            for rows, Acl in ((~on, model.A[k]), (on, model.A[k] - model.B[k] @ V)):
+                mu[rows] = mu[rows] @ Acl.T
+                Sig[rows] = Acl @ Sig[rows] @ Acl.T
+            Sig = symmetrize(Sig + model.W[k])
+        cost += _node_cost(model.Q[N], mu, Sig)
+    except MemoryError:
+        raise ModelValidationError(
+            [f"N = {N}, n = {n}: out of memory in path enumeration ({mib:.0f} MiB needed)"]
+        ) from None
+    return float(prob @ cost)
+
+
+def _node_cost(weight, mu, Sig) -> np.ndarray:
+    """E[x' weight x] per node, from its conditional mean and covariance."""
+    return np.einsum("pi,ij,pj->p", mu, weight, mu) + np.einsum("ij,pji->p", weight, Sig)
 
 
 def _eval_delayed_moments(model, chain, delay, policy, x0, dist) -> float:
@@ -310,13 +391,18 @@ def evaluate_policy_cost(
     The policy applies -V_k x at available stages (or the delay-grid
     equivalent through the horizon predictor); this routine computes its
     exact closed-loop expected cost for ANY reliability chain via
-    conditional second-moment recursions. method="enumeration" reruns the
-    matched-case computation path by path as a cross-check.
+    conditional second-moment recursions, O(N). method="enumeration"
+    recomputes the matched case over the prefix tree of availability
+    histories as a cross-check: each history's conditional mean and
+    covariance, a few batched operations per stage over at most 2^(k+1)
+    histories at stage k.
 
     Raises:
         ModelValidationError: partial observation, drift, a malformed tau0,
-            N > 16 with method="enumeration", or a delay that disagrees with
-            the policy's gains.
+            a delay that disagrees with the policy's gains, or with
+            method="enumeration" N > 16 or a widest stage that needs more
+            than the machine's memory or the memory left (naming N, n and
+            the MiB needed).
     """
     _check_oracle_scope(model, "exact policy evaluation")
     if policy.observation != "full":

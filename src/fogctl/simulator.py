@@ -80,6 +80,7 @@ from .model import (
     ModelValidationError,
     ReliabilityChain,
     arrival_grid,
+    count,
     state_vector,
     symmetrize,
 )
@@ -98,10 +99,16 @@ class SimulationConfig:
 
     def __post_init__(self):
         violations = []
-        if int(self.replications) < 1:
-            violations.append(f"replications must be >= 1, got {self.replications}")
-        if int(self.master_seed) < 0:
-            violations.append("master_seed must be a nonnegative integer")
+        for name, low in (("replications", 1), ("master_seed", 0)):
+            value = getattr(self, name)
+            try:
+                whole = count(value)
+            except ValueError:
+                whole = -1
+            if whole < low:
+                violations.append(f"{name} must be a whole number >= {low}, got {value!r}")
+            else:
+                object.__setattr__(self, name, whole)
         if violations:
             raise ModelValidationError(violations)
 
@@ -375,8 +382,9 @@ def sweep(
     blocks = _blocks(R, _block_rows(model, streamed))
     scratch = {}  # block-local x and u traces, reduced to tracking metrics per block
     if streamed:
+        # stage-major, so that each stage's write is one contiguous slab
         widest = max(hi - lo for lo, hi in blocks)
-        scratch = {"x": np.empty((widest, N + 1, n)), "u": np.empty((widest, N, s))}
+        scratch = {"x": np.empty((N + 1, widest, n)), "u": np.empty((N, widest, s))}
     Lw = [psd_sqrt(model.W[k]) for k in range(N)]
     Lv = [psd_sqrt(model.V_noise[k]) for k in range(N)] if partial else None
 
@@ -395,7 +403,8 @@ def sweep(
                 record = {name: arr[lo:hi] for name, arr in pt.record.items()}
                 record["tau"][:] = tau
             else:
-                record = {name: arr[:hi - lo] for name, arr in scratch.items()}
+                record = {name: np.swapaxes(arr[:, :hi - lo], 0, 1)
+                          for name, arr in scratch.items()}
             bad = _run_block(model, pt.ctrl_model, pt.regime, tau, w, v, x0,
                              pt.totals[lo:hi], record)
             if bad is not None:
@@ -545,11 +554,12 @@ def _tracking_rows(x: np.ndarray, u: np.ndarray, alpha: float):
     Returns the mean squared position error and alpha times the velocity
     plus control energy of each row, and the largest squared position
     error. Each row reduces on its own, so the result for a row is the same
-    in any block of rows.
+    in any block of rows. The squared sums are laid out row-major whatever
+    the layout of x and u, so each row also reduces in the same order.
     """
-    e2 = x[:, :, 0] ** 2 + x[:, :, 1] ** 2
-    v2 = (x[:, :, 2] ** 2 + x[:, :, 3] ** 2).sum(axis=1)
-    u2 = (u[:, :, 0] ** 2 + u[:, :, 1] ** 2).sum(axis=1)
+    e2 = np.add(x[:, :, 0] ** 2, x[:, :, 1] ** 2, order="C")
+    v2 = np.add(x[:, :, 2] ** 2, x[:, :, 3] ** 2, order="C").sum(axis=1)
+    u2 = np.add(u[:, :, 0] ** 2, u[:, :, 1] ** 2, order="C").sum(axis=1)
     return e2.mean(axis=1), alpha * (v2 + u2), e2.max()
 
 

@@ -7,6 +7,7 @@ is evidence rather than self-confirmation.
 """
 
 import csv
+import itertools
 
 import numpy as np
 
@@ -253,3 +254,48 @@ def reference_to_csv(batch, fh):
             row += [""] * n
         row.append(repr(float(batch.stage_cost[r, N])))
         writer.writerow(row)
+
+
+def reference_tau_paths(N, chain):
+    """(states, probability) of every positive-probability path, one
+    `itertools.product` row at a time, probabilities multiplied left to right."""
+    dist = chain.tau0_distribution()
+    T = chain.transition_matrix()
+    paths = []
+    for bits in itertools.product((0, 1), repeat=N):
+        prob = dist[bits[0]]
+        for a, b in zip(bits, bits[1:]):
+            prob *= T[a, b]
+        if prob > 0.0:
+            paths.append((bits, float(prob)))
+    return paths
+
+
+def reference_enumeration_cost(model, chain, V, x0, tau0):
+    """Expected cost of the gated policy u_k = -V_k x_k (ON stages only),
+    rolled out path by path: each path's conditional mean and covariance
+    are propagated on their own and its cost weighted by its probability.
+    tau0 is 0, 1 or a distribution pair; drift-free models only."""
+    N, n = model.N, model.state_dim
+    chain = fc.ReliabilityChain(p=chain.p, q=chain.q, tau0=tau0)
+    total = 0.0
+    for states, prob in reference_tau_paths(N, chain):
+        mu = np.asarray(x0, dtype=float)
+        Sig = np.zeros((n, n))
+        cost = 0.0
+        for k, t in enumerate(states):
+            Qk = model.Q[k]
+            cost += float(mu @ Qk @ mu + np.trace(Qk @ Sig))
+            if t == 1:
+                VRV = V[k].T @ model.R[k] @ V[k]
+                cost += float(mu @ VRV @ mu + np.trace(VRV @ Sig))
+                Acl = model.A[k] - model.B[k] @ V[k]
+            else:
+                Acl = model.A[k]
+            mu = Acl @ mu
+            Sig = Acl @ Sig @ Acl.T + model.W[k]
+            Sig = (Sig + Sig.T) / 2.0
+        QN = model.Q[N]
+        cost += float(mu @ QN @ mu + np.trace(QN @ Sig))
+        total += prob * cost
+    return total

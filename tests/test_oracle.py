@@ -5,14 +5,27 @@ import pytest
 
 import fogctl as fc
 
+from fogctl import oracle
+
 from reference import (
     closed_form_cost,
     make_regime,
     random_delay,
     random_model,
     random_sticky_pair,
+    reference_enumeration_cost,
+    reference_tau_paths,
     scalar_fixture,
 )
+
+
+def random_chain(rng, i):
+    """A chain and tau0 for case i: absorbing, p = 0, or random, with
+    tau0 a point value or a distribution."""
+    p, q = (float(v) for v in rng.uniform(0.05, 0.95, size=2))
+    p, q = [(p, q), (1.0, 1.0), (0.0, q), (1.0, q), (p, 1.0)][i % 5]
+    tau0 = [1, 0, (0.3, 0.7), (1.0, 0.0)][i % 4]
+    return fc.ReliabilityChain(p=p, q=q, tau0=tau0), tau0
 
 
 class TestPathEnumeration:
@@ -41,6 +54,22 @@ class TestPathEnumeration:
         chain = fc.symmetric_chain(0.5)
         with pytest.raises(fc.ModelValidationError, match="limited to N <= 16"):
             fc.enumerate_tau_paths(17, chain)
+
+    @pytest.mark.parametrize("N", [0, -1, 2.5, True, "3", None])
+    def test_non_whole_horizon_rejected(self, N):
+        # N = 0 used to end in an IndexError and N = -1 in itertools' ValueError
+        with pytest.raises(fc.ModelValidationError, match="whole number N >= 1"):
+            fc.enumerate_tau_paths(N, fc.symmetric_chain(0.5))
+
+    def test_tree_equals_product_reference(self, rng):
+        for i in range(25):
+            chain, _ = random_chain(rng, i)
+            N = int(rng.integers(1, 9))
+            got = [(pp.states, pp.probability) for pp in fc.enumerate_tau_paths(N, chain)]
+            assert got == reference_tau_paths(N, chain)
+            assert all(type(t) is int for states, _ in got for t in states)
+            widest = oracle._widest_stage(N, chain.tau0_distribution(), chain.transition_matrix())
+            assert widest == len(got)
 
 
 class TestBruteForceMinimum:
@@ -172,6 +201,52 @@ class TestPolicyEvaluation:
             a = fc.evaluate_policy_cost(model, chain, None, policy, x0, method="moments")
             b = fc.evaluate_policy_cost(model, chain, None, policy, x0, method="enumeration")
             assert a == pytest.approx(b, rel=1e-10)
+
+    def test_tree_matches_path_loop(self, rng):
+        # absorbing chains, p = 0 and tau0 distributions among the cases
+        for i in range(25):
+            model, x0 = random_model(rng, N_low=1, N_high=8)
+            chain, tau0 = random_chain(rng, i)
+            policy = make_regime(model, float(rng.uniform(0.1, 1.0)), None)
+            got = fc.evaluate_policy_cost(
+                model, chain, None, policy, x0, tau0=tau0, method="enumeration"
+            )
+            want = reference_enumeration_cost(model, chain, policy.gains.V, x0, tau0)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_moments_equal_enumeration_at_horizon_guard(self):
+        # 2^16 histories: about a million stage steps for a path-by-path loop
+        model = fc.make_system(
+            A=[[1.0, 0.2, 0.0], [0.0, 0.9, 0.1], [0.1, 0.0, 0.8]], B=[[0.0], [0.1], [0.2]],
+            Q=np.eye(3), R=0.5, W=0.02 * np.eye(3), N=oracle.ORACLE_MAX_N,
+        )
+        x0 = np.array([1.0, -0.5, 0.3])
+        chain = fc.ReliabilityChain(p=0.9, q=0.6, tau0=(0.3, 0.7))
+        policy = fc.sandwich_policy(model, 0.9, 0.6)
+        a = fc.evaluate_policy_cost(model, chain, None, policy, x0, method="moments")
+        b = fc.evaluate_policy_cost(model, chain, None, policy, x0, method="enumeration")
+        assert a == pytest.approx(b, rel=1e-10)
+
+    def test_enumeration_memory_guard(self, monkeypatch):
+        model = fc.make_system(A=np.eye(2), B=np.ones((2, 1)), Q=np.eye(2), R=1.0,
+                               W=np.eye(2), N=6)
+        policy = make_regime(model, 0.5, None)
+        chain = fc.symmetric_chain(0.5)
+
+        def evaluate():
+            return fc.evaluate_policy_cost(
+                model, chain, None, policy, np.ones(2), method="enumeration"
+            )
+        monkeypatch.setattr(oracle, "_physical_mib", lambda: 0.001)
+        with pytest.raises(fc.ModelValidationError, match=r"N = 6, n = 2: .* MiB"):
+            evaluate()
+        monkeypatch.undo()
+
+        def exhausted(*args):
+            raise MemoryError
+        monkeypatch.setattr(oracle, "_node_cost", exhausted)
+        with pytest.raises(fc.ModelValidationError, match="N = 6, n = 2: out of memory"):
+            evaluate()
 
     def test_mistuned_policy_never_beats_dp(self, rng):
         for _ in range(10):

@@ -45,6 +45,22 @@ class TestConfigAndStreams:
         with pytest.raises(fc.ModelValidationError):
             fc.SimulationConfig(replications=10, master_seed=-1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("replications", 2.5), ("replications", "3"), ("replications", True),
+        ("master_seed", 1.7), ("master_seed", -0.5), ("master_seed", "3"),
+        ("master_seed", True),
+    ])
+    def test_config_rejects_non_whole_values(self, field, value):
+        # 2.5 replications used to run 2, and a seed of 1.7 ran as seed 1
+        kwargs = {"replications": 4, field: value}
+        with pytest.raises(fc.ModelValidationError, match=f"{field} must be a whole number"):
+            fc.SimulationConfig(**kwargs)
+
+    def test_config_reads_whole_floats_as_ints(self):
+        cfg = fc.SimulationConfig(replications=3.0, master_seed=np.int64(5))
+        assert (cfg.replications, cfg.master_seed) == (3, 5)
+        assert type(cfg.replications) is int and type(cfg.master_seed) is int
+
     def test_noise_streams_shapes_and_determinism(self):
         a = fc.noise_streams(7, R=5, N=4, n=3, m=2)
         b = fc.noise_streams(7, R=5, N=4, n=3, m=2)
