@@ -522,6 +522,17 @@ def count(value) -> int:
     return int(value)
 
 
+def _whole(name: str, value, low: int) -> int:
+    """value read by ``count``; ModelValidationError naming it unless value >= low."""
+    try:
+        whole = count(value)
+    except ValueError:
+        whole = -1
+    if whole < low:
+        raise ModelValidationError([f"{name} must be a whole number >= {low}, got {value!r}"])
+    return whole
+
+
 def flag(value) -> bool:
     """JSON true or false."""
     if not isinstance(value, bool):

@@ -32,6 +32,7 @@ from .model import (
     ModelValidationError,
     ReliabilityChain,
     _physical_mib,
+    _whole,
     bind_delay,
     count,
     state_vector,
@@ -447,7 +448,8 @@ def bound_check(
 
     The policy value is exact (moment recursion) when the model fits the
     oracle scope; otherwise it falls back to Monte Carlo and the tolerance
-    widens to three standard errors.
+    widens to three standard errors. config sets that fallback's
+    replications (a whole number >= 1) and seed (>= 0).
     """
     if regime not in REGIMES:
         raise ModelValidationError([f"unknown regime {regime!r}"])
@@ -461,8 +463,8 @@ def bound_check(
     if not delayed and eff_M != 0:
         raise ModelValidationError(["matched regime given a nonzero delay profile"])
     cfg = dict(config or {})
-    replications = int(cfg.pop("replications", 50_000))
-    seed = int(cfg.pop("seed", 0))
+    replications = _whole("bound_check replications", cfg.pop("replications", 50_000), 1)
+    seed = _whole("bound_check seed", cfg.pop("seed", 0), 0)
     if cfg:
         raise ModelValidationError([f"unknown bound_check config keys {sorted(cfg)}"])
     x0 = state_vector(x0, model.state_dim)

@@ -8,6 +8,7 @@ is evidence rather than self-confirmation.
 
 import csv
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -149,6 +150,62 @@ def _kalman_update(xh, P, z, C, V):
     K = P @ C.T @ np.linalg.inv(C @ P @ C.T + V)
     P = (np.eye(len(xh)) - K @ C) @ P
     return xh + K @ (z - C @ xh), (P + P.T) / 2.0
+
+
+def reference_gated_posterior(Sig, C, V):
+    """Batched Joseph-form update through a pseudo-inverse of S = C Sig C^T + V.
+
+    The formula `estimation.gated_posterior` used for every V before it
+    gained the sequential path, and still uses for a singular or badly
+    conditioned V: the results must match it bit for bit there.
+    """
+    n = Sig.shape[-1]
+    S = fc.symmetrize(np.matmul(np.matmul(C, Sig), C.T) + V)
+    Sinv = np.linalg.pinv(S, hermitian=True)
+    gain = np.matmul(np.matmul(Sig, C.T), Sinv)
+    IKC = np.eye(n) - np.matmul(gain, C)
+    post = np.matmul(np.matmul(IKC, Sig), np.swapaxes(IKC, -1, -2))
+    post = post + np.matmul(np.matmul(gain, V), np.swapaxes(gain, -1, -2))
+    return gain, fc.symmetrize(post)
+
+
+def exact_gated_posterior(Sig, C, V):
+    """Gain and Joseph posterior of one prior in exact rational arithmetic.
+
+    The float inputs are read exactly as fractions, S is inverted by
+    Gauss-Jordan elimination, and the results are rounded to float once at
+    the end. Meant for n, m <= 3, where the denominators stay small.
+    """
+    def exact(X):
+        return [[Fraction(float(x)) for x in row] for row in np.atleast_2d(X)]
+
+    def mul(X, Y):
+        return [[sum(X[i][k] * Y[k][j] for k in range(len(Y))) for j in range(len(Y[0]))]
+                for i in range(len(X))]
+
+    def add(X, Y, sign=1):
+        return [[x + sign * y for x, y in zip(rx, ry)] for rx, ry in zip(X, Y)]
+
+    def tr(X):
+        return [list(col) for col in zip(*X)]
+
+    Sig, C, V = exact(Sig), exact(C), exact(V)
+    m = len(C)
+    SCt = mul(Sig, tr(C))
+    aug = [row + [Fraction(int(i == j)) for j in range(m)]
+           for i, row in enumerate(add(mul(C, SCt), V))]
+    for col in range(m):
+        pivot = next(r for r in range(col, m) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [a / aug[col][col] for a in aug[col]]
+        for r in range(m):
+            if r != col:
+                aug[r] = [a - aug[r][col] * b for a, b in zip(aug[r], aug[col])]
+    K = mul(SCt, [row[m:] for row in aug])
+    eye = [[Fraction(int(i == j)) for j in range(len(Sig))] for i in range(len(Sig))]
+    IKC = add(eye, mul(K, C), -1)
+    post = add(mul(mul(IKC, Sig), tr(IKC)), mul(mul(K, V), tr(K)))
+    return np.array(K, dtype=float), np.array(post, dtype=float)
 
 
 def reference_partial_totals(model, chain, delay, V, x0, replications, seed):

@@ -1,12 +1,18 @@
 """Filtering, delayed prediction, window algebra, estimation penalties."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import fogctl as fc
+from fogctl import estimation
 from fogctl.estimation import gated_posterior, predict_covariances
 
-from reference import random_model
+from reference import exact_gated_posterior, random_model, reference_gated_posterior
 
 
 def noisy_scalar(N, V=1.0):
@@ -44,6 +50,70 @@ class TestFilterTransitions:
             _, post = gated_posterior(Sig[None], model.C[0], model.V_noise[0])
             d = np.linalg.eigvalsh(Sig - post[0])
             assert d[0] >= -1e-9
+
+
+def kernel_case(rng, n, m, cond, P=1):
+    """Priors (P, n, n), a channel C and a correlated V with condition number cond."""
+    X = rng.normal(size=(P, n, n))
+    Sig = fc.symmetrize(X @ np.swapaxes(X, -1, -2) / n + 0.1 * np.eye(n))
+    Q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    V = Q @ np.diag(np.geomspace(1.0, 1.0 / cond, m)) @ Q.T * rng.uniform(0.05, 2.0)
+    return Sig, rng.normal(size=(m, n)), fc.symmetrize(V)
+
+
+def rel_error(got, ref):
+    """Largest entry error over the largest reference entry, per batch entry."""
+    return np.abs(got - ref).max(axis=(-2, -1)) / np.abs(ref).max(axis=(-2, -1))
+
+
+class TestGatedPosteriorKernel:
+    """The sequential path against the pseudo-inverse formula and exact arithmetic."""
+
+    def test_agrees_with_pinv_formula(self, rng):
+        for case in range(36):
+            n, m = 1 + case % 4, 1 + case % 3
+            Sig, C, V = kernel_case(rng, n, m, float(rng.uniform(1.0, 100.0)), P=5)
+            for got, ref in zip(gated_posterior(Sig, C, V), reference_gated_posterior(Sig, C, V)):
+                assert rel_error(got, ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("cond", [1.0, 1e2, 1e4, 1e6, 0.9 * estimation._SEQUENTIAL_MAX_COND])
+    def test_error_against_exact_within_pinv(self, rng, cond):
+        # worst (gain, posterior) error over the cases: this kernel's, then the
+        # pinv formula's, floored at a few ulps so a lucky rounding does not count
+        worst = np.zeros((2, 2))
+        for case in range(27):
+            n, m = 1 + case % 3, 1 + case // 9
+            Sig, C, V = kernel_case(rng, n, m, cond)
+            exact = exact_gated_posterior(Sig[0], C, V)
+            for row, kernel in enumerate((gated_posterior, reference_gated_posterior)):
+                errors = [rel_error(got[0], ref)
+                          for got, ref in zip(kernel(Sig, C, V), exact)]
+                worst[row] = np.maximum(worst[row], errors)
+        assert (worst[0] <= 10.0 * np.maximum(worst[1], 1e-15)).all(), worst
+
+    def test_pinv_path_kept_bit_for_bit(self, rng, monkeypatch):
+        cutoff = estimation._SEQUENTIAL_MAX_COND
+        u = rng.normal(size=2)
+        for V in (np.zeros((2, 2)), np.outer(u, u), kernel_case(rng, 3, 2, 1.5 * cutoff)[2]):
+            Sig, C, _ = kernel_case(rng, 3, 2, 1.0, P=20)
+            for got, ref in zip(gated_posterior(Sig, C, V), reference_gated_posterior(Sig, C, V)):
+                assert got.tobytes() == ref.tobytes()
+
+        def no_pinv(*args, **kwargs):
+            raise AssertionError("pinv on the sequential path")
+        monkeypatch.setattr(np.linalg, "pinv", no_pinv)
+        Sig, C, V = kernel_case(rng, 3, 2, 0.5 * cutoff, P=20)
+        gated_posterior(Sig, C, V)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_batch_slices_bit_for_bit(self, rng, m):
+        # n = 9: there a matrix-vector product over the flattened stack rounds
+        # a lone row differently from the same row inside the stack
+        Sig, C, V = kernel_case(rng, 9, m, 10.0, P=1000)
+        full = gated_posterior(Sig, C, V)
+        for part in (slice(0, 1), slice(7, 8), slice(-1, None), slice(3, 100)):
+            for got, ref in zip(gated_posterior(Sig[part], C, V), full):
+                assert got.tobytes() == ref[part].tobytes()
 
 
 class TestDelayedPredictor:
@@ -172,6 +242,57 @@ class TestPerfectPenalty:
             )
         with pytest.raises(fc.ModelValidationError, match="partial-observation"):
             fc.expected_estimation_penalty(model, 0.5, sched, "full-perfect")
+
+    @pytest.mark.parametrize("key", ["replications", "seed"])
+    @pytest.mark.parametrize("value", [2.9, "3", True, -1])
+    def test_config_counts_must_be_whole(self, key, value):
+        model, _ = noisy_scalar(N=3)
+        sched = fc.backward_recursion_perfect(model, 0.5)
+        config = {"method": "monte-carlo", "replications": 10, "seed": 0, key: value}
+        with pytest.raises(fc.ModelValidationError, match=f"penalty {key} must be a whole number"):
+            fc.expected_estimation_penalty(model, 0.5, sched, "partial-perfect", config=config)
+
+
+class TestPenaltyMemoryGuard:
+    def test_estimate_above_memory_raises_before_the_sweep(self, monkeypatch):
+        model, _ = noisy_scalar(N=6)
+        sched = fc.backward_recursion_perfect(model, 0.5)
+
+        def sweep(*args):
+            raise AssertionError("the sweep started")
+        monkeypatch.setattr(estimation, "_physical_mib", lambda: 0.001)
+        monkeypatch.setattr(estimation, "_penalty_sweep", sweep)
+        with pytest.raises(fc.ModelValidationError,
+                           match=r"N = 6, n = 1: the exact estimation penalty needs .* MiB"):
+            fc.expected_estimation_penalty(model, 0.5, sched, "partial-perfect")
+
+    def test_out_of_memory_is_a_clean_error(self):
+        # n = 16, N = 20 needs about 3.2 GiB at its widest epoch; the child's
+        # address space is capped at 800 MiB, so the sweep runs out of memory
+        limit = 800 * 2**20
+        code = (
+            "import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "import numpy as np\n"
+            "import fogctl as fc\n"
+            "n = 16\n"
+            "model = fc.make_system(A=0.9 * np.eye(n), B=np.ones((n, 1)), Q=np.eye(n), R=1.0,\n"
+            "                       W=0.1 * np.eye(n), C=np.eye(2, n), V_noise=0.5 * np.eye(2),\n"
+            "                       N=20)\n"
+            "sched = fc.backward_recursion_perfect(model, 0.7)\n"
+            "try:\n"
+            "    fc.expected_estimation_penalty(model, 0.7, sched, 'partial-perfect')\n"
+            "except fc.ModelValidationError as exc:\n"
+            "    print(exc)\n"
+            "    sys.exit(2)\n"
+        )
+        src = str(Path(fc.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout.startswith("N = 20, n = 16: ") and "MiB" in proc.stdout
 
 
 class TestDelayedPenalty:

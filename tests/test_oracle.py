@@ -346,3 +346,11 @@ class TestBoundCheck:
         model, _ = scalar_fixture(N=3)
         with pytest.raises(fc.ModelValidationError, match="unknown bound_check config"):
             fc.bound_check(model, 0.9, 0.3, None, "full-perfect", config={"reps": 3})
+
+    @pytest.mark.parametrize("key", ["replications", "seed"])
+    @pytest.mark.parametrize("value", [2.9, "3", True, -1])
+    def test_config_counts_must_be_whole(self, key, value):
+        model, _ = scalar_fixture(N=3)
+        with pytest.raises(fc.ModelValidationError,
+                           match=f"bound_check {key} must be a whole number"):
+            fc.bound_check(model, 0.9, 0.3, None, "partial-perfect", config={key: value})
