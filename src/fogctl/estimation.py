@@ -35,7 +35,7 @@ import numpy as np
 from .model import (
     LinearSystemModel,
     ModelValidationError,
-    _physical_mib,
+    _memory_guard,
     _whole,
     arrival_grid,
     symmetrize,
@@ -199,7 +199,7 @@ def gated_posterior(Sig: np.ndarray, C: np.ndarray, V: np.ndarray):
 
 def predict_covariances(Sig: np.ndarray, Phi: np.ndarray, Xi: np.ndarray) -> np.ndarray:
     """Batched time update Phi Sig Phi^T + Xi of covariances (P, n, n)."""
-    return symmetrize(np.matmul(np.matmul(Phi, Sig), Phi.T) + Xi)
+    return symmetrize(np.matmul(np.matmul(Phi, Sig), np.ascontiguousarray(Phi.T)) + Xi)
 
 
 def advance_histories(ids: np.ndarray, served: np.ndarray, n_nodes: int):
@@ -365,6 +365,7 @@ def expected_estimation_penalty(
         raise ModelValidationError(["partial-delayed penalty requires a delayed schedule"])
     delay = schedule.delay if regime == "partial-delayed" else None
     step, _, M, epochs = arrival_grid(delay, N)
+    mib, extent = None, ""
     if exact:
         # the last epoch is the widest: one prior per history of the epochs
         # before it. Per node about six n x n stacks are alive at once (the
@@ -372,12 +373,7 @@ def expected_estimation_penalty(
         # ones and a few scalars.
         nodes = 2 ** max(epochs - 2, 0) if 0.0 < p < 1.0 else 1
         mib = 8 * nodes * (6 * n * n + 3 * model.obs_dim * n + 8) / 2**20
-        physical = _physical_mib()
-        if mib > physical:
-            raise ModelValidationError(
-                [f"N = {N}, n = {n}: the exact estimation penalty needs {mib:.0f} MiB for "
-                 f"{nodes} histories, more than this machine's {physical:.0f} MiB of memory"]
-            )
+        extent = f" for {nodes} histories"
     steps = []
     for j in range(1, epochs):
         t = j * step
@@ -389,13 +385,9 @@ def expected_estimation_penalty(
             model.C[t], model.V_noise[t], weight,
             transition_product(model, t + step, t), window_noise(model, t, t + step),
         ))
-    try:
+    what = "the exact estimation penalty" if exact else "the estimation penalty"
+    with _memory_guard(f"N = {N}, n = {n}", what, mib, extent):
         per, total, se = _penalty_sweep(window_noise(model, 0, step), steps, p, cfg)
-    except MemoryError:
-        needed = f" ({mib:.0f} MiB needed)" if exact else ""
-        raise ModelValidationError(
-            [f"N = {N}, n = {n}: out of memory in the estimation penalty{needed}"]
-        ) from None
     stages = [j * step for j in range(1, epochs)]
     if M == 0:  # perfect match also lists stage 0, where x0 is known exactly
         per, stages = np.concatenate([[0.0], per]), [0] + stages

@@ -33,6 +33,7 @@ import math
 import numbers
 import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
@@ -243,22 +244,12 @@ def make_system(
         count * math.prod(shape) for name, (count, shape, _) in layout.items()
         if raw[name] is not None
     ) / 2**20
-    physical = _physical_mib()
-    if mib > physical:
-        raise ModelValidationError(
-            [f"N = {N}: the stage arrays need {mib:.0f} MiB, more than this "
-             f"machine's {physical:.0f} MiB of memory"]
-        )
-    try:
+    with _memory_guard(f"N = {N}", "building the stage arrays", mib):
         stacks = {
             name: None if raw[name] is None else _stage_stack(name, raw[name], *fields)
             for name, fields in layout.items()
         }
         return validate_model(LinearSystemModel(N=N, **stacks))
-    except MemoryError:
-        raise ModelValidationError(
-            [f"N = {N}: out of memory building the stage arrays ({mib:.0f} MiB needed)"]
-        ) from None
 
 
 def _physical_mib() -> float:
@@ -267,6 +258,29 @@ def _physical_mib() -> float:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**20
     except (AttributeError, OSError, ValueError):
         return math.inf
+
+
+@contextmanager
+def _memory_guard(where: str, what: str, mib: Optional[float], extent: str = ""):
+    """Run a large computation only if its estimated mib fit in physical memory.
+
+    Raises ModelValidationError "<where>: <what> needs <mib> MiB<extent>, more
+    than this machine's ... MiB of memory" before the body when the estimate
+    exceeds `_physical_mib()`, and "<where>: out of memory in <what> (<mib>
+    MiB needed)" when the body raises MemoryError. With mib None (no
+    estimate) only the MemoryError is translated.
+    """
+    physical = _physical_mib()
+    if mib is not None and mib > physical:
+        raise ModelValidationError(
+            [f"{where}: {what} needs {mib:.0f} MiB{extent}, more than this "
+             f"machine's {physical:.0f} MiB of memory"]
+        )
+    try:
+        yield
+    except MemoryError:
+        needed = "" if mib is None else f" ({mib:.0f} MiB needed)"
+        raise ModelValidationError([f"{where}: out of memory in {what}{needed}"]) from None
 
 
 def validate_model(model: LinearSystemModel) -> LinearSystemModel:

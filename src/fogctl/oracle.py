@@ -31,7 +31,7 @@ from .model import (
     LinearSystemModel,
     ModelValidationError,
     ReliabilityChain,
-    _physical_mib,
+    _memory_guard,
     _whole,
     bind_delay,
     count,
@@ -237,22 +237,17 @@ def brute_force_min_cost(
     delay: Optional[DelayProfile],
     x0: np.ndarray,
     tau0=None,
-    observation: str = "full",
 ) -> float:
-    """Exact minimum expected cost by dynamic programming.
+    """Exact minimum expected cost by dynamic programming, full observation.
 
     Works for any reliability chain (symmetric or not). tau0 overrides the
     chain's initial state when given (0, 1, or a distribution pair).
 
     Raises:
-        ModelValidationError: drift present, partial observation requested,
-            a malformed tau0, or horizon shorter than the round-trip delay.
+        ModelValidationError: drift present, a malformed tau0, or horizon
+            shorter than the round-trip delay.
     """
     _check_oracle_scope(model, "the exact oracle")
-    if observation != "full":
-        raise ModelValidationError(
-            ["the exact oracle covers full observation only"]
-        )
     x0 = state_vector(x0, model.state_dim)
     dist = _tau0_dist(chain, tau0)
     delay = bind_delay(delay, model.N)
@@ -310,13 +305,8 @@ def _eval_perfect_enumeration(model, chain, policy, x0, dist) -> float:
     # temporary), two of means, and about eight entries of cost, tree
     # index, probability and mask
     mib = 8 * widest * (3 * n * n + 2 * n + 8) / 2**20
-    physical = _physical_mib()
-    if mib > physical:
-        raise ModelValidationError(
-            [f"N = {N}, n = {n}: path enumeration needs {mib:.0f} MiB for {widest} "
-             f"histories, more than this machine's {physical:.0f} MiB of memory"]
-        )
-    try:
+    with _memory_guard(f"N = {N}, n = {n}", "path enumeration", mib,
+                       f" for {widest} histories"):
         mu = x0[None, :]
         Sig = np.zeros((1, n, n))
         cost = np.zeros(1)
@@ -331,10 +321,6 @@ def _eval_perfect_enumeration(model, chain, policy, x0, dist) -> float:
                 Sig[rows] = Acl @ Sig[rows] @ Acl.T
             Sig = symmetrize(Sig + model.W[k])
         cost += _node_cost(model.Q[N], mu, Sig)
-    except MemoryError:
-        raise ModelValidationError(
-            [f"N = {N}, n = {n}: out of memory in path enumeration ({mib:.0f} MiB needed)"]
-        ) from None
     return float(prob @ cost)
 
 

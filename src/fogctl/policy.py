@@ -1,10 +1,11 @@
 """The controller for each regime, its minimum cost, and the sandwich policy.
 
 `solve` maps (model, p, delay, observation) to the optimal controller: the
-perfect-match or delayed backward recursion, tagged for full or partial
-observation. `min_cost` maps a controller to its exact minimum expected
-cost, attaching the estimation penalty under partial observation. Every
-caller that needs a regime or a closed-form cost goes through these two.
+one backward recursion on the delay's arrival grid, tagged for full or
+partial observation. `min_cost` maps a controller to its exact minimum
+expected cost through the one closed form, attaching the estimation penalty
+under partial observation. Every caller that needs a regime or a
+closed-form cost goes through these two.
 
 The control law itself is linear feedback through the schedule's gains,
 gated by the endpoint's availability when the control is generated; the
@@ -30,15 +31,7 @@ from .model import (
     ModelValidationError,
     bind_delay,
 )
-from .riccati import (
-    GainSchedule,
-    backward_recursion_delayed,
-    backward_recursion_perfect,
-    min_cost_full_delayed,
-    min_cost_full_perfect,
-    min_cost_partial_delayed,
-    min_cost_partial_perfect,
-)
+from .riccati import GainSchedule, backward_recursion, closed_form
 
 
 @dataclass(frozen=True)
@@ -81,19 +74,15 @@ def solve(
 ) -> ControllerRegime:
     """The optimal controller for a symmetric chain with ON-persistence p.
 
-    Runs the delayed recursion when the delay has M >= 1 and the perfect-match
-    recursion otherwise (None and M = 0 alike), and retags the schedule for
-    partial observation. The regime carries the delay bound to the horizon.
+    Runs `backward_recursion` on the delay's arrival grid (every stage for
+    None and M = 0 alike) and retags the schedule for partial observation.
+    The regime carries the delay bound to the horizon.
 
     Raises:
         ModelValidationError: observation other than "full" or "partial",
             or any error of the recursion it runs.
     """
-    delay = bind_delay(delay, model.N)
-    if delay is None:
-        gains = backward_recursion_perfect(model, p)
-    else:
-        gains = backward_recursion_delayed(model, p, delay)
+    gains = backward_recursion(model, p, delay)
     if observation == "partial":
         gains = gains.with_regime(gains.regime.replace("full-", "partial-"))
     return ControllerRegime(
@@ -141,22 +130,21 @@ def min_cost(
     tau0=1,
     penalty_config: Optional[dict] = None,
 ) -> CostBreakdown:
-    """Exact minimum expected cost of a regime built by `solve`.
+    """Exact minimum expected cost of a regime built by `solve` (`closed_form`).
 
     Under partial observation the estimation penalty at the schedule's rate
     is attached, computed with penalty_config (see
     `expected_estimation_penalty`; exact enumeration by default). tau0 enters
-    the perfect-match forms only: the delayed forms do not depend on it.
+    through the first service gate: it matters when M_F = 0 (perfect match
+    included), and on a symmetric chain a later gate is ON with probability
+    p whatever tau0 was.
     """
-    gains, tag = regime.gains, regime.regime_tag
-    if tag == "full-perfect":
-        return min_cost_full_perfect(gains, model, x0, tau0)
-    if tag == "full-delayed":
-        return min_cost_full_delayed(gains, model, x0)
-    penalty = expected_estimation_penalty(model, gains.p_used, gains, tag, penalty_config)
-    if tag == "partial-perfect":
-        return min_cost_partial_perfect(gains, model, x0, tau0, penalty)
-    return min_cost_partial_delayed(gains, model, x0, penalty)
+    gains, penalty = regime.gains, None
+    if regime.observation == "partial":
+        penalty = expected_estimation_penalty(
+            model, gains.p_used, gains, gains.regime, penalty_config
+        )
+    return closed_form(gains, model, x0, tau0, penalty)
 
 
 def sandwich_policy(

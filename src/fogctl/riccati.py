@@ -1,26 +1,31 @@
-"""Backward gain recursions and exact minimum-cost formulas.
+"""Backward gain recursion and the exact minimum-cost formula.
 
-One backward recursion produces the time-varying gain schedule. Each stage
-computes the feedback gain V_k, the no-control value L_k and the control
-benefit Lambda_k from K_{k+1}; the value K_k subtracts the availability
-correction p * Lambda_k only on the arrival grid, the stages k = 0 mod M at
-which a control can arrive. The perfect-match setting (controller responds
-within the stage) is the grid with M = 1; the delayed setting (round-trip
-delay M = M_F + M_B) adds the collateral weights P. Both are parameterized
-by the ON-persistence p of a symmetric availability chain (q = 1 - p).
+One backward recursion produces the time-varying gain schedule of every
+regime. Each stage computes the feedback gain V_k, the no-control value L_k
+and the control benefit Lambda_k from K_{k+1}; the value K_k subtracts the
+availability correction p * Lambda_k only on the arrival grid
+(`model.arrival_grid`), the stages k = 0 mod step at which a control can
+arrive. Perfect match (the controller responds within the stage) is the
+grid with step 1; a delay M = M_F + M_B has step M and adds the collateral
+weights P. Both are parameterized by the ON-persistence p of a symmetric
+availability chain (q = 1 - p).
 
-The min-cost functions evaluate the exact expected optimal cost as a
-decomposition: an initial-state quadratic, a disturbance trace sum, a
-latency-collateral trace sum (delayed only), and an estimation penalty
-(partial observation only).
+One closed form evaluates the exact expected optimal cost of any schedule
+as a decomposition: an initial-state quadratic, a disturbance trace sum, a
+latency-collateral trace sum (zero without delay), and an estimation
+penalty (partial observation only). The initial endpoint state tau0 enters
+through the first service gate, the availability at stage M_F: with
+M_F = 0 (perfect match included) that gate is tau0 itself, ON with
+probability P[tau0 = 1]; with M_F >= 1 it is one transition or more away,
+and on a symmetric chain every such state is ON with probability p whatever
+tau0 was.
 
 Exactness notes:
-- All closed forms assume the symmetric chain. Asymmetric chains are handled
+- The closed form assumes the symmetric chain. Asymmetric chains are handled
   by the sandwich machinery in the policy/oracle modules.
-- The delayed formulas additionally assume the first service gate is at least
-  one transition away from the initial chain state (forward delay M_F >= 1),
-  or an initial state drawn from the stationary distribution; otherwise the
-  first epoch's gate probability is not p.
+- It is exact for every delay split and every tau0, M_F = 0 included: the
+  recursion weights the first arrival's control benefit by p, and the
+  closed form moves that weight to the first gate's probability.
 """
 
 from __future__ import annotations
@@ -140,11 +145,37 @@ def _stage_gains(model: LinearSystemModel, k: int, K_next: np.ndarray):
     return V, L, Lam
 
 
-def _backward(model: LinearSystemModel, p: float, M: int):
-    """(K, L, Lambda, V): K_k = L_k - p * Lambda_k on the arrival grid k = 0 mod M.
+def backward_recursion(
+    model: LinearSystemModel, p: float, delay: Optional[DelayProfile] = None
+) -> GainSchedule:
+    """Gain schedule for full observation on the arrival grid of delay.
 
-    Off the grid K_k is the same object as L_k, so the equality is exact.
+    For k = N-1 down to 0:
+        V_k = (R_k + B_k^T K_{k+1} B_k)^{-1} B_k^T K_{k+1} A_k
+        L_k = Q_k + A_k^T K_{k+1} A_k
+        Lambda_k = A_k^T K_{k+1} B_k V_k
+        K_k = L_k - p * Lambda_k   on the arrival grid (k = 0 mod step)
+        K_k = L_k                  off it (the same object)
+    with K_N equal to the terminal weight and every matrix symmetrized after
+    each step. Perfect match (delay None or M = 0) has step 1. A delay has
+    step M and adds the collateral weights P, k = 0..cM: P_{cM} =
+    Lambda_{cM} and, going backward, P_k = Lambda_k on the grid and
+    P_k = A_k^T P_{k+1} A_k off it.
+
+    Args:
+        model: validated system model.
+        p: ON-persistence of the symmetric availability chain, in [0, 1].
+        delay: delay profile, bound to the model horizon here.
+
+    Returns:
+        GainSchedule tagged full-perfect (P absent) or full-delayed.
+
+    Raises:
+        ModelValidationError: p outside [0, 1], a horizon shorter than the
+            round-trip delay, or a stage whose value matrix overflows (named,
+            first going backward).
     """
+    step, _, M, epochs = arrival_grid(delay, model.N)
     if not (0.0 <= p <= 1.0):
         raise ModelValidationError([f"p must be in [0, 1], got {p}"])
     N = model.N
@@ -160,189 +191,149 @@ def _backward(model: LinearSystemModel, p: float, M: int):
             V[k] = _freeze(V_k)
             L[k] = _freeze(L_k)
             Lam[k] = _freeze(Lam_k)
-            K[k] = _freeze(symmetrize(L_k - p * Lam_k)) if k % M == 0 else L[k]
-    return tuple(K), tuple(L), tuple(Lam), tuple(V)
+            K[k] = _freeze(symmetrize(L_k - p * Lam_k)) if k % step == 0 else L[k]
+    P = None
+    if M:
+        cM = epochs * M
+        P = [None] * (cM + 1)
+        P[cM] = Lam[cM]
+        for k in range(cM - 1, -1, -1):
+            if k % M == 0:
+                P[k] = Lam[k]
+            else:
+                P[k] = _freeze(symmetrize(model.A[k].T @ P[k + 1] @ model.A[k]))
+        P = tuple(P)
+    return GainSchedule(
+        K=tuple(K), L=tuple(L), Lambda=tuple(Lam), V=tuple(V), P=P,
+        regime="full-delayed" if M else "full-perfect", p_used=float(p),
+        delay=bind_delay(delay, N),
+    )
 
 
 def backward_recursion_perfect(model: LinearSystemModel, p: float) -> GainSchedule:
-    """Gain schedule for full observation with a per-stage control opportunity.
-
-    For k = N-1 down to 0:
-        V_k = (R_k + B_k^T K_{k+1} B_k)^{-1} B_k^T K_{k+1} A_k
-        L_k = Q_k + A_k^T K_{k+1} A_k
-        Lambda_k = A_k^T K_{k+1} B_k V_k
-        K_k = L_k - p * Lambda_k
-    with K_N equal to the terminal weight. Every matrix is symmetrized after
-    each step. This is the recursion with an arrival at every stage (the
-    perfect-match `arrival_grid`, step 1).
-
-    Args:
-        model: validated system model.
-        p: ON-persistence of the symmetric availability chain, in [0, 1].
-
-    Returns:
-        GainSchedule tagged full-perfect (P absent).
-
-    Raises:
-        ModelValidationError: p outside [0, 1], or a stage whose value
-            matrix overflows (named, first going backward).
-    """
-    K, L, Lam, V = _backward(model, p, arrival_grid(None, model.N)[0])
-    return GainSchedule(
-        K=K, L=L, Lambda=Lam, V=V, P=None,
-        regime="full-perfect", p_used=float(p), delay=None,
-    )
+    """`backward_recursion` with an arrival at every stage (tagged full-perfect)."""
+    return backward_recursion(model, p)
 
 
 def backward_recursion_delayed(
     model: LinearSystemModel, p: float, delay: DelayProfile
 ) -> GainSchedule:
-    """Gain schedule when controls only arrive every M = M_F + M_B stages.
-
-    V_k and Lambda_k are computed at every stage, but K absorbs the
-    -p*Lambda correction only at stages k with k = 0 mod M (the arrival
-    grid); off-grid, K_k is the same object as L_k so the equality is exact.
-
-    The collateral weights P run k = 0..cM with P_{cM} = Lambda_{cM} and,
-    going backward, P_k = Lambda_k on-grid and P_k = A_k^T P_{k+1} A_k
-    off-grid.
-
-    Args:
-        model: validated system model.
-        p: symmetric-chain ON-persistence.
-        delay: delay profile with M >= 1; bound to the model horizon here.
-
-    Returns:
-        GainSchedule tagged full-delayed.
+    """`backward_recursion` on the arrival grid of a delay with M >= 1 (tagged full-delayed).
 
     Raises:
-        ModelValidationError: when N < M ("horizon shorter than round-trip
-            delay"), M = 0, or a stage's value matrix overflows.
+        ModelValidationError: M = 0, or any error of `backward_recursion`.
     """
     if delay.M < 1:
         raise ModelValidationError(["delayed recursion requires M >= 1; use the perfect-match recursion for M = 0"])
-    delay = bind_delay(delay, model.N)
-    M = delay.M
-    K, L, Lam, V = _backward(model, p, M)
-    cM = delay.c * M
-    P = [None] * (cM + 1)
-    P[cM] = Lam[cM]
-    for k in range(cM - 1, -1, -1):
-        if k % M == 0:
-            P[k] = Lam[k]
-        else:
-            A = model.A[k]
-            P[k] = _freeze(symmetrize(A.T @ P[k + 1] @ A))
-    return GainSchedule(
-        K=K, L=L, Lambda=Lam, V=V, P=tuple(P),
-        regime="full-delayed", p_used=float(p), delay=delay,
-    )
-
-
-def _require_regime(schedule: GainSchedule, expected: str):
-    if schedule.regime != expected:
-        raise ModelValidationError(
-            [f"regime mismatch: schedule is {schedule.regime}, expected {expected}"]
-        )
+    return backward_recursion(model, p, delay)
 
 
 def _quad(x: np.ndarray, X: np.ndarray) -> float:
     return float(x @ X @ x)
 
 
-def _disturbance_sum(schedule: GainSchedule, model: LinearSystemModel) -> float:
-    return float(sum(np.trace(schedule.K[k + 1] @ model.W[k]) for k in range(model.N)))
+def closed_form(
+    schedule: GainSchedule, model: LinearSystemModel, x0, tau0, penalty=None
+) -> CostBreakdown:
+    """Exact minimum expected cost of any regime's schedule.
+
+    total = x0^T L_0 x0 + (w - g) xhat^T Lambda_M xhat
+          + sum_{k<N} tr(K_{k+1} W_k) + p * sum_{k<cM} tr(P_{k+1} W_k)
+          + penalty total
+
+    where xhat = A_{M-1} ... A_0 x0 is the first arrival's predicted state
+    (x0 itself for perfect match), w is the weight the recursion put on its
+    control benefit inside L_0 (p when M >= 1, 0 for perfect match), and g
+    is the probability that the first service gate is ON (P[tau0 = 1] when
+    M_F = 0, p otherwise). The correction is zero when no control arrives
+    within the horizon (c = 0). The collateral sum is empty for perfect
+    match.
+
+    Args:
+        schedule: a schedule from `backward_recursion`, tagged for its
+            observation mode (its p_used is the chain parameter).
+        model: the model the schedule was built from.
+        x0: known initial state.
+        tau0: initial endpoint state, 0 or 1, or a (P[0], P[1]) distribution.
+        penalty: the estimation penalty of a partial-observation schedule
+            (one per-stage term per epoch after the first, plus stage 0 for
+            perfect match); None under full observation.
+
+    Raises:
+        ModelValidationError: a malformed x0 or tau0, a penalty missing under
+            partial observation or given under full observation, or one
+            whose length does not fit the horizon ("penalty horizon
+            mismatch").
+    """
+    _, M_F, M, epochs = arrival_grid(schedule.delay, model.N)
+    x0 = state_vector(x0, model.state_dim)
+    p, pi1 = schedule.p_used, tau0_pair(tau0)[1]
+    if schedule.regime.startswith("partial") != (penalty is not None):
+        raise ModelValidationError(
+            [f"a {schedule.regime} schedule takes "
+             f"{'an' if penalty is None else 'no'} estimation penalty"]
+        )
+    terms = max(epochs - 1, 0) + (M == 0)  # perfect match also lists stage 0
+    if penalty is not None and len(penalty.per_stage) != terms:
+        raise ModelValidationError(
+            [f"penalty horizon mismatch: {len(penalty.per_stage)} per-stage terms, "
+             f"expected {terms} for {schedule.regime}"]
+        )
+    initial = _quad(x0, schedule.L[0])
+    correction = (p if M else 0.0) - (pi1 if M_F == 0 else p)
+    if epochs and correction != 0.0:  # with no epoch no control arrives at all
+        xhat = x0
+        for A in model.A[:M]:
+            xhat = A @ xhat
+        initial += correction * _quad(xhat, schedule.Lambda[M])
+    disturbance = float(sum(np.trace(schedule.K[k + 1] @ model.W[k]) for k in range(model.N)))
+    collateral = p * float(
+        sum(np.trace(schedule.P[k + 1] @ model.W[k]) for k in range(epochs * M))
+    )
+    return CostBreakdown.assemble(
+        initial, disturbance, collateral_trace_sum=collateral,
+        estimation_penalty=0.0 if penalty is None else float(penalty.total),
+    )
+
+
+def _checked(schedule: GainSchedule, expected: str) -> GainSchedule:
+    if schedule.regime != expected:
+        raise ModelValidationError(
+            [f"regime mismatch: schedule is {schedule.regime}, expected {expected}"]
+        )
+    return schedule
 
 
 def min_cost_full_perfect(
     schedule: GainSchedule, model: LinearSystemModel, x0: np.ndarray, tau0
 ) -> CostBreakdown:
-    """Exact minimum expected cost, full observation, no delay.
-
-    total = x0^T (L_0 - Lambda_0 * 1{tau0=1}) x0 + sum_k tr(K_{k+1} W_k).
-
-    Args:
-        schedule: full-perfect schedule (its p_used is the chain parameter).
-        model: the model the schedule was built from.
-        x0: known initial state.
-        tau0: initial endpoint state, 0 or 1, or a (P[0], P[1]) distribution.
-
-    Returns:
-        CostBreakdown with zero collateral and estimation components.
-    """
-    _require_regime(schedule, "full-perfect")
-    x0 = state_vector(x0, model.state_dim)
-    pi1 = tau0_pair(tau0)[1]
-    initial = _quad(x0, schedule.L[0]) - pi1 * _quad(x0, schedule.Lambda[0])
-    return CostBreakdown.assemble(initial, _disturbance_sum(schedule, model))
+    """`closed_form` of a full-perfect schedule:
+    x0^T (L_0 - P[tau0 = 1] Lambda_0) x0 + sum_k tr(K_{k+1} W_k)."""
+    return closed_form(_checked(schedule, "full-perfect"), model, x0, tau0)
 
 
 def min_cost_full_delayed(
     schedule: GainSchedule, model: LinearSystemModel, x0: np.ndarray
 ) -> CostBreakdown:
-    """Exact minimum expected cost, full observation, delay M >= 1.
-
-    total = x0^T L_0 x0 + sum_{k<N} tr(K_{k+1} W_k)
-          + p * sum_{k<cM} tr(P_{k+1} W_k).
-
-    Independent of the initial endpoint state (requires M_F >= 1 or a
-    stationary initial chain state; see module docstring).
-    """
-    _require_regime(schedule, "full-delayed")
-    x0 = state_vector(x0, model.state_dim)
-    initial = _quad(x0, schedule.L[0])
-    disturbance = _disturbance_sum(schedule, model)
-    cM = len(schedule.P) - 1
-    collateral = schedule.p_used * float(
-        sum(np.trace(schedule.P[k + 1] @ model.W[k]) for k in range(cM))
-    )
-    return CostBreakdown.assemble(initial, disturbance, collateral_trace_sum=collateral)
-
-
-def _check_penalty(penalty, expected_stages: int, what: str):
-    if len(penalty.per_stage) != expected_stages:
-        raise ModelValidationError(
-            [
-                f"penalty horizon mismatch: {len(penalty.per_stage)} per-stage terms, "
-                f"expected {expected_stages} for {what}"
-            ]
-        )
+    """`closed_form` of a full-delayed schedule with the chain started stationary:
+    x0^T L_0 x0 + sum_{k<N} tr(K_{k+1} W_k) + p * sum_{k<cM} tr(P_{k+1} W_k)."""
+    p = _checked(schedule, "full-delayed").p_used
+    return closed_form(schedule, model, x0, (1.0 - p, p))
 
 
 def min_cost_partial_perfect(
     schedule: GainSchedule, model: LinearSystemModel, x0: np.ndarray, tau0, penalty
 ) -> CostBreakdown:
-    """Exact minimum expected cost, noisy observation, no delay.
-
-    Adds the estimation penalty total to the full-observation formula. The
-    penalty must carry one per-stage term for each stage 0..N-1 (the stage-0
-    term is zero because the initial state is known exactly).
-    """
-    _require_regime(schedule, "partial-perfect")
-    base = min_cost_full_perfect(schedule.with_regime("full-perfect"), model, x0, tau0)
-    _check_penalty(penalty, model.N, "per-stage estimation terms")
-    return CostBreakdown.assemble(
-        base.initial_state_term,
-        base.disturbance_trace_sum,
-        estimation_penalty=float(penalty.total),
-    )
+    """`closed_form` of a partial-perfect schedule: the full-perfect cost plus
+    the penalty total (one per-stage term for each stage 0..N-1)."""
+    return closed_form(_checked(schedule, "partial-perfect"), model, x0, tau0, penalty)
 
 
 def min_cost_partial_delayed(
     schedule: GainSchedule, model: LinearSystemModel, x0: np.ndarray, penalty
 ) -> CostBreakdown:
-    """Exact minimum expected cost, noisy observation, delay M >= 1.
-
-    Adds the delayed estimation penalty (one term per interior service epoch,
-    k = 1..c-1) to the full-observation delayed formula.
-    """
-    _require_regime(schedule, "partial-delayed")
-    base = min_cost_full_delayed(schedule.with_regime("full-delayed"), model, x0)
-    c = schedule.delay.bound_to(model.N).c
-    _check_penalty(penalty, max(c - 1, 0), "interior service epochs")
-    return CostBreakdown.assemble(
-        base.initial_state_term,
-        base.disturbance_trace_sum,
-        collateral_trace_sum=base.collateral_trace_sum,
-        estimation_penalty=float(penalty.total),
-    )
+    """`closed_form` of a partial-delayed schedule with the chain started
+    stationary: the full-delayed cost plus the penalty total (one term per
+    interior service epoch, k = 1..c-1)."""
+    p = _checked(schedule, "partial-delayed").p_used
+    return closed_form(schedule, model, x0, (1.0 - p, p), penalty)

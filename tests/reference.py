@@ -121,6 +121,33 @@ def make_regime(model, p, delay, observation="full", compensate_drift=False):
     )
 
 
+def four_closed_forms(schedule, model, x0, tau0, penalty=None):
+    """The closed-form cost as four per-regime formulas, a copy of the
+    arithmetic the one closed form replaced.
+
+    Perfect match: x0'(L_0 - P[tau0 = 1] Lambda_0)x0 + sum_k tr(K_{k+1} W_k).
+    Delayed: x0'L_0 x0 + sum_k tr(K_{k+1} W_k) + p sum_{k<cM} tr(P_{k+1} W_k),
+    which ignores tau0 and so is exact only for M_F >= 1 (or a stationary
+    start). Partial observation adds the penalty total.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    initial = float(x0 @ schedule.L[0] @ x0)
+    disturbance = float(sum(np.trace(schedule.K[k + 1] @ model.W[k]) for k in range(model.N)))
+    if schedule.regime.endswith("-perfect"):
+        pi1 = float(tau0) if isinstance(tau0, int) else float(tau0[1])
+        initial = initial - pi1 * float(x0 @ schedule.Lambda[0] @ x0)
+        collateral = 0.0
+    else:
+        cM = len(schedule.P) - 1
+        collateral = schedule.p_used * float(
+            sum(np.trace(schedule.P[k + 1] @ model.W[k]) for k in range(cM))
+        )
+    return fc.CostBreakdown.assemble(
+        initial, disturbance, collateral_trace_sum=collateral,
+        estimation_penalty=0.0 if penalty is None else float(penalty.total),
+    )
+
+
 def scalar_fixture(N=1):
     """The canonical all-ones scalar plant and its unit initial state."""
     model = fc.make_system(A=1.0, B=1.0, Q=1.0, R=1.0, W=1.0, N=N)

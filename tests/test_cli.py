@@ -560,6 +560,20 @@ class TestPlacement:
         rows = cli.cmd_placement(cli._load_config(cfg_path), tmp_path)
         assert rows[0]["M_F"] == 1 and rows[0]["M_B"] == 2
 
+    def test_zero_forward_delay_costed_from_tau0(self, tmp_path):
+        # an M_F = 0 endpoint is served at stage 0, where placement starts
+        # the endpoint ON: its cost is the closed form at tau0 = 1
+        cfg = scalar_config(N=8, p=0.6, x0=1.0)
+        cfg["placement"] = {"delta_t": 1.0, "catalog": [
+            {"name": "edge", "latency_seconds": 2.0, "p": 0.6, "q": 0.4, "M_F": 0},
+        ]}
+        rows = cli.cmd_placement(cli._load_config(write_config(tmp_path, cfg)), tmp_path)
+        assert (rows[0]["M_F"], rows[0]["M_B"]) == (0, 2)
+        model, x0 = fc.system_from_config(cfg["system"])
+        regime = fc.solve(model, 0.6, fc.DelayProfile(M_F=0, M_B=2))
+        assert rows[0]["cost"] == fc.min_cost(model, regime, x0, tau0=1).total
+        assert rows[0]["cost"] != fc.min_cost(model, regime, x0, tau0=0).total
+
     def test_ranking_invariant_under_disturbance_scaling(self, tmp_path):
         # at x0 = 0 every cost is a weighted trace sum, linear in W, so a
         # uniform disturbance rescale cannot reorder endpoints

@@ -260,7 +260,7 @@ class TestPenaltyMemoryGuard:
 
         def sweep(*args):
             raise AssertionError("the sweep started")
-        monkeypatch.setattr(estimation, "_physical_mib", lambda: 0.001)
+        monkeypatch.setattr("fogctl.model._physical_mib", lambda: 0.001)
         monkeypatch.setattr(estimation, "_penalty_sweep", sweep)
         with pytest.raises(fc.ModelValidationError,
                            match=r"N = 6, n = 1: the exact estimation penalty needs .* MiB"):

@@ -129,8 +129,6 @@ class TestBruteForceMinimum:
     def test_scope_guards(self, rng):
         model, x0 = scalar_fixture(N=3)
         chain = fc.symmetric_chain(0.5)
-        with pytest.raises(fc.ModelValidationError, match="full observation only"):
-            fc.brute_force_min_cost(model, chain, None, x0, observation="partial")
         drifty = fc.make_system(
             A=1.0, B=1.0, Q=1.0, R=1.0, W=1.0, drift=np.array([[1.0]]), N=1
         )
@@ -237,7 +235,7 @@ class TestPolicyEvaluation:
             return fc.evaluate_policy_cost(
                 model, chain, None, policy, np.ones(2), method="enumeration"
             )
-        monkeypatch.setattr(oracle, "_physical_mib", lambda: 0.001)
+        monkeypatch.setattr("fogctl.model._physical_mib", lambda: 0.001)
         with pytest.raises(fc.ModelValidationError, match=r"N = 6, n = 2: .* MiB"):
             evaluate()
         monkeypatch.undo()
@@ -301,6 +299,12 @@ class TestBoundCheck:
             p, q = random_sticky_pair(rng)
             out = fc.bound_check(model, p, q, delay, "full-delayed", x0=x0)
             assert out["holds"], out
+            # the same round trip served at stage 0, where tau0 gates it
+            served_at_once = fc.DelayProfile(M_F=0, M_B=delay.M)
+            for tau0 in (0, 1):
+                out = fc.bound_check(model, p, q, served_at_once, "full-delayed",
+                                     x0=x0, tau0=tau0)
+                assert out["holds"], (tau0, out)
 
     def test_monte_carlo_fallback_above_oracle_scope(self):
         # partial observation lies outside the exact oracles' scope

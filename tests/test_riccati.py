@@ -1,11 +1,19 @@
 """Backward recursions and exact minimum-cost formulas."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import fogctl as fc
 
-from reference import random_delay, random_model, scalar_fixture, textbook_riccati
+from reference import (
+    four_closed_forms,
+    random_delay,
+    random_model,
+    scalar_fixture,
+    textbook_riccati,
+)
 
 
 def psd_floor(X):
@@ -204,8 +212,14 @@ class TestMinCostFormulas:
         ((1, 1), [1.0, 2.0], 1),
         ((1, 1), [[3.0]], 1),
         (None, [3.0], (True, False)),
+        ((1, 1), [3.0], 2),
+        ((1, 1), [3.0], (3.0, -2.0)),
+        ((0, 2), [3.0], 5),
+        ((0, 2), [3.0], (float("nan"), float("nan"))),
     ], ids=["tau0-2", "tau0-negative", "tau0-negative-mass", "tau0-nan", "tau0-bool",
-            "x0-shape", "x0-inf", "delayed-x0-shape", "delayed-x0-2d", "tau0-bool-entries"])
+            "x0-shape", "x0-inf", "delayed-x0-shape", "delayed-x0-2d", "tau0-bool-entries",
+            "delayed-tau0-2", "delayed-tau0-negative-mass", "zero-forward-tau0-5",
+            "zero-forward-tau0-nan"])
     def test_bad_x0_or_tau0_rejected(self, delay, x0, tau0):
         model, _ = scalar_fixture(N=4)
         delay = None if delay is None else fc.DelayProfile(M_F=delay[0], M_B=delay[1])
@@ -257,6 +271,77 @@ class TestMinCostFormulas:
         sched = fc.backward_recursion_perfect(model, 0.5)
         with pytest.raises(fc.ModelValidationError, match="regime mismatch"):
             fc.min_cost_full_delayed(sched, model, x0)
+
+
+class TestFirstServiceGate:
+    """tau0 enters the closed form through the first service gate, at stage M_F."""
+
+    def test_scalar_plant_oracle_values(self):
+        model = fc.make_system(A=1.1, B=1.0, Q=1.0, R=1.0, W=1.0, N=8)
+        x0, delay = np.array([1.0]), fc.DelayProfile(M_F=0, M_B=2)
+        regime = fc.solve(model, 0.6, delay)
+        for tau0, want in ((0, 57.08), (1, 49.14)):
+            got = fc.min_cost(model, regime, x0, tau0).total
+            oracle = fc.brute_force_min_cost(model, fc.symmetric_chain(0.6), delay, x0, tau0=tau0)
+            assert got == pytest.approx(oracle, rel=1e-9)
+            assert got == pytest.approx(want, abs=5e-3)
+
+    def test_no_arrival_within_horizon(self):
+        # N = M: the first control would arrive at the terminal stage, so
+        # tau0 plays no part
+        model = fc.make_system(A=1.1, B=1.0, Q=1.0, R=1.0, W=1.0, N=2)
+        x0, delay = np.array([1.0]), fc.DelayProfile(M_F=0, M_B=2)
+        regime = fc.solve(model, 0.6, delay)
+        for tau0 in (0, 1):
+            want = fc.brute_force_min_cost(model, fc.symmetric_chain(0.6), delay, x0, tau0=tau0)
+            assert fc.min_cost(model, regime, x0, tau0).total == pytest.approx(want, rel=1e-12)
+
+    def test_zero_forward_delay_matches_dp(self, rng):
+        for _ in range(12):
+            model, x0 = random_model(rng, N_low=4, N_high=9)
+            delay = fc.DelayProfile(M_F=0, M_B=int(rng.integers(1, min(3, model.N - 1) + 1)))
+            p = float(rng.uniform(0.05, 0.95))
+            regime = fc.solve(model, p, delay)
+            for tau0 in (0, 1, (0.3, 0.7)):
+                want = fc.brute_force_min_cost(model, fc.symmetric_chain(p), delay, x0, tau0=tau0)
+                assert fc.min_cost(model, regime, x0, tau0).total == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("observation", ["full", "partial"])
+    @pytest.mark.parametrize("delay", [None, (1, 0), (1, 1), (2, 1)])
+    def test_bit_identical_to_four_formulas(self, rng, observation, delay):
+        # perfect match and M_F >= 1 keep the arithmetic of the four
+        # per-regime formulas the one closed form replaced, bit for bit
+        for _ in range(6):
+            model, x0 = random_model(rng, N_low=4, N_high=8, partial=True)
+            d = None if delay is None else fc.DelayProfile(*delay)
+            p = float(rng.uniform(0, 1))
+            gains = fc.solve(model, p, d, observation).gains
+            penalty = None
+            if observation == "partial":
+                penalty = fc.expected_estimation_penalty(model, p, gains, gains.regime)
+            for tau0 in (0, 1, (0.25, 0.75)):
+                want = dataclasses.astuple(four_closed_forms(gains, model, x0, tau0, penalty))
+                regime = fc.ControllerRegime(observation, gains, gains.delay)
+                assert dataclasses.astuple(fc.min_cost(model, regime, x0, tau0)) == want
+                entry = {
+                    "full-perfect": lambda: fc.min_cost_full_perfect(gains, model, x0, tau0),
+                    "partial-perfect": lambda: fc.min_cost_partial_perfect(
+                        gains, model, x0, tau0, penalty),
+                    "full-delayed": lambda: fc.min_cost_full_delayed(gains, model, x0),
+                    "partial-delayed": lambda: fc.min_cost_partial_delayed(
+                        gains, model, x0, penalty),
+                }[gains.regime]()
+                assert dataclasses.astuple(entry) == want
+
+    def test_penalty_follows_observation(self):
+        model, x0 = scalar_fixture(N=3)
+        gains = fc.solve(model, 0.5).gains
+        pen = fc.EstimationPenalty(per_stage=(0.0, 0.2, 0.3), total=0.25,
+                                   method="exact-enumeration", standard_error=0.0)
+        with pytest.raises(fc.ModelValidationError, match="takes no estimation penalty"):
+            fc.riccati.closed_form(gains, model, x0, 1, pen)
+        with pytest.raises(fc.ModelValidationError, match="takes an estimation penalty"):
+            fc.riccati.closed_form(gains.with_regime("partial-perfect"), model, x0, 1)
 
 
 class TestGainSchedule:

@@ -176,6 +176,19 @@ class TestRunBasics:
                 observation, d, out, want
             )
 
+    @pytest.mark.parametrize("observation", ["full", "partial"])
+    @pytest.mark.parametrize("tau0", [0, 1])
+    def test_first_gate_at_stage_zero_matches_closed_form(self, observation, tau0):
+        # with M_F = 0 the first epoch is served at stage 0, where the
+        # endpoint is in state tau0
+        model = fc.make_system(A=1.1, B=1.0, Q=1.0, R=1.0, W=1.0, C=1.0, V_noise=0.5, N=8)
+        x0, p, delay = np.array([1.0]), 0.6, fc.DelayProfile(M_F=0, M_B=2)
+        regime = fc.solve(model, p, delay, observation)
+        cfg = fc.SimulationConfig(replications=20_000, master_seed=5)
+        out = fc.run(model, fc.symmetric_chain(p, tau0=tau0), delay, regime, cfg, x0=x0)
+        want = fc.min_cost(model, regime, x0, tau0).total
+        assert abs(out["mean_cost"] - want) <= 4 * out["std_error"], (out, want)
+
     def test_configuration_inconsistencies_rejected(self):
         model, x0 = scalar_fixture(N=4)
         chain = fc.symmetric_chain(0.5)
