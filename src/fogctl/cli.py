@@ -282,8 +282,8 @@ def cmd_verify(config: dict, out_dir: Path, seed: Optional[int] = None) -> int:
              "oracle": oracle_value, "rel_error": rel, "pass": ok}
         )
 
-        M_F = int(rng.integers(1, 3))
-        M_B = int(rng.integers(0, 2))
+        M_F = int(rng.integers(0, 3))  # M_F = 0 checks the first-gate closed form
+        M_B = int(rng.integers(0 if M_F else 1, 2))  # M >= 1
         if M_F + M_B <= model.N - 1:
             delay = DelayProfile(M_F=M_F, M_B=M_B)
             closed_d = min_cost(model, solve(model, p, delay), x0).total
@@ -292,7 +292,7 @@ def cmd_verify(config: dict, out_dir: Path, seed: Optional[int] = None) -> int:
             ok_d = rel_d <= tol
             all_pass &= ok_d
             consistency.append(
-                {"check": "delayed", "index": i, "p": p, "M": M_F + M_B,
+                {"check": "delayed", "index": i, "p": p, "M": M_F + M_B, "M_F": M_F,
                  "closed_form": closed_d, "oracle": oracle_d,
                  "rel_error": rel_d, "pass": ok_d}
             )

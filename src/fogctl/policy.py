@@ -30,6 +30,8 @@ from .model import (
     LinearSystemModel,
     ModelValidationError,
     bind_delay,
+    state_vector,
+    tau0_pair,
 )
 from .riccati import GainSchedule, backward_recursion, closed_form
 
@@ -137,8 +139,11 @@ def min_cost(
     `expected_estimation_penalty`; exact enumeration by default). tau0 enters
     through the first service gate: it matters when M_F = 0 (perfect match
     included), and on a symmetric chain a later gate is ON with probability
-    p whatever tau0 was.
+    p whatever tau0 was. A malformed x0 or tau0 raises before the penalty is
+    computed.
     """
+    x0 = state_vector(x0, model.state_dim)
+    tau0_pair(tau0)
     gains, penalty = regime.gains, None
     if regime.observation == "partial":
         penalty = expected_estimation_penalty(

@@ -28,14 +28,18 @@ point's results are bit for bit those of its own `run`.
 
 A block holds max(2, CHUNK_BYTES // (8 N (n + m + 1))) replications, so its
 draws (at most N (n + m + 1) doubles per replication) take at most
-CHUNK_BYTES and the working memory of a run does not grow with R. When a
-sweep streams the tracking metrics, the block's x and u traces count
-towards the budget too, and are reduced to three per-replication numbers
-before the next block; only the totals, those numbers, and the traces when
-recorded, are kept for all R replications. Each block takes its
-draws in order from the three substreams, and a numpy generator yields the
-same sequence whether it is drawn in one call or in consecutive pieces, so
-the draws are exactly those of `noise_streams` for all R at once. Every row
+CHUNK_BYTES. Two blocks' draws are held at once: while block b runs on the
+calling thread, block b + 1's are filled on a second thread, into the other
+of two buffer sets allocated once per call (`_Prefetch`). The draws thus
+take at most 2 CHUNK_BYTES, and the working memory of a run does not grow
+with R. When a sweep streams the tracking metrics, the block's x and u
+traces count towards the budget too, and are reduced to three
+per-replication numbers before the next block; only the totals, those
+numbers, and the traces when recorded, are kept for all R replications.
+Each block takes its draws in order from the three substreams, and a numpy
+generator yields the same sequence whether it is drawn in one call or in
+consecutive pieces, into a new array or into a given one, so the draws are
+exactly those of `noise_streams` for all R at once. Every row
 of a block runs the arithmetic it would run in any other block: a one-row
 remainder is folded into the block before it, because a one-row matrix
 product takes BLAS's matrix-vector path, which rounds differently. Per
@@ -61,6 +65,7 @@ replications; no NaN or infinite mean is ever returned.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -86,7 +91,7 @@ from .model import (
 )
 from .policy import ControllerRegime, check_fits
 
-CHUNK_BYTES = 16 * 2**20  # draws held per replication block (module docstring)
+CHUNK_BYTES = 8 * 2**20  # per block; two blocks' draws are held at once (module docstring)
 
 
 @dataclass(frozen=True)
@@ -192,10 +197,17 @@ def _substreams(master_seed: int) -> list:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(int(master_seed)).spawn(3)]
 
 
-def _draw(streams, R: int, N: int, n: int, m: int):
-    """The next R replications' draws, taken in order from each substream."""
+def _draw(streams, out):
+    """Fill out = (w, v, u) in place with the next draws, taken in order from each substream.
+
+    A fill into `out=` yields the same sequence as a draw of that size.
+    """
     g_w, g_v, g_tau = streams
-    return g_w.standard_normal((R, N, n)), g_v.standard_normal((R, N, m)), g_tau.random((R, N))
+    w, v, u = out
+    g_w.standard_normal(out=w)
+    g_v.standard_normal(out=v)
+    g_tau.random(out=u)
+    return out
 
 
 def noise_streams(master_seed: int, R: int, N: int, n: int, m: int):
@@ -204,7 +216,8 @@ def noise_streams(master_seed: int, R: int, N: int, n: int, m: int):
     The draw counts depend only on (R, N, n, m), never on the regime, so two
     runs with the same seed see identical realizations.
     """
-    return _draw(_substreams(master_seed), R, N, n, m)
+    out = np.empty((R, N, n)), np.empty((R, N, m)), np.empty((R, N))
+    return _draw(_substreams(master_seed), out)
 
 
 def sample_tau(chain: ReliabilityChain, chain_u: np.ndarray) -> np.ndarray:
@@ -227,6 +240,58 @@ def _blocks(R: int, rows: int) -> list:
     if len(starts) > 1 and R - starts[-1] == 1:
         starts.pop()
     return list(zip(starts, starts[1:] + [R]))
+
+
+class _Prefetch:
+    """Each block's draws, the next block's filled on a second thread.
+
+    Block b's draws fill the leading rows of buffer set b % 2. `take(b)`
+    returns them and starts filling block b + 1's into the other set, whose
+    last reader, block b - 1, has finished by then. The thread runs only the
+    generator fills, which release the GIL; the scaling and every matrix
+    product stay on the calling thread. A one-block run starts no thread. An
+    error raised by a fill is raised again by the `take` that waits for it,
+    and leaving the `with` block joins any fill still running.
+    """
+
+    def __init__(self, streams, buffers, blocks):
+        self.streams, self.buffers, self.blocks = streams, buffers, blocks
+        self.thread = None
+        self.filled = None  # the next block's draws, or the error its fill raised
+
+    def _fill(self, b):
+        lo, hi = self.blocks[b]
+        return _draw(self.streams, [buf[:hi - lo] for buf in self.buffers[b % 2]])
+
+    def _fill_ahead(self, b):
+        try:
+            self.filled = self._fill(b)
+        except BaseException as exc:  # raised again on the calling thread
+            self.filled = exc
+
+    def take(self, b):
+        if b == 0:
+            draws = self._fill(0)
+        else:
+            self._join()
+            draws, self.filled = self.filled, None
+            if isinstance(draws, BaseException):
+                raise draws
+        if b + 1 < len(self.blocks):
+            self.thread = threading.Thread(target=self._fill_ahead, args=(b + 1,))
+            self.thread.start()
+        return draws
+
+    def _join(self):
+        if self.thread is not None:
+            self.thread.join()
+            self.thread = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._join()
 
 
 def _quad_rows(x: np.ndarray, Qmat: np.ndarray) -> np.ndarray:
@@ -380,41 +445,44 @@ def sweep(
         runs.append(pt)
     streamed = alpha is not None and not config.record_traces
     blocks = _blocks(R, _block_rows(model, streamed))
+    widest = max(hi - lo for lo, hi in blocks)
     scratch = {}  # block-local x and u traces, reduced to tracking metrics per block
     if streamed:
         # stage-major, so that each stage's write is one contiguous slab
-        widest = max(hi - lo for lo, hi in blocks)
         scratch = {"x": np.empty((N + 1, widest, n)), "u": np.empty((N, widest, s))}
+    # full observation reads no measurement noise: its substream stays undrawn
+    shapes = ((widest, N, n), (widest, N, m if partial else 0), (widest, N))
+    buffers = [[np.empty(shape) for shape in shapes] for _ in blocks[:2]]
     Lw = [psd_sqrt(model.W[k]) for k in range(N)]
     Lv = [psd_sqrt(model.V_noise[k]) for k in range(N)] if partial else None
 
-    streams = _substreams(config.master_seed)
-    for lo, hi in blocks:
-        # full observation reads no measurement noise: its substream stays undrawn
-        w_eps, v_eps, chain_u = _draw(streams, hi - lo, N, n, m if partial else 0)
-        w = _SharedNoise(w_eps, Lw, w_reads, model.drift_at)
-        v = _SharedNoise(v_eps, Lv, v_reads)
-        taus = {}
-        for pt in runs:
-            if pt.chain not in taus:
-                taus[pt.chain] = sample_tau(pt.chain, chain_u)
-            tau = taus[pt.chain]
-            if pt.record is not None:
-                record = {name: arr[lo:hi] for name, arr in pt.record.items()}
-                record["tau"][:] = tau
-            else:
-                record = {name: np.swapaxes(arr[:, :hi - lo], 0, 1)
-                          for name, arr in scratch.items()}
-            bad = _run_block(model, pt.ctrl_model, pt.regime, tau, w, v, x0,
-                             pt.totals[lo:hi], record)
-            if bad is not None:
-                pt.first_bad = bad if pt.first_bad is None else min(pt.first_bad, bad)
-            elif alpha is not None:
-                pt.mse[lo:hi], pt.energy[lo:hi], e2_max = _tracking_rows(
-                    record["x"], record["u"], alpha
-                )
-                pt.e2_max = max(pt.e2_max, e2_max)
-        del w_eps, v_eps, w, v, chain_u, taus  # freed before the next block draws
+    with _Prefetch(_substreams(config.master_seed), buffers, blocks) as draws:
+        for b, (lo, hi) in enumerate(blocks):
+            w_eps, v_eps, chain_u = draws.take(b)
+            w = _SharedNoise(w_eps, Lw, w_reads, model.drift_at)
+            v = _SharedNoise(v_eps, Lv, v_reads)
+            taus = {}
+            for pt in runs:
+                if pt.chain not in taus:
+                    taus[pt.chain] = sample_tau(pt.chain, chain_u)
+                tau = taus[pt.chain]
+                if pt.record is not None:
+                    record = {name: arr[lo:hi] for name, arr in pt.record.items()}
+                    record["tau"][:] = tau
+                else:
+                    record = {name: np.swapaxes(arr[:, :hi - lo], 0, 1)
+                              for name, arr in scratch.items()}
+                bad = _run_block(model, pt.ctrl_model, pt.regime, tau, w, v, x0,
+                                 pt.totals[lo:hi], record)
+                if bad is not None:
+                    pt.first_bad = bad if pt.first_bad is None else min(pt.first_bad, bad)
+                elif alpha is not None:
+                    pt.mse[lo:hi], pt.energy[lo:hi], e2_max = _tracking_rows(
+                        record["x"], record["u"], alpha
+                    )
+                    pt.e2_max = max(pt.e2_max, e2_max)
+    # freed before the reductions below, whose temporaries grow with R
+    del draws, buffers, w_eps, v_eps, chain_u, w, v, taus
 
     results = []
     for pt in runs:

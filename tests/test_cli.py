@@ -451,6 +451,17 @@ class TestVerify:
         assert len(report["consistency"]) >= 6
         assert all(c["pass"] for c in report["consistency"])
 
+    def test_campaign_checks_first_gate_at_stage_zero(self, tmp_path):
+        # delayed profiles draw M_F from {0, 1, 2} with M >= 1: the M_F = 0
+        # closed form, whose first gate reads tau0, is checked against the oracle
+        rc = cli.cmd_verify({"verify": {"models": 6, "sandwich": 0, "seed": 1}}, tmp_path)
+        assert rc == 0
+        delayed = [c for c in json.loads((tmp_path / "verify.json").read_text())["consistency"]
+                   if c["check"] == "delayed"]
+        assert any(c["M_F"] == 0 for c in delayed)
+        assert all(c["pass"] and 0 <= c["M_F"] <= 2 and c["M"] >= max(1, c["M_F"])
+                   for c in delayed)
+
     def test_runs_without_config(self, tmp_path):
         # --config is optional for verify; keep the campaign tiny via seed
         # defaults by invoking the command function directly

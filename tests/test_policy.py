@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fogctl as fc
+from fogctl import policy
 
 from reference import (
     closed_form_cost,
@@ -72,6 +73,26 @@ class TestDispatcher:
         assert regime.regime_tag == "full-perfect" and regime.delay is None
         assert np.array_equal(regime.gains.V, fc.backward_recursion_perfect(model, 0.7).V)
         assert fc.min_cost(model, regime, x0) == closed_form_cost(model, 0.7, None, "full", x0)
+
+    @pytest.mark.parametrize("delay", [None, (1, 1)])
+    @pytest.mark.parametrize("x0,tau0,match", [
+        (np.ones(3), 5, "tau0 point value"),
+        (np.ones(3), (0.5, 0.6), "tau0 distribution"),
+        (np.ones(2), 1, "x0 shape"),
+    ])
+    def test_x0_and_tau0_checked_before_the_penalty(self, monkeypatch, delay, x0, tau0, match):
+        # the exact penalty can take seconds: a malformed x0 or tau0 must not wait for it
+        model = fc.make_system(A=np.eye(3), B=np.ones((3, 1)), C=np.eye(3)[:1], Q=np.eye(3),
+                               R=1.0, W=np.eye(3), V_noise=1.0, N=6)
+        delay = None if delay is None else fc.DelayProfile(*delay)
+        regime = fc.solve(model, 0.7, delay, "partial")
+
+        def no_penalty(*args, **kwargs):
+            raise AssertionError("estimation penalty computed before x0 and tau0 were read")
+
+        monkeypatch.setattr(policy, "expected_estimation_penalty", no_penalty)
+        with pytest.raises(fc.ModelValidationError, match=match):
+            fc.min_cost(model, regime, x0, tau0)
 
     def test_bad_observation_raises(self):
         model, _ = scalar_fixture(N=4)

@@ -1,6 +1,8 @@
 """Closed-loop Monte Carlo engine: seeding, event order, traces, metrics."""
 
 import io
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -72,13 +74,28 @@ class TestConfigAndStreams:
         c = fc.noise_streams(8, R=5, N=4, n=3, m=2)
         assert not np.array_equal(a[0], c[0])
 
-    def test_blockwise_draws_equal_one_call(self):
+    @pytest.mark.parametrize("rows", [3, 4])
+    def test_blockwise_draws_equal_one_call(self, rows):
+        # blocks of three fold a two-row remainder into the last; blocks of
+        # four end on a short one. Fills into the leading rows of two
+        # alternating buffer sets, sized for the widest block, give the
+        # sequence of one size= draw for all R.
         R, N, n, m = 11, 5, 3, 2
-        whole = fc.noise_streams(5, R, N, n, m)
+        g_w, g_v, g_tau = simulator._substreams(5)
+        whole = g_w.standard_normal((R, N, n)), g_v.standard_normal((R, N, m)), g_tau.random((R, N))
+        for got, want in zip(fc.noise_streams(5, R, N, n, m), whole):
+            assert got.tobytes() == want.tobytes()
+        blocks = simulator._blocks(R, rows)
+        widest = max(hi - lo for lo, hi in blocks)
+        buffers = [[np.empty((widest, N, n)), np.empty((widest, N, m)), np.empty((widest, N))]
+                   for _ in range(2)]
         streams = simulator._substreams(5)
-        blocks = [simulator._draw(streams, hi - lo, N, n, m) for lo, hi in simulator._blocks(R, 3)]
+        pieces = []
+        for b, (lo, hi) in enumerate(blocks):
+            drawn = simulator._draw(streams, [buf[:hi - lo] for buf in buffers[b % 2]])
+            pieces.append([a.copy() for a in drawn])
         for i, want in enumerate(whole):
-            assert np.array_equal(np.concatenate([b[i] for b in blocks]), want)
+            assert np.concatenate([piece[i] for piece in pieces]).tobytes() == want.tobytes()
 
     def test_blocks_fold_one_row_remainder(self):
         assert simulator._blocks(64, 3)[-1] == (60, 64)
@@ -520,8 +537,8 @@ def drift_plant():
 
 
 def assert_same_result(got, want):
-    assert got["mean_cost"] == want["mean_cost"]
-    assert got["std_error"] == want["std_error"]
+    for name in ("mean_cost", "std_error"):
+        assert np.float64(got[name]).tobytes() == np.float64(want[name]).tobytes(), name
     for name in ("x", "u", "tau", "stage_cost", "totals", "x_hat"):
         a, b = getattr(got["traces"], name), getattr(want["traces"], name)
         if b is None:
@@ -564,9 +581,9 @@ class TestSweep:
         drawn = []
         draw = simulator._draw
 
-        def spy(streams, R, N, n, m):
-            drawn.append(m)
-            return draw(streams, R, N, n, m)
+        def spy(streams, out):
+            drawn.append(out[1].shape[2])
+            return draw(streams, out)
 
         monkeypatch.setattr(simulator, "_draw", spy)
         regime = fc.solve(model, 0.8, None, observation)
@@ -647,3 +664,118 @@ class TestStreamedTracking:
         point = (fc.symmetric_chain(0.6), None, fc.solve(model, 0.6))
         with pytest.raises(fc.ModelValidationError, match="planar error-state layout"):
             simulator.sweep(model, [point], fc.SimulationConfig(2), x0=x0, alpha=0.1)
+
+
+class CountingThread(threading.Thread):
+    """threading.Thread that counts the threads started while it is patched in."""
+
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+class TestPrefetch:
+    """Block b + 1's draws are filled on a second thread while block b runs."""
+
+    @staticmethod
+    def count_threads(monkeypatch):
+        CountingThread.started = 0
+        monkeypatch.setattr(simulator.threading, "Thread", CountingThread)
+
+    @pytest.mark.parametrize("observation,delay", REGIMES)
+    def test_prefetched_blocks_are_bit_identical(self, monkeypatch, observation, delay):
+        # R = 23 in blocks of five: four full blocks and a short last one of three
+        model, x0 = drift_plant(), np.array([1.0, -0.5])
+        delay = None if delay is None else fc.DelayProfile(*delay)
+        regime = fc.solve(model, 0.7, delay, observation)
+        chain = fc.symmetric_chain(0.7, tau0=(0.3, 0.7))
+        cfg = fc.SimulationConfig(replications=23, master_seed=17, record_traces=True)
+        whole = fc.run(model, chain, delay, regime, cfg, x0=x0)
+        set_block_rows(monkeypatch, model, 5)
+        assert simulator._blocks(23, 5)[-1] == (20, 23)
+        self.count_threads(monkeypatch)
+        assert_same_result(fc.run(model, chain, delay, regime, cfg, x0=x0), whole)
+        assert CountingThread.started == 4  # one fill ahead per block after the first
+
+    def test_prefetched_streamed_sweep_is_bit_identical(self, monkeypatch):
+        scenario = TestStreamedTracking.scenario()
+        model, x0 = fc.build_system(scenario), fc.initial_state(scenario)
+        points = []
+        for observation, delay in [("full", None), ("full", (2, 1)), ("partial", (1, 1))]:
+            delay = None if delay is None else fc.DelayProfile(*delay)
+            points.append((fc.symmetric_chain(0.75), delay,
+                           fc.solve(model, 0.75, delay, observation)))
+        cfg = fc.SimulationConfig(replications=23, master_seed=3)
+        whole = simulator.sweep(model, points, cfg, x0=x0, alpha=scenario.alpha)
+        set_block_rows(monkeypatch, model, 5, streamed=True)
+        self.count_threads(monkeypatch)
+        blocked = simulator.sweep(model, points, cfg, x0=x0, alpha=scenario.alpha)
+        assert CountingThread.started == 4
+        for got, want in zip(blocked, whole):
+            assert got["traces"] is None
+            for key in ("mean_cost", "std_error"):
+                assert np.float64(got[key]).tobytes() == np.float64(want[key]).tobytes()
+            assert got["tracking"].keys() == want["tracking"].keys()
+            for key, value in want["tracking"].items():
+                assert np.float64(got["tracking"][key]).tobytes() == np.float64(value).tobytes()
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        model = drift_plant()
+        self.count_threads(monkeypatch)
+        run_simple(model, 0.7, None, np.ones(2), reps=50)
+        assert CountingThread.started == 0
+
+    def test_no_thread_outlives_a_run(self, monkeypatch):
+        model = drift_plant()
+        set_block_rows(monkeypatch, model, 5)
+        before = threading.active_count()
+        run_simple(model, 0.7, fc.DelayProfile(1, 1), np.ones(2), reps=23,
+                   observation="partial")
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("observation", ["full", "partial"])
+    def test_no_thread_outlives_a_non_finite_run(self, monkeypatch, observation):
+        before = threading.active_count()
+        TestPartialObservationLoop.run_explosive(observation, (1, 1), monkeypatch)
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_an_error_in_a_block(self, monkeypatch):
+        # block 1 raises while block 2's fill, slowed down, is still running
+        model = drift_plant()
+        set_block_rows(monkeypatch, model, 5)
+        draw = simulator._draw
+
+        def slow_fill(streams, out):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.2)
+            return draw(streams, out)
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("block failed")
+
+        monkeypatch.setattr(simulator, "_draw", slow_fill)
+        monkeypatch.setattr(simulator, "_run_block", fail)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="block failed"):
+            run_simple(model, 0.7, None, np.ones(2), reps=23)
+        assert threading.active_count() == before
+
+    def test_fill_error_reaches_the_caller(self, monkeypatch):
+        model = drift_plant()
+        set_block_rows(monkeypatch, model, 5)
+        draw, fills = simulator._draw, []
+
+        def fail_on_block_two(streams, out):
+            fills.append(threading.current_thread() is threading.main_thread())
+            if len(fills) == 2:
+                raise MemoryError("block 2 fill")
+            return draw(streams, out)
+
+        monkeypatch.setattr(simulator, "_draw", fail_on_block_two)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="block 2 fill"):
+            run_simple(model, 0.7, None, np.ones(2), reps=23)
+        assert fills == [True, False]  # block 1 on the calling thread, block 2 ahead
+        assert threading.active_count() == before
