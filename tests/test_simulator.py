@@ -74,8 +74,7 @@ class TestConfigAndStreams:
         c = fc.noise_streams(8, R=5, N=4, n=3, m=2)
         assert not np.array_equal(a[0], c[0])
 
-    @pytest.mark.parametrize("rows", [3, 4])
-    def test_blockwise_draws_equal_one_call(self, rows):
+    def test_blockwise_draws_equal_one_call(self):
         # blocks of three fold a two-row remainder into the last; blocks of
         # four end on a short one. Fills into the leading rows of two
         # alternating buffer sets, sized for the widest block, give the
@@ -85,17 +84,18 @@ class TestConfigAndStreams:
         whole = g_w.standard_normal((R, N, n)), g_v.standard_normal((R, N, m)), g_tau.random((R, N))
         for got, want in zip(fc.noise_streams(5, R, N, n, m), whole):
             assert got.tobytes() == want.tobytes()
-        blocks = simulator._blocks(R, rows)
-        widest = max(hi - lo for lo, hi in blocks)
-        buffers = [[np.empty((widest, N, n)), np.empty((widest, N, m)), np.empty((widest, N))]
-                   for _ in range(2)]
-        streams = simulator._substreams(5)
-        pieces = []
-        for b, (lo, hi) in enumerate(blocks):
-            drawn = simulator._draw(streams, [buf[:hi - lo] for buf in buffers[b % 2]])
-            pieces.append([a.copy() for a in drawn])
-        for i, want in enumerate(whole):
-            assert np.concatenate([piece[i] for piece in pieces]).tobytes() == want.tobytes()
+        for rows in (3, 4):
+            blocks = simulator._blocks(R, rows)
+            widest = max(hi - lo for lo, hi in blocks)
+            buffers = [[np.empty((widest, N, n)), np.empty((widest, N, m)), np.empty((widest, N))]
+                       for _ in range(2)]
+            streams = simulator._substreams(5)
+            pieces = []
+            for b, (lo, hi) in enumerate(blocks):
+                drawn = simulator._draw(streams, [buf[:hi - lo] for buf in buffers[b % 2]])
+                pieces.append([a.copy() for a in drawn])
+            for i, want in enumerate(whole):
+                assert np.concatenate([piece[i] for piece in pieces]).tobytes() == want.tobytes()
 
     def test_blocks_fold_one_row_remainder(self):
         assert simulator._blocks(64, 3)[-1] == (60, 64)
