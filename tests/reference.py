@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 import fogctl as fc
+from fogctl.estimation import advance_histories, gated_posterior
 
 
 def textbook_riccati(A, B, Q, R, Q_N, N):
@@ -194,6 +195,25 @@ def reference_gated_posterior(Sig, C, V):
     post = np.matmul(np.matmul(IKC, Sig), np.swapaxes(IKC, -1, -2))
     post = post + np.matmul(np.matmul(gain, V), np.swapaxes(gain, -1, -2))
     return gain, fc.symmetrize(post)
+
+
+def reference_filter_update(ids, Sg, xh, gate, z, C, V):
+    """The simulator's masked measurement update, frozen as the reference.
+
+    Posteriors once per history node that takes an update; the gated rows
+    then gather their node's gain through boolean masks. The mask-free
+    `simulator._filter_update` must match it bit for bit: same (ids, Sg)
+    returned, same xh after the in-place update.
+    """
+    ids, parents, updated = advance_histories(ids, gate, len(Sg))
+    Sg = Sg[parents]
+    if updated.any():
+        gain, post = gated_posterior(Sg[updated], C, V)
+        Sg[updated] = post
+        row_gain = gain[np.cumsum(updated)[ids[gate]] - 1]
+        innovation = (z - xh @ C.T)[gate]
+        xh[gate] += np.einsum("pnm,pm->pn", row_gain, innovation)
+    return ids, Sg
 
 
 def exact_gated_posterior(Sig, C, V):

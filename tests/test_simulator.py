@@ -10,11 +10,14 @@ import pytest
 
 import fogctl as fc
 from fogctl import simulator
+from fogctl.estimation import predict_covariances
 
 from reference import (
     closed_form_cost,
     make_regime,
     random_model,
+    random_psd,
+    reference_filter_update,
     reference_partial_totals,
     reference_to_csv,
     scalar_fixture,
@@ -94,6 +97,33 @@ class TestConfigAndStreams:
             for b, (lo, hi) in enumerate(blocks):
                 drawn = simulator._draw(streams, [buf[:hi - lo] for buf in buffers[b % 2]])
                 pieces.append([a.copy() for a in drawn])
+            for i, want in enumerate(whole):
+                assert np.concatenate([piece[i] for piece in pieces]).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_stage_major_fill_equals_noise_streams(self, monkeypatch, split):
+        # blocks of three end on a short block of two, blocks of four on one
+        # of three, and blocks of five fold the one-row remainder into a
+        # last block of six. Split, the fill draws w two rows at a time (v
+        # three, u six), so its runs end inside blocks.
+        R, N, n, m = 11, 5, 3, 2
+        if split:
+            monkeypatch.setattr(simulator, "FILL_BYTES", 2 * 8 * N * n)
+        whole = fc.noise_streams(5, R, N, n, m)
+        for rows in (3, 4, 5):
+            blocks = simulator._blocks(R, rows)
+            widest = max(hi - lo for lo, hi in blocks)
+            buffers = [[np.empty((N, widest, n)), np.empty((N, widest, m)), np.empty((N, widest))]
+                       for _ in range(2)]
+            pieces = []
+            with simulator._Prefetch(simulator._substreams(5), buffers, blocks) as draws:
+                for b, (lo, hi) in enumerate(blocks):
+                    drawn = draws.take(b)
+                    for arr, buf in zip(drawn, buffers[b % 2]):
+                        assert arr.shape == (hi - lo,) + buf.shape[:1] + buf.shape[2:]
+                        assert np.shares_memory(arr, buf)
+                        assert all(arr[:, k].flags.c_contiguous for k in range(N))
+                    pieces.append([a.copy() for a in drawn])
             for i, want in enumerate(whole):
                 assert np.concatenate([piece[i] for piece in pieces]).tobytes() == want.tobytes()
 
@@ -779,3 +809,97 @@ class TestPrefetch:
             run_simple(model, 0.7, None, np.ones(2), reps=23)
         assert fills == [True, False]  # block 1 on the calling thread, block 2 ahead
         assert threading.active_count() == before
+
+
+class TestFilterUpdate:
+    """The mask-free measurement update is the masked one, bit for bit."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("gates", ["random", "all-on", "all-off"])
+    def test_equals_masked_reference(self, rng, m, gates):
+        n, R = 3, 40
+        C, V = rng.normal(size=(m, n)), random_psd(rng, m, floor=0.2)
+        Phi, Xi = 0.8 * rng.normal(size=(n, n)), random_psd(rng, n, floor=0.1)
+        ids, Sg, xh = np.zeros(R, dtype=np.intp), np.zeros((1, n, n)), rng.normal(size=(R, n))
+        ref_ids, ref_Sg, ref_xh = ids.copy(), Sg.copy(), xh.copy()
+        for _ in range(6):
+            gate = {"random": rng.random(R) < 0.6, "all-on": np.ones(R, dtype=bool),
+                    "all-off": np.zeros(R, dtype=bool)}[gates]
+            z = rng.normal(size=(R, m))
+            ids, Sg = simulator._filter_update(
+                ids, predict_covariances(Sg, Phi, Xi), xh, gate, z, C, V)
+            ref_ids, ref_Sg = reference_filter_update(
+                ref_ids, predict_covariances(ref_Sg, Phi, Xi), ref_xh, gate, z, C, V)
+            for got, want in ((ids, ref_ids), (Sg, ref_Sg), (xh, ref_xh)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
+class RowMajorDraws:
+    """Drop-in for `simulator._Prefetch` that hands each block the leading
+    rows of replication-major arrays drawn at once: the strided stage reads
+    of the row-major buffers the stage-major ones replaced."""
+
+    def __init__(self, streams, buffers, blocks):
+        R = blocks[-1][1]
+        shapes = [(R, buf.shape[0]) + buf.shape[2:] for buf in buffers[0]]
+        self.whole = simulator._draw(streams, [np.empty(shape) for shape in shapes])
+        self.blocks = blocks
+
+    def take(self, b):
+        lo, hi = self.blocks[b]
+        return [arr[lo:hi] for arr in self.whole]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+
+class TestBlockLayout:
+    """The block loop on stage-major draws with the mask-free update gives
+    the results of row-major draws with the masked update, bit for bit."""
+
+    @staticmethod
+    def row_major_masked(monkeypatch):
+        monkeypatch.setattr(simulator, "_Prefetch", RowMajorDraws)
+        monkeypatch.setattr(simulator, "_filter_update", reference_filter_update)
+
+    @pytest.mark.parametrize("rows", [None, 5])
+    def test_four_regimes(self, monkeypatch, rows):
+        model, x0 = drift_plant(), np.array([1.0, -0.5])
+        if rows is not None:
+            set_block_rows(monkeypatch, model, rows)
+        chain = fc.symmetric_chain(0.7, tau0=(0.3, 0.7))
+        cfg = fc.SimulationConfig(replications=64, master_seed=29, record_traces=True)
+        points = []
+        for observation, delay in REGIMES:
+            delay = None if delay is None else fc.DelayProfile(*delay)
+            points.append((chain, delay, fc.solve(model, 0.7, delay, observation)))
+        got = [fc.run(model, *point, cfg, x0=x0) for point in points]
+        self.row_major_masked(monkeypatch)
+        for point, res in zip(points, got):
+            assert_same_result(res, fc.run(model, *point, cfg, x0=x0))
+
+    @pytest.mark.parametrize("rows", [None, 5])
+    def test_streamed_sweep(self, monkeypatch, rows):
+        scenario = TestStreamedTracking.scenario()
+        model, x0 = fc.build_system(scenario), fc.initial_state(scenario)
+        if rows is not None:
+            set_block_rows(monkeypatch, model, rows, streamed=True)
+        points = []
+        for observation, delay in [("partial", None), ("full", (2, 1)), ("partial", (1, 1))]:
+            delay = None if delay is None else fc.DelayProfile(*delay)
+            points.append((fc.symmetric_chain(0.75), delay,
+                           fc.solve(model, 0.75, delay, observation)))
+        cfg = fc.SimulationConfig(replications=64, master_seed=31)
+        got = simulator.sweep(model, points, cfg, x0=x0, alpha=scenario.alpha)
+        self.row_major_masked(monkeypatch)
+        want = simulator.sweep(model, points, cfg, x0=x0, alpha=scenario.alpha)
+        for res, ref in zip(got, want):
+            for key in ("mean_cost", "std_error"):
+                assert np.float64(res[key]).tobytes() == np.float64(ref[key]).tobytes()
+            assert res["tracking"].keys() == ref["tracking"].keys()
+            for key, value in ref["tracking"].items():
+                assert np.float64(res["tracking"][key]).tobytes() == np.float64(value).tobytes()
