@@ -15,10 +15,7 @@ from .model import (
     LinearSystemModel,
     ModelValidationError,
     ReliabilityChain,
-    delay_from_config,
     make_system,
-    reliability_from_config,
-    stationary_on_probability,
     symmetric_chain,
     symmetrize,
     system_from_config,
@@ -34,13 +31,7 @@ from .riccati import (
     min_cost_partial_delayed,
     min_cost_partial_perfect,
 )
-from .estimation import (
-    EstimationPenalty,
-    expected_estimation_penalty,
-    propagate_mean,
-    transition_product,
-    window_noise,
-)
+from .estimation import EstimationPenalty, expected_estimation_penalty
 from .policy import (
     ControllerRegime,
     min_cost,
@@ -51,16 +42,13 @@ from .simulator import (
     SimulationBatch,
     SimulationConfig,
     noise_streams,
-    psd_sqrt,
     run,
     sample_tau,
     tracking_metrics,
 )
 from .oracle import (
-    TauPath,
     bound_check,
     brute_force_min_cost,
-    enumerate_tau_paths,
     evaluate_policy_cost,
 )
 from .drone import (
@@ -70,7 +58,6 @@ from .drone import (
     error_consistency_check,
     initial_state,
     make_waypoints,
-    plan_from_config,
     scenario_from_config,
     tracking_study,
 )
@@ -78,57 +65,51 @@ from .drone import (
 __version__ = "0.1.0"
 
 __all__ = [
+    # what a user calls: data types, solve/min_cost, the simulator, the
+    # oracles and the drone study
     "ConfigError",
     "CostBreakdown",
     "DelayProfile",
     "LinearSystemModel",
     "ModelValidationError",
     "ReliabilityChain",
-    "delay_from_config",
     "make_system",
-    "reliability_from_config",
-    "stationary_on_probability",
     "symmetric_chain",
-    "symmetrize",
-    "system_from_config",
     "validate_model",
     "REGIMES",
     "GainSchedule",
-    "backward_recursion_delayed",
-    "backward_recursion_perfect",
-    "min_cost_full_delayed",
-    "min_cost_full_perfect",
-    "min_cost_partial_delayed",
-    "min_cost_partial_perfect",
     "EstimationPenalty",
     "expected_estimation_penalty",
-    "propagate_mean",
-    "transition_product",
-    "window_noise",
     "ControllerRegime",
     "min_cost",
     "sandwich_policy",
     "solve",
     "SimulationBatch",
     "SimulationConfig",
-    "noise_streams",
-    "psd_sqrt",
     "run",
-    "sample_tau",
     "tracking_metrics",
-    "TauPath",
     "bound_check",
     "brute_force_min_cost",
-    "enumerate_tau_paths",
     "evaluate_policy_cost",
     "DroneScenario",
     "WaypointPlan",
     "build_system",
     "error_consistency_check",
-    "initial_state",
     "make_waypoints",
-    "plan_from_config",
-    "scenario_from_config",
     "tracking_study",
     "__version__",
+    # the acceptance gate (tests/test_acceptance.py, tests/reference.py) calls these
+    "backward_recursion_delayed",
+    "backward_recursion_perfect",
+    "min_cost_full_delayed",
+    "min_cost_full_perfect",
+    "min_cost_partial_delayed",
+    "min_cost_partial_perfect",
+    "symmetrize",
+    # the benchmark (perfbench/) calls these through the package namespace
+    "noise_streams",
+    "sample_tau",
+    "initial_state",
+    "system_from_config",
+    "scenario_from_config",
 ]

@@ -445,6 +445,14 @@ def cmd_waypoints(config: dict, out_dir: Path, fmt: str = "csv") -> Path:
 # Entry point
 # ---------------------------------------------------------------------------
 
+def _count_arg(text: str) -> int:
+    """A --seed or --replications value: a whole number >= 0, else argparse exits 2."""
+    try:
+        return count(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a whole number >= 0, got {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fogctl",
@@ -463,9 +471,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=(name != "verify"), help="path to the JSON config")
         sp.add_argument("--out", default=".", help="output directory")
         if name in ("simulate", "verify", "placement"):
-            sp.add_argument("--seed", type=int, default=None, help="override the config seed")
+            sp.add_argument("--seed", type=_count_arg, default=None, help="override the config seed")
         if name in ("simulate", "placement"):
-            sp.add_argument("--replications", type=int, default=None, help="override replication count")
+            sp.add_argument("--replications", type=_count_arg, default=None, help="override replication count")
         if name == "waypoints":
             sp.add_argument("--format", choices=("json", "csv"), default="csv", help="output format")
     return parser

@@ -213,7 +213,8 @@ def make_system(
         C: observation matrices; defaults to identity (full observation).
         V_noise: measurement noise covariances; defaults to zero.
         drift: optional known disturbance means.
-        N: horizon; required when every input is constant, inferred otherwise.
+        N: horizon, a whole number >= 1 (see ``count``); required when every
+            input is constant, inferred otherwise.
 
     Returns:
         A validated LinearSystemModel.
@@ -230,9 +231,7 @@ def make_system(
         if not counts:
             raise ModelValidationError(["N is required when all matrix inputs are constant"])
         N = counts[0]
-    if N < 1:
-        raise ModelValidationError([f"N must be >= 1, got {N}"])
-    N = int(N)
+    N = _whole("N", N, 1)
     n = A.shape[-2] if A.ndim >= 2 else 1
     s = B.shape[-1] if B.ndim >= 2 else 1
     C = _floats("C", np.eye(n) if C is None else C)
@@ -394,35 +393,14 @@ def symmetric_chain(p: float, tau0: Union[int, tuple] = 1) -> ReliabilityChain:
     return ReliabilityChain(p=p, q=1.0 - p, tau0=tau0)
 
 
-def stationary_on_probability(chain: ReliabilityChain) -> float:
-    """Long-run fraction of ON stages, (1-q) / ((1-p) + (1-q)).
-
-    Args:
-        chain: a non-degenerate reliability chain.
-
-    Returns:
-        The stationary probability of the ON state.
-
-    Raises:
-        ModelValidationError: when p = q = 1 (both states absorbing, no
-            unique stationary distribution).
-    """
-    denom = (1.0 - chain.p) + (1.0 - chain.q)
-    if denom == 0.0:
-        raise ModelValidationError(
-            ["degenerate chain p=1, q=1: both states absorbing"]
-        )
-    return (1.0 - chain.q) / denom
-
-
 @dataclass(frozen=True)
 class DelayProfile:
     """Transport delay between plant and controller, measured in stages.
 
-    Fields:
+    Fields (whole numbers read by ``count``, so 2.0 reads as 2):
         M_F: forward delay (measurement to controller).
         M_B: backward delay (controller to plant, compute time included).
-        N: optional horizon binding; needed for the derived quantities.
+        N: optional horizon binding (>= 1); needed for the derived quantities.
 
     Derived, for M = M_F + M_B >= 1 and a bound horizon N:
         a: N mod M when nonzero, else M.
@@ -436,14 +414,9 @@ class DelayProfile:
     N: Optional[int] = None
 
     def __post_init__(self):
-        violations = []
-        for name, v in (("M_F", self.M_F), ("M_B", self.M_B)):
-            if not isinstance(v, (int, np.integer)) or v < 0:
-                violations.append(f"{name} must be a nonnegative integer, got {v!r}")
-        if self.N is not None and (not isinstance(self.N, (int, np.integer)) or self.N < 1):
-            violations.append(f"N must be a positive integer, got {self.N!r}")
-        if violations:
-            raise ModelValidationError(violations)
+        bounds = (("M_F", 0), ("M_B", 0)) + ((("N", 1),) if self.N is not None else ())
+        for name, low in bounds:
+            object.__setattr__(self, name, _whole(name, getattr(self, name), low))
 
     @property
     def M(self) -> int:

@@ -20,7 +20,6 @@ that envelope raises instead of silently approximating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -34,7 +33,6 @@ from .model import (
     _memory_guard,
     _whole,
     bind_delay,
-    count,
     state_vector,
     symmetrize,
     tau0_pair,
@@ -44,29 +42,6 @@ from .riccati import REGIMES
 from .simulator import SimulationConfig, run
 
 ORACLE_MAX_N = 16
-
-
-@dataclass(frozen=True)
-class TauPath:
-    """One availability path tau_0..tau_{N-1} and its probability."""
-
-    states: tuple
-    probability: float
-
-
-def _check_enumeration_horizon(N) -> int:
-    """N as an int, or ModelValidationError unless 1 <= N <= ORACLE_MAX_N."""
-    try:
-        whole = count(N)
-    except ValueError:
-        whole = 0
-    if whole < 1:
-        raise ModelValidationError([f"path enumeration needs a whole number N >= 1, got {N!r}"])
-    if whole > ORACLE_MAX_N:
-        raise ModelValidationError(
-            [f"path enumeration limited to N <= {ORACLE_MAX_N}, got N={whole}"]
-        )
-    return whole
 
 
 def _prefix_tree(N: int, dist: np.ndarray, T: np.ndarray):
@@ -102,23 +77,6 @@ def _widest_stage(N: int, dist: np.ndarray, T: np.ndarray) -> int:
     for _ in range(N - 1):
         ends = ends @ (T > 0.0)
     return int(ends.sum())
-
-
-def enumerate_tau_paths(N: int, chain: ReliabilityChain) -> list:
-    """All positive-probability availability paths of length N, in lexicographic order.
-
-    Raises:
-        ModelValidationError: unless N is a whole number with 1 <= N <= 16.
-    """
-    N = _check_enumeration_horizon(N)
-    states = np.zeros((1, 0), dtype=np.int8)
-    tree = _prefix_tree(N, chain.tau0_distribution(), chain.transition_matrix())
-    for parent, state, prob in tree:
-        states = np.column_stack([states[parent], state])
-    return [
-        TauPath(states=tuple(row), probability=float(pr))
-        for row, pr in zip(states.tolist(), prob.tolist())
-    ]
 
 
 def _check_oracle_scope(model: LinearSystemModel, what: str) -> None:
@@ -297,7 +255,11 @@ def _eval_perfect_enumeration(model, chain, policy, x0, dist) -> float:
     probability-weighted sum over the leaves. Cross-checks the moment
     recursion.
     """
-    N, n = _check_enumeration_horizon(model.N), model.state_dim
+    N, n = model.N, model.state_dim
+    if N > ORACLE_MAX_N:
+        raise ModelValidationError(
+            [f"path enumeration limited to N <= {ORACLE_MAX_N}, got N={N}"]
+        )
     T = chain.transition_matrix()
     widest = _widest_stage(N, dist, T)
     # doubles per node of the widest stage: three n x n stacks (the

@@ -62,10 +62,6 @@ class ControllerRegime:
                 [f"gain schedule tagged {self.gains.regime}, regime requires {expected}"]
             )
 
-    @property
-    def regime_tag(self) -> str:
-        return self.gains.regime
-
 
 def solve(
     model: LinearSystemModel,

@@ -92,8 +92,8 @@ from .model import (
     LinearSystemModel,
     ModelValidationError,
     ReliabilityChain,
+    _whole,
     arrival_grid,
-    count,
     state_vector,
     symmetrize,
 )
@@ -112,19 +112,8 @@ class SimulationConfig:
     record_traces: bool = False
 
     def __post_init__(self):
-        violations = []
         for name, low in (("replications", 1), ("master_seed", 0)):
-            value = getattr(self, name)
-            try:
-                whole = count(value)
-            except ValueError:
-                whole = -1
-            if whole < low:
-                violations.append(f"{name} must be a whole number >= {low}, got {value!r}")
-            else:
-                object.__setattr__(self, name, whole)
-        if violations:
-            raise ModelValidationError(violations)
+            object.__setattr__(self, name, _whole(name, getattr(self, name), low))
 
 
 @dataclass(frozen=True)

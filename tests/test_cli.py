@@ -272,6 +272,22 @@ class TestConfigErrors:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
+    @pytest.mark.parametrize("command,flag", [
+        ("verify", ["--seed", "-1"]),
+        ("simulate", ["--seed", "2.5"]),
+        ("placement", ["--seed", "x"]),
+        ("simulate", ["--replications", "-3"]),
+        ("placement", ["--replications", "1e3"]),
+    ])
+    def test_non_whole_count_flag_rejected(self, tmp_path, capsys, command, flag):
+        # verify --seed -1 used to end in numpy's ValueError traceback
+        cfg_path = write_config(tmp_path, scalar_config())
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "out"), *flag])
+        assert exit_info.value.code == 2
+        assert f"argument {flag[0]}: must be a whole number >= 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
     def test_reliability_p_required(self, tmp_path, capsys):
         cfg = {"system": scalar_config()["system"]}
         cfg_path = write_config(tmp_path, cfg)

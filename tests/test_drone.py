@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fogctl as fc
+from fogctl.drone import plan_from_config
 
 NAN = float("nan")
 
@@ -255,9 +256,9 @@ class TestControllerModes:
     def test_build_regime_variants(self):
         model = fc.build_system(demo_scenario())
         perfect = fc.solve(model, 0.8)
-        assert perfect.regime_tag == "full-perfect"
+        assert perfect.gains.regime == "full-perfect"
         delayed = fc.solve(model, 0.8, fc.DelayProfile(M_F=2, M_B=1))
-        assert delayed.regime_tag == "full-delayed"
+        assert delayed.gains.regime == "full-delayed"
         assert delayed.compensate_drift is False
         affine = fc.solve(model, 0.8, compensate_drift=True)
         assert affine.compensate_drift is True
@@ -364,11 +365,11 @@ class TestScenarioConfig:
         with pytest.raises(fc.ConfigError, match="scenario: unknown keys"):
             fc.scenario_from_config({"waypoints": [[0, 0], [1, 0]], "spin": 2})
         with pytest.raises(fc.ConfigError, match=r"scenario\.plan: unknown keys"):
-            fc.plan_from_config({"warp": 9})
+            plan_from_config({"warp": 9})
         with pytest.raises(fc.ConfigError, match=r"scenario\.plan\.circle: unknown keys"):
-            fc.plan_from_config({
+            plan_from_config({
                 "approach": {"target": [1, 0], "stages": 1},
                 "circle": {"radius": 1.0, "stages": 4, "clockwise": True},
             })
         with pytest.raises(fc.ConfigError, match="needs approach.target"):
-            fc.plan_from_config({"return": {"stages": 2}})
+            plan_from_config({"return": {"stages": 2}})

@@ -23,7 +23,7 @@ def noisy_scalar(N, V=1.0):
 class TestFilterTransitions:
     def test_predict_hand_values(self):
         model = fc.make_system(A=2.0, B=1.0, Q=1.0, R=1.0, W=3.0, N=1)
-        x = fc.propagate_mean(model, np.array([[2.0]]), np.array([[3.0]]), 0, 1)
+        x = estimation.propagate_mean(model, np.array([[2.0]]), np.array([[3.0]]), 0, 1)
         assert x[0, 0] == pytest.approx(7.0)
         Sig = predict_covariances(np.array([[[1.0]]]), model.A[0], model.W[0])
         assert Sig[0, 0, 0] == pytest.approx(7.0)
@@ -31,8 +31,8 @@ class TestFilterTransitions:
     def test_predict_known_drift_override(self):
         model = fc.make_system(A=1.0, B=1.0, Q=1.0, R=1.0, W=1.0, drift=np.array([[2.0]]), N=1)
         x, u = np.array([[1.0]]), np.array([[0.0]])
-        assert fc.propagate_mean(model, x, u, 0, 1)[0, 0] == pytest.approx(3.0)
-        assert fc.propagate_mean(model.without_drift(), x, u, 0, 1)[0, 0] == pytest.approx(1.0)
+        assert estimation.propagate_mean(model, x, u, 0, 1)[0, 0] == pytest.approx(3.0)
+        assert estimation.propagate_mean(model.without_drift(), x, u, 0, 1)[0, 0] == pytest.approx(1.0)
 
     def test_update_hand_values(self):
         model, _ = noisy_scalar(N=1, V=1.0)
@@ -122,35 +122,35 @@ class TestDelayedPredictor:
     def test_hand_value_no_drift(self):
         model = fc.make_system(A=2.0, B=1.0, Q=1.0, R=1.0, W=1.0, N=4)
         x, u = np.array([[1.0]]), np.array([[0.5]])
-        assert fc.propagate_mean(model, x, u, 0, 2)[0, 0] == pytest.approx(5.0)
+        assert estimation.propagate_mean(model, x, u, 0, 2)[0, 0] == pytest.approx(5.0)
 
     def test_hand_value_with_drift(self):
         drift = np.array([[1.0], [-1.0], [2.0], [0.0]])
         model = fc.make_system(A=2.0, B=1.0, Q=1.0, R=1.0, W=1.0, drift=drift, N=4)
         x, u = np.array([[1.0]]), np.array([[0.5]])
         # x1 = 2*1 + 0.5 + 1 = 3.5; x2 = 2*3.5 - 1 = 6
-        assert fc.propagate_mean(model, x, u, 0, 2)[0, 0] == pytest.approx(6.0)
+        assert estimation.propagate_mean(model, x, u, 0, 2)[0, 0] == pytest.approx(6.0)
         stripped = model.without_drift()
-        assert fc.propagate_mean(stripped, x, u, 0, 2)[0, 0] == pytest.approx(5.0)
+        assert estimation.propagate_mean(stripped, x, u, 0, 2)[0, 0] == pytest.approx(5.0)
 
 
 class TestWindowAlgebra:
     def test_transition_product_hand(self):
         model = fc.make_system(A=2.0, B=1.0, Q=1.0, R=1.0, W=1.0, N=3)
-        assert fc.transition_product(model, 2, 0)[0, 0] == pytest.approx(4.0)
-        assert fc.transition_product(model, 1, 1)[0, 0] == pytest.approx(1.0)
+        assert estimation.transition_product(model, 2, 0)[0, 0] == pytest.approx(4.0)
+        assert estimation.transition_product(model, 1, 1)[0, 0] == pytest.approx(1.0)
 
     def test_window_noise_hand(self):
         model = fc.make_system(A=2.0, B=1.0, Q=1.0, R=1.0, W=1.0, N=3)
         # Xi(0,2) = A W A^T + W = 4 + 1
-        assert fc.window_noise(model, 0, 2)[0, 0] == pytest.approx(5.0)
-        assert fc.window_noise(model, 1, 1)[0, 0] == pytest.approx(0.0)
+        assert estimation.window_noise(model, 0, 2)[0, 0] == pytest.approx(5.0)
+        assert estimation.window_noise(model, 1, 1)[0, 0] == pytest.approx(0.0)
 
     def test_window_noise_matches_monte_carlo_shape(self, rng):
         # second-moment identity: Xi(t0,t1) = Cov(x_t1 | x_t0, zero controls)
         model, _ = random_model(rng, N_low=5, N_high=7)
         t0, t1 = 1, model.N - 1
-        Xi = fc.window_noise(model, t0, t1)
+        Xi = estimation.window_noise(model, t0, t1)
         n = model.state_dim
         acc = np.zeros((n, n))
         Phi = np.eye(n)
@@ -405,10 +405,10 @@ class TestMonteCarloPenaltyRows:
             weight = (weight + weight.T) / 2.0
             epochs.append((
                 model.C[k * M], model.V_noise[k * M], weight,
-                fc.transition_product(model, (k + 1) * M, k * M),
-                fc.window_noise(model, k * M, (k + 1) * M),
+                estimation.transition_product(model, (k + 1) * M, k * M),
+                estimation.window_noise(model, k * M, (k + 1) * M),
             ))
-        per, total, se = self.per_row(fc.window_noise(model, 0, M), epochs, p, R, seed)
+        per, total, se = self.per_row(estimation.window_noise(model, 0, M), epochs, p, R, seed)
         assert len(pen.per_stage) == c - 1 >= 4
         assert pen.per_stage == tuple(per)
         assert pen.total == total

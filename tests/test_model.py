@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fogctl as fc
-from fogctl.model import PD_CHECK_TOL, PSD_EIG_TOL, arrival_grid
+from fogctl.model import (
+    PD_CHECK_TOL,
+    PSD_EIG_TOL,
+    arrival_grid,
+    delay_from_config,
+    reliability_from_config,
+)
 
 from reference import random_model
 
@@ -185,6 +191,13 @@ class TestStageStore:
             fc.make_system(A=raw, B=1.0, Q=1.0, R=1.0, W=1.0, N=2)
         assert needle in str(ei.value)
 
+    @pytest.mark.parametrize("N", [3.5, True, "4", 0, -2])
+    def test_non_whole_N_rejected(self, N):
+        # N = 3.5 used to build a 3-stage model, N = True a 1-stage one, and
+        # N = "4" ended in a TypeError
+        with pytest.raises(fc.ModelValidationError, match="N must be a whole number >= 1"):
+            fc.make_system(A=1.0, B=1.0, Q=1.0, R=1.0, W=1.0, N=N)
+
 
 class TestPsdHelpers:
     def test_symmetrize_returns_symmetric(self):
@@ -234,25 +247,6 @@ class TestReliabilityChain:
         with pytest.raises(fc.ModelValidationError):
             fc.ReliabilityChain(p=0.5, q=0.5, tau0=(0.5, 0.6))
 
-    def test_stationary_on_probability(self):
-        ch = fc.ReliabilityChain(p=0.9, q=0.3)
-        assert fc.stationary_on_probability(ch) == pytest.approx(0.875, abs=1e-12)
-
-    def test_stationary_symmetric_equals_p(self):
-        assert fc.stationary_on_probability(fc.symmetric_chain(0.3)) == pytest.approx(0.3)
-
-    def test_stationary_degenerate_chain_rejected(self):
-        with pytest.raises(fc.ModelValidationError, match="degenerate"):
-            fc.stationary_on_probability(fc.ReliabilityChain(p=1.0, q=1.0))
-
-    def test_stationary_is_fixed_point(self, rng):
-        for _ in range(25):
-            p, q = rng.uniform(0.05, 0.95, size=2)
-            ch = fc.ReliabilityChain(p=float(p), q=float(q))
-            pi = fc.stationary_on_probability(ch)
-            dist = np.array([1 - pi, pi]) @ ch.transition_matrix()
-            assert dist[1] == pytest.approx(pi, abs=1e-12)
-
 
 class TestDelayProfile:
     def test_round_trip_sum(self):
@@ -300,6 +294,20 @@ class TestDelayProfile:
     def test_negative_rejected(self):
         with pytest.raises(fc.ModelValidationError):
             fc.DelayProfile(M_F=-1, M_B=0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("M_F", True), ("M_B", False), ("N", True), ("M_F", 1.5), ("N", 0), ("M_B", "1"),
+    ])
+    def test_non_whole_fields_rejected(self, field, value):
+        # a bool used to pass for a stage count: M_F=True ran a one-stage delay
+        kwargs = {"M_F": 1, "M_B": 0, field: value}
+        with pytest.raises(fc.ModelValidationError, match=f"{field} must be a whole number"):
+            fc.DelayProfile(**kwargs)
+
+    def test_whole_floats_read_as_ints(self):
+        d = fc.DelayProfile(M_F=2.0, M_B=np.int64(1), N=7.0)
+        assert (d.M_F, d.M_B, d.N) == (2, 1, 7)
+        assert all(type(v) is int for v in (d.M_F, d.M_B, d.N))
 
     def test_rebinding_conflict_rejected(self):
         d = fc.DelayProfile(M_F=1, M_B=0, N=4)
@@ -361,16 +369,16 @@ class TestConfigBlocks:
             fc.system_from_config({"N": 1, "A": 1})
 
     def test_reliability_round_trip(self):
-        ch = fc.reliability_from_config({"p": 0.8, "q": 0.3, "tau0": [0.5, 0.5]})
+        ch = reliability_from_config({"p": 0.8, "q": 0.3, "tau0": [0.5, 0.5]})
         assert (ch.p, ch.q, ch.tau0) == (0.8, 0.3, (0.5, 0.5))
-        sym = fc.reliability_from_config({"p": 0.8})  # q defaults to 1 - p
+        sym = reliability_from_config({"p": 0.8})  # q defaults to 1 - p
         assert (sym.p, sym.q, sym.tau0) == (0.8, 1.0 - 0.8, 1) and sym.symmetric
 
     def test_reliability_p_required(self):
         with pytest.raises(fc.ConfigError, match=r"reliability: missing keys \['p'\]"):
-            fc.reliability_from_config({"q": 0.5})
+            reliability_from_config({"q": 0.5})
 
     def test_delay_round_trip(self):
-        d = fc.delay_from_config({"M_F": 2, "M_B": 1})
+        d = delay_from_config({"M_F": 2, "M_B": 1})
         assert (d.M_F, d.M_B, d.N) == (2, 1, None)
-        assert fc.delay_from_config(None) is None
+        assert delay_from_config(None) is None

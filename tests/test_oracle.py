@@ -28,44 +28,50 @@ def random_chain(rng, i):
     return fc.ReliabilityChain(p=p, q=q, tau0=tau0), tau0
 
 
+def tree_paths(N, chain):
+    """(states, probability) of each leaf of `oracle._prefix_tree`, in its
+    order, the state rows built stage by stage from the parent indices."""
+    states = np.zeros((1, 0), dtype=np.int8)
+    tree = oracle._prefix_tree(N, chain.tau0_distribution(), chain.transition_matrix())
+    for parent, state, prob in tree:
+        states = np.column_stack([states[parent], state])
+    return [(tuple(row), pr) for row, pr in zip(states.tolist(), prob.tolist())]
+
+
 class TestPathEnumeration:
     def test_probabilities_sum_to_one(self, rng):
         for _ in range(10):
             p, q = rng.uniform(0.05, 0.95, size=2)
             chain = fc.ReliabilityChain(p=float(p), q=float(q), tau0=1)
             N = int(rng.integers(1, 7))
-            paths = fc.enumerate_tau_paths(N, chain)
-            assert sum(pp.probability for pp in paths) == pytest.approx(1.0, abs=1e-12)
+            paths = tree_paths(N, chain)
+            assert sum(pr for _, pr in paths) == pytest.approx(1.0, abs=1e-12)
             assert len(paths) <= 2 ** N
 
     def test_deterministic_chain_single_path(self):
         chain = fc.ReliabilityChain(p=1.0, q=1.0, tau0=1)
-        paths = fc.enumerate_tau_paths(5, chain)
+        paths = tree_paths(5, chain)
         assert len(paths) == 1
-        assert paths[0].states == (1, 1, 1, 1, 1)
-        assert paths[0].probability == pytest.approx(1.0)
+        assert paths[0][0] == (1, 1, 1, 1, 1)
+        assert paths[0][1] == pytest.approx(1.0)
 
     def test_zero_probability_paths_skipped(self):
         chain = fc.ReliabilityChain(p=1.0, q=0.5, tau0=1)  # ON is absorbing
-        paths = fc.enumerate_tau_paths(4, chain)
-        assert all(pp.states == (1, 1, 1, 1) for pp in paths)
+        paths = tree_paths(4, chain)
+        assert all(states == (1, 1, 1, 1) for states, _ in paths)
 
     def test_horizon_guard(self):
+        model = fc.make_system(A=1.0, B=1.0, Q=1.0, R=1.0, W=1.0, N=17)
         chain = fc.symmetric_chain(0.5)
+        policy = fc.solve(model, 0.5)
         with pytest.raises(fc.ModelValidationError, match="limited to N <= 16"):
-            fc.enumerate_tau_paths(17, chain)
-
-    @pytest.mark.parametrize("N", [0, -1, 2.5, True, "3", None])
-    def test_non_whole_horizon_rejected(self, N):
-        # N = 0 used to end in an IndexError and N = -1 in itertools' ValueError
-        with pytest.raises(fc.ModelValidationError, match="whole number N >= 1"):
-            fc.enumerate_tau_paths(N, fc.symmetric_chain(0.5))
+            fc.evaluate_policy_cost(model, chain, None, policy, np.ones(1), method="enumeration")
 
     def test_tree_equals_product_reference(self, rng):
         for i in range(25):
             chain, _ = random_chain(rng, i)
             N = int(rng.integers(1, 9))
-            got = [(pp.states, pp.probability) for pp in fc.enumerate_tau_paths(N, chain)]
+            got = tree_paths(N, chain)
             assert got == reference_tau_paths(N, chain)
             assert all(type(t) is int for states, _ in got for t in states)
             widest = oracle._widest_stage(N, chain.tau0_distribution(), chain.transition_matrix())

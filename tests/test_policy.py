@@ -6,6 +6,7 @@ import pytest
 
 import fogctl as fc
 from fogctl import policy
+from fogctl.estimation import propagate_mean
 
 from reference import (
     closed_form_cost,
@@ -31,14 +32,14 @@ class TestControllerRegime:
     def test_tag_must_match_observation_and_delay(self):
         _, gains = perfect_gains()
         reg = fc.ControllerRegime(observation="full", gains=gains)
-        assert reg.regime_tag == "full-perfect"
+        assert reg.gains.regime == "full-perfect"
         with pytest.raises(fc.ModelValidationError, match="regime requires"):
             fc.ControllerRegime(observation="partial", gains=gains)
         _, dgains = delayed_gains()
         with pytest.raises(fc.ModelValidationError, match="regime requires"):
             fc.ControllerRegime(observation="full", gains=dgains)
         ok = fc.ControllerRegime(observation="full", gains=dgains, delay=dgains.delay)
-        assert ok.regime_tag == "full-delayed"
+        assert ok.gains.regime == "full-delayed"
 
     def test_observation_values(self):
         _, gains = perfect_gains()
@@ -62,7 +63,7 @@ class TestDispatcher:
                 for observation in ("full", "partial"):
                     regime = fc.solve(model, p, delay, observation)
                     ref = make_regime(model, p, delay, observation)
-                    assert regime.regime_tag == ref.regime_tag
+                    assert regime.gains.regime == ref.gains.regime
                     assert np.array_equal(regime.gains.V, ref.gains.V)
                     got = fc.min_cost(model, regime, x0, tau0)
                     assert got == closed_form_cost(model, p, delay, observation, x0, tau0)
@@ -70,7 +71,7 @@ class TestDispatcher:
     def test_zero_delay_is_full_perfect(self):
         model, x0 = scalar_fixture(N=4)
         regime = fc.solve(model, 0.7, fc.DelayProfile(M_F=0, M_B=0))
-        assert regime.regime_tag == "full-perfect" and regime.delay is None
+        assert regime.gains.regime == "full-perfect" and regime.delay is None
         assert np.array_equal(regime.gains.V, fc.backward_recursion_perfect(model, 0.7).V)
         assert fc.min_cost(model, regime, x0) == closed_form_cost(model, 0.7, None, "full", x0)
 
@@ -153,7 +154,7 @@ class TestDelayedLaws:
         regime = fc.solve(model, 0.5, self.delay)
         tr = traced(model, regime, ALWAYS_ON, x0)
         for t0 in (0, 2):
-            pred = fc.propagate_mean(model, tr.x[:, t0], tr.u[:, t0], t0, t0 + 2)
+            pred = propagate_mean(model, tr.x[:, t0], tr.u[:, t0], t0, t0 + 2)
             assert tr.u[0, t0 + 2] == pytest.approx(-(regime.gains.V[t0 + 2] @ pred[0]))
             assert tr.u[0, t0 + 2] != pytest.approx(-(regime.gains.V[t0 + 2] @ tr.x[0, t0 + 2]))
 
@@ -162,7 +163,7 @@ class TestDelayedLaws:
         regime = fc.solve(model, 0.5, self.delay, observation="partial")
         tr = traced(model, regime, ALWAYS_ON, np.array([2.0]))
         for t0 in (0, 2):
-            pred = fc.propagate_mean(model, tr.x_hat[:, t0], tr.u[:, t0], t0, t0 + 2)
+            pred = propagate_mean(model, tr.x_hat[:, t0], tr.u[:, t0], t0, t0 + 2)
             assert tr.u[0, t0 + 2] == pytest.approx(-(regime.gains.V[t0 + 2] @ pred[0]))
         off = traced(model, regime, ALWAYS_OFF, np.array([2.0]))
         assert np.all(off.u == 0.0)
@@ -180,7 +181,7 @@ class TestSandwichPolicy:
         model, _ = scalar_fixture(N=3)
         reg = fc.sandwich_policy(model, p=0.9, q=0.3)
         assert reg.gains.p_used == pytest.approx(0.7)
-        assert reg.regime_tag == "full-perfect"
+        assert reg.gains.regime == "full-perfect"
         ref = fc.backward_recursion_perfect(model, 0.7)
         for k in range(model.N):
             assert np.allclose(reg.gains.V[k], ref.V[k], atol=1e-14)
@@ -195,10 +196,10 @@ class TestSandwichPolicy:
     def test_delayed_variant(self):
         model, _ = scalar_fixture(N=4)
         reg = fc.sandwich_policy(model, p=0.9, q=0.3, delay=fc.DelayProfile(M_F=1, M_B=1))
-        assert reg.regime_tag == "full-delayed"
+        assert reg.gains.regime == "full-delayed"
         assert reg.delay.M == 2 and reg.delay.N == 4
 
     def test_partial_variant(self):
         model, _ = scalar_fixture(N=3)
         reg = fc.sandwich_policy(model, p=0.9, q=0.3, observation="partial")
-        assert reg.regime_tag == "partial-perfect"
+        assert reg.gains.regime == "partial-perfect"

@@ -158,10 +158,10 @@ class TestConfigAndStreams:
         for _ in range(5):
             X = rng.normal(size=(3, 3))
             X = X @ X.T
-            S = fc.psd_sqrt(X)
+            S = simulator.psd_sqrt(X)
             assert np.allclose(S @ S, X, atol=1e-10)
             assert np.allclose(S, S.T, atol=1e-12)
-        assert np.allclose(fc.psd_sqrt(np.zeros((2, 2))), 0.0)
+        assert np.allclose(simulator.psd_sqrt(np.zeros((2, 2))), 0.0)
 
 
 class TestRunBasics:
