@@ -23,6 +23,7 @@ from .model import (
     ReliabilityChain,
     DelayProfile,
     _floats,
+    _whole,
     bind_delay,
     config_block,
     count,
@@ -57,9 +58,10 @@ def _is_point(value) -> bool:
 class WaypointPlan:
     """Three-phase path descriptor: approach a target, circle it, return.
 
-    Stage counts are hops, so a phase with `stages` hops contributes that
-    many waypoints; zero skips the phase. The circle starts at the point of
-    the circle nearest the start (shortest approach) and runs one full
+    Stage counts are hops (whole numbers read by ``count``, so 2.0 reads as
+    2), so a phase with `stages` hops contributes that many waypoints; zero
+    skips the phase. The circle starts at the point of the circle nearest
+    the start (shortest approach) and runs one full
     counterclockwise revolution; the return leg interpolates back to the
     start. speed_bound (meters/second) caps consecutive waypoint spacing
     when the path is generated.
@@ -77,9 +79,10 @@ class WaypointPlan:
     def __post_init__(self):
         violations = []
         for label in ("approach_stages", "circle_stages", "return_stages"):
-            stages = getattr(self, label)
-            if not (isinstance(stages, (int, np.integer)) and stages >= 0):
-                violations.append(f"{label} must be a nonnegative integer, got {stages!r}")
+            try:
+                object.__setattr__(self, label, _whole(label, getattr(self, label), 0))
+            except ModelValidationError as err:
+                violations += err.violations
         if not violations and self.approach_stages + self.circle_stages + self.return_stages < 1:
             violations.append("plan must contain at least one stage")
         if not (0 <= self.circle_radius < math.inf):

@@ -1,18 +1,22 @@
 """Independent verification oracles.
 
 Everything here recomputes optimal costs and policy values from first
-principles: dynamic programming over availability states for the matched
-loop, dynamic programming over update-cycle gates for the delayed loop, and
-exact closed-loop moment recursions for fixed policies. None of it reuses
-the production recursions, so agreement between the two is evidence, not
-tautology.
+principles. Perfect match and the delayed loop are one two-mode Markov-jump
+LQ problem over the arrival grid's epochs (`_epoch_forms`, the only code
+here that tells them apart): a quadratic stage cost over the epoch's state
+y and its decision d, a linear step to the next y, and a gate that lets the
+decision through or holds it at zero. One dynamic program over gate
+states gives the optimal cost, and one exact moment recursion the cost of
+a fixed gated policy. None of it reuses the production recursions, so
+agreement between the two is evidence, not tautology.
 
-Path enumeration walks the availability histories as one breadth-first
-prefix tree: stage k holds every positive-probability prefix tau_0..tau_k
-as a row of stacked arrays, so the rollout takes a few batched operations
-per stage over about 2^(N+1) nodes in all, where a path-by-path loop would
-take N 2^N steps. Its widest stage holds up to 2^N nodes, so it is limited
-to N <= 16 and checked against the machine's memory before it starts.
+Path enumeration walks the gate histories as one breadth-first prefix
+tree: stage j holds every positive-probability prefix of the first j + 1
+epochs' gates as a row of stacked arrays, so the rollout takes a few
+batched operations per epoch over about 2^(c+1) nodes in all for c epochs,
+where a path-by-path loop would take c 2^c steps. Its widest stage holds up
+to 2^c nodes, so it is limited to N <= 16 and checked against the
+machine's memory before it starts.
 
 The exact oracles cover full observation without drift. Anything outside
 that envelope raises instead of silently approximating.
@@ -32,7 +36,7 @@ from .model import (
     ReliabilityChain,
     _memory_guard,
     _whole,
-    bind_delay,
+    arrival_grid,
     state_vector,
     symmetrize,
     tau0_pair,
@@ -45,7 +49,7 @@ ORACLE_MAX_N = 16
 
 
 def _prefix_tree(N: int, dist: np.ndarray, T: np.ndarray):
-    """The prefix tree of positive-probability availability histories, stage by stage.
+    """The prefix tree of positive-probability two-state histories, stage by stage.
 
     Yields, for k = 0..N-1, (parent, state, prob) over the prefixes
     tau_0..tau_k of positive probability, in lexicographic order: parent
@@ -92,49 +96,26 @@ def _tau0_dist(chain: ReliabilityChain, tau0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Exact minimum cost by dynamic programming
+# The loop in epoch form
 # ---------------------------------------------------------------------------
 
-def _dp_perfect(model, chain, x0, dist) -> float:
-    """Value iteration over (stage, availability state) quadratics."""
-    N = model.N
-    T = chain.transition_matrix()
-    G = {0: model.Q[N].copy(), 1: model.Q[N].copy()}
-    g = {0: 0.0, 1: 0.0}
-    for k in reversed(range(N)):
-        A, B, Q, R, W = model.A[k], model.B[k], model.Q[k], model.R[k], model.W[k]
-        newG, newg = {}, {}
-        for t in (0, 1):
-            Gbar = T[t, 0] * G[0] + T[t, 1] * G[1]
-            gbar = T[t, 0] * g[0] + T[t, 1] * g[1]
-            if t == 1:
-                S = symmetrize(R + B.T @ Gbar @ B)
-                BGA = B.T @ Gbar @ A
-                np.linalg.cholesky(S)  # raises unless positive definite
-                Gk = Q + A.T @ Gbar @ A - BGA.T @ np.linalg.solve(S, BGA)
-            else:
-                Gk = Q + A.T @ Gbar @ A
-            newG[t] = symmetrize(Gk)
-            newg[t] = float(np.trace(Gbar @ W)) + gbar
-        G, g = newG, newg
-    return float(
-        dist[0] * (x0 @ G[0] @ x0 + g[0]) + dist[1] * (x0 @ G[1] @ x0 + g[1])
-    )
+def _blkdiag(a, b) -> np.ndarray:
+    """The block-diagonal matrix [[a, 0], [0, b]] of two rectangular blocks."""
+    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]))
+    out[: a.shape[0], : a.shape[1]] = a
+    out[a.shape[0]:, a.shape[1]:] = b
+    return out
 
 
 def _epoch_quadratic(model, t0, t1, include_end):
-    """Cost of stages t0..t1-1 as a quadratic over y = (x_{t0}, u_{t0}).
+    """Cost of stages t0..t1-1 as a quadratic over w = (x_{t0}, u_{t0}).
 
     Controls between grid stages are zero, so only u_{t0} enters. Returns
-    (E, e, G_end, Xi): cost is y'Ey + e, and x_{t1} = G_end y + noise with
+    (E, e, G_end, Xi): cost is w'Ew + e, and x_{t1} = G_end w + noise with
     covariance Xi. With include_end the stage-t1 state cost is folded in as
     well (terminal tail).
     """
-    n, s = model.state_dim, model.control_dim
-    E = np.zeros((n + s, n + s))
-    E[:n, :n] = model.Q[t0]
-    E[n:, n:] = model.R[t0]
-    e = 0.0
+    E, e = _blkdiag(model.Q[t0], model.R[t0]), 0.0
     cur_map = np.hstack([model.A[t0], model.B[t0]])
     cur_cov = symmetrize(np.asarray(model.W[t0], dtype=float))
     for i in range(t0 + 1, t1 + 1):
@@ -148,45 +129,79 @@ def _epoch_quadratic(model, t0, t1, include_end):
     return symmetrize(E), e, cur_map, cur_cov
 
 
-def _dp_delayed(model, chain, delay, x0, dist) -> float:
-    """Value iteration over (update cycle, gate state) quadratics.
+def _epoch_forms(model, chain, delay, x0, dist):
+    """The loop as a two-mode Markov-jump LQ problem over the arrival grid's epochs.
 
-    The joint variable per cycle is y_j = (state at the cycle start, control
-    applied at the cycle start). The gate of cycle j is the availability at
-    its service stage; gates at consecutive service stages are Markov with
-    the M-step transition matrix.
+    Returns (epochs, tail, T_gate, g0, y0). Epoch j is (E, e, F, Xi, P,
+    arrive): its cost is z'Ez + e over z = (y, d), d being the control the
+    epoch decides, and the next y is F z plus noise of covariance Xi. A gated
+    linear policy decides d = -V[arrive] P y where the epoch's gate is ON and
+    d = 0 where it is OFF. tail = (E_tail, e_tail) is the cost after the last
+    epoch as a quadratic over y. The gates of consecutive epochs are Markov
+    with transition T_gate, the first one distributed as g0; y0 is the
+    starting y.
+
+    Perfect match: y = x_k and d = u_k, one epoch per stage k, gated by
+    tau_k. A delay M: y = (x_{jM}, u_{jM}) and d = u_{(j+1)M}, the control
+    epoch j sends, gated by the availability at its service stage jM + M_F.
+    Its cost and step are the window of stages jM..(j+1)M-1
+    (`_epoch_quadratic`) with a zero block for d.
     """
+    step, M_F, M, c = arrival_grid(delay, model.N)
     N, n, s = model.N, model.state_dim, model.control_dim
-    M, M_F, c = delay.M, delay.M_F, delay.c
     T = chain.transition_matrix()
-    Tm = np.linalg.matrix_power(T, M)
-    E_tail, e_tail, _, _ = _epoch_quadratic(model, c * M, N, include_end=True)
-    y0 = np.concatenate([np.asarray(x0, dtype=float), np.zeros(s)])
-    if c == 0:
-        return float(y0 @ E_tail @ y0 + e_tail)
-    H = {0: E_tail, 1: E_tail}
-    h = {0: e_tail, 1: e_tail}
-    for j in reversed(range(c)):
-        E_j, e_j, G_end, Xi = _epoch_quadratic(model, j * M, (j + 1) * M, include_end=False)
-        newH, newh = {}, {}
-        for gate in (0, 1):
-            Hbar = Tm[gate, 0] * H[0] + Tm[gate, 1] * H[1]
-            hbar = Tm[gate, 0] * h[0] + Tm[gate, 1] * h[1]
-            Hxx = Hbar[:n, :n]
-            Hxd = Hbar[:n, n:]
-            Hdd = symmetrize(Hbar[n:, n:])
-            if gate == 1:
-                np.linalg.cholesky(Hdd)  # raises unless positive definite
-                Hred = Hxx - Hxd @ np.linalg.solve(Hdd, Hxd.T)
-            else:
-                Hred = Hxx
-            newH[gate] = symmetrize(E_j + G_end.T @ Hred @ G_end)
-            newh[gate] = e_j + float(np.trace(Hxx @ Xi)) + hbar
-        H, h = newH, newh
+    if M == 0:
+        I = np.eye(n)
+        epochs = [(_blkdiag(model.Q[k], model.R[k]), 0.0, np.hstack([model.A[k], model.B[k]]),
+                   model.W[k], I, k) for k in range(N)]
+        tail, y0 = (model.Q[N], 0.0), x0
+    else:
+        zero, I = np.zeros((s, s)), np.eye(s)
+        epochs = []
+        for j in range(c):
+            E, e, G_end, Xi = _epoch_quadratic(model, j * M, (j + 1) * M, include_end=False)
+            epochs.append((_blkdiag(E, zero), e, _blkdiag(G_end, I), _blkdiag(Xi, zero),
+                           G_end, (j + 1) * M))
+        tail = _epoch_quadratic(model, c * M, N, include_end=True)[:2]
+        y0 = np.concatenate([x0, np.zeros(s)])
     g0 = dist @ np.linalg.matrix_power(T, M_F)
-    return float(
-        g0[0] * (y0 @ H[0] @ y0 + h[0]) + g0[1] * (y0 @ H[1] @ y0 + h[1])
-    )
+    return epochs, tail, np.linalg.matrix_power(T, step), g0, y0
+
+
+def _gated_steps(epoch, V) -> list:
+    """[(weight, Acl)] with the gate OFF (d = 0) and ON (d = -V[arrive] P y): the
+    stage cost is y' weight y and the next y is Acl y plus noise."""
+    E, _, F, _, P, arrive = epoch
+    r = len(F)
+    K = np.vstack([np.eye(r), -V[arrive] @ P])  # z = K y with the gate ON
+    return [(E[:r, :r], F[:, :r]), (K.T @ E @ K, F @ K)]
+
+
+# ---------------------------------------------------------------------------
+# Exact minimum cost by dynamic programming
+# ---------------------------------------------------------------------------
+
+def _dp(model, chain, delay, x0, dist) -> float:
+    """Value iteration over (epoch, gate) quadratics in y: with the gate ON the
+    decision d minimizes the cost-to-go over z = (y, d) by a Schur complement,
+    with it OFF d = 0."""
+    epochs, (E_tail, e_tail), T, g0, y0 = _epoch_forms(model, chain, delay, x0, dist)
+    H, h = (E_tail, E_tail), (e_tail, e_tail)
+    for E, e, F, Xi, _, _ in reversed(epochs):
+        r = len(F)
+        newH, newh = [], []
+        for gate in (0, 1):
+            Hbar = T[gate, 0] * H[0] + T[gate, 1] * H[1]
+            Z = E + F.T @ Hbar @ F
+            Hred = Z[:r, :r]
+            if gate:
+                S = symmetrize(Z[r:, r:])
+                np.linalg.cholesky(S)  # raises unless positive definite
+                Hred = Hred - Z[:r, r:] @ np.linalg.solve(S, Z[r:, :r])
+            newH.append(symmetrize(Hred))
+            newh.append(e + float(np.trace(Hbar @ Xi)) + T[gate, 0] * h[0] + T[gate, 1] * h[1])
+        H, h = newH, newh
+    return float(g0[0] * (y0 @ H[0] @ y0 + h[0]) + g0[1] * (y0 @ H[1] @ y0 + h[1]))
 
 
 def brute_force_min_cost(
@@ -208,122 +223,71 @@ def brute_force_min_cost(
     _check_oracle_scope(model, "the exact oracle")
     x0 = state_vector(x0, model.state_dim)
     dist = _tau0_dist(chain, tau0)
-    delay = bind_delay(delay, model.N)
-    if delay is None:
-        return _dp_perfect(model, chain, x0, dist)
-    return _dp_delayed(model, chain, delay, x0, dist)
+    return _dp(model, chain, delay, x0, dist)
 
 
 # ---------------------------------------------------------------------------
 # Exact closed-loop policy evaluation
 # ---------------------------------------------------------------------------
 
-def _eval_perfect_moments(model, chain, policy, x0, dist) -> float:
-    """Availability-conditioned second-moment recursion (exact, O(N))."""
-    N = model.N
-    T = chain.transition_matrix()
-    mass = {t: float(dist[t]) for t in (0, 1)}
-    mom = {t: mass[t] * np.outer(x0, x0) for t in (0, 1)}
+def _moments(model, chain, delay, policy, x0, dist) -> float:
+    """Gate-conditioned second-moment recursion over the epochs (exact, O(N))."""
+    epochs, (E_tail, e_tail), T, g0, y0 = _epoch_forms(model, chain, delay, x0, dist)
+    mass = g0
+    mom = [g0[gate] * np.outer(y0, y0) for gate in (0, 1)]
     total = 0.0
-    for k in range(N):
-        A, B, Qk, Rk, Wk = model.A[k], model.B[k], model.Q[k], model.R[k], model.W[k]
-        V = policy.gains.V[k]
-        total += float(np.trace(Qk @ (mom[0] + mom[1])))
-        total += float(np.trace((V.T @ Rk @ V) @ mom[1]))
-        Acl = {0: A, 1: A - B @ V}
-        new_mass = {t: 0.0 for t in (0, 1)}
-        new_mom = {t: np.zeros_like(mom[0]) for t in (0, 1)}
-        for t in (0, 1):
-            pushed = Acl[t] @ mom[t] @ Acl[t].T + mass[t] * Wk
-            for t2 in (0, 1):
-                new_mass[t2] += T[t, t2] * mass[t]
-                new_mom[t2] = new_mom[t2] + T[t, t2] * pushed
-        mass = new_mass
-        mom = {t: symmetrize(new_mom[t]) for t in (0, 1)}
-    total += float(np.trace(model.Q[N] @ (mom[0] + mom[1])))
-    return total
+    for epoch in epochs:
+        pushed = []
+        for gate, (weight, Acl) in enumerate(_gated_steps(epoch, policy.gains.V)):
+            total += float(np.trace(weight @ mom[gate]))
+            pushed.append(Acl @ mom[gate] @ Acl.T + mass[gate] * epoch[3])
+        total += epoch[1]
+        mass = mass @ T
+        mom = [symmetrize(T[0, g] * pushed[0] + T[1, g] * pushed[1]) for g in (0, 1)]
+    return total + float(np.trace(E_tail @ (mom[0] + mom[1]))) + e_tail
 
 
-def _eval_perfect_enumeration(model, chain, policy, x0, dist) -> float:
-    """Rollout over the prefix tree of availability histories.
+def _rollout(model, chain, delay, policy, x0, dist) -> float:
+    """Rollout over the prefix tree of gate histories.
 
-    Each node of stage k carries its history's conditional state mean and
-    covariance at stage k and its cost so far, stacked over the stage's
-    nodes; the stage cost and the closed-loop step (A - B V_k where tau_k
-    is ON, A where it is OFF) act on all of them at once, and each child
-    starts from its parent's result. The expected cost is the
-    probability-weighted sum over the leaves. Cross-checks the moment
-    recursion.
+    Each node of stage j carries its history's conditional mean and
+    covariance of y at epoch j and its cost so far, stacked over the stage's
+    nodes; the stage cost and the closed-loop step of each gate act on all
+    of them at once, and each child starts from its parent's result. The
+    expected cost is the probability-weighted sum over the leaves.
+    Cross-checks the moment recursion.
     """
     N, n = model.N, model.state_dim
     if N > ORACLE_MAX_N:
         raise ModelValidationError(
             [f"path enumeration limited to N <= {ORACLE_MAX_N}, got N={N}"]
         )
-    T = chain.transition_matrix()
-    widest = _widest_stage(N, dist, T)
-    # doubles per node of the widest stage: three n x n stacks (the
-    # covariances, those of one availability state, and a product
-    # temporary), two of means, and about eight entries of cost, tree
-    # index, probability and mask
-    mib = 8 * widest * (3 * n * n + 2 * n + 8) / 2**20
+    epochs, (E_tail, e_tail), T, g0, y0 = _epoch_forms(model, chain, delay, x0, dist)
+    r = len(y0)
+    widest = _widest_stage(len(epochs), g0, T)
+    # doubles per node of the widest stage: three r x r stacks (the
+    # covariances, those of one gate, and a product temporary), two of
+    # means, and about eight entries of cost, tree index, probability and mask
+    mib = 8 * widest * (3 * r * r + 2 * r + 8) / 2**20
     with _memory_guard(f"N = {N}, n = {n}", "path enumeration", mib,
                        f" for {widest} histories"):
-        mu = x0[None, :]
-        Sig = np.zeros((1, n, n))
-        cost = np.zeros(1)
-        for k, (parent, state, prob) in enumerate(_prefix_tree(N, dist, T)):
-            V = policy.gains.V[k]
-            mu, Sig = mu[parent], Sig[parent]
-            on = state == 1
-            cost = cost[parent] + _node_cost(model.Q[k], mu, Sig)
-            cost[on] += _node_cost(V.T @ model.R[k] @ V, mu[on], Sig[on])
-            for rows, Acl in ((~on, model.A[k]), (on, model.A[k] - model.B[k] @ V)):
+        mu, Sig = y0[None, :], np.zeros((1, r, r))
+        cost, prob = np.zeros(1), np.ones(1)
+        for epoch, (parent, gate, prob) in zip(epochs, _prefix_tree(len(epochs), g0, T)):
+            mu, Sig, cost = mu[parent], Sig[parent], cost[parent] + epoch[1]
+            for rows, (weight, Acl) in zip((gate == 0, gate == 1),
+                                           _gated_steps(epoch, policy.gains.V)):
+                cost[rows] += _node_cost(weight, mu[rows], Sig[rows])
                 mu[rows] = mu[rows] @ Acl.T
                 Sig[rows] = Acl @ Sig[rows] @ Acl.T
-            Sig = symmetrize(Sig + model.W[k])
-        cost += _node_cost(model.Q[N], mu, Sig)
+            Sig = symmetrize(Sig + epoch[3])
+        cost += _node_cost(E_tail, mu, Sig) + e_tail
     return float(prob @ cost)
 
 
 def _node_cost(weight, mu, Sig) -> np.ndarray:
-    """E[x' weight x] per node, from its conditional mean and covariance."""
+    """E[y' weight y] per node, from its conditional mean and covariance."""
     return np.einsum("pi,ij,pj->p", mu, weight, mu) + np.einsum("ij,pji->p", weight, Sig)
-
-
-def _eval_delayed_moments(model, chain, delay, policy, x0, dist) -> float:
-    """Gate-conditioned joint second-moment recursion over update cycles."""
-    N, n, s = model.N, model.state_dim, model.control_dim
-    M, M_F, c = delay.M, delay.M_F, delay.c
-    T = chain.transition_matrix()
-    Tm = np.linalg.matrix_power(T, M)
-    g0 = dist @ np.linalg.matrix_power(T, M_F)
-    y0 = np.concatenate([np.asarray(x0, dtype=float), np.zeros(s)])
-    mass = {gate: float(g0[gate]) for gate in (0, 1)}
-    mom = {gate: mass[gate] * np.outer(y0, y0) for gate in (0, 1)}
-    total = 0.0
-    for j in range(c):
-        E_j, e_j, G_end, Xi = _epoch_quadratic(model, j * M, (j + 1) * M, include_end=False)
-        total += float(np.trace(E_j @ (mom[0] + mom[1]))) + e_j
-        V_next = policy.gains.V[(j + 1) * M]
-        Ty = {
-            0: np.vstack([G_end, np.zeros((s, n + s))]),
-            1: np.vstack([G_end, -V_next @ G_end]),
-        }
-        noise = np.zeros((n + s, n + s))
-        noise[:n, :n] = Xi
-        new_mass = {gate: 0.0 for gate in (0, 1)}
-        new_mom = {gate: np.zeros((n + s, n + s)) for gate in (0, 1)}
-        for gate in (0, 1):
-            pushed = Ty[gate] @ mom[gate] @ Ty[gate].T + mass[gate] * noise
-            for g2 in (0, 1):
-                new_mass[g2] += Tm[gate, g2] * mass[gate]
-                new_mom[g2] = new_mom[g2] + Tm[gate, g2] * pushed
-        mass = new_mass
-        mom = {gate: symmetrize(new_mom[gate]) for gate in (0, 1)}
-    E_tail, e_tail, _, _ = _epoch_quadratic(model, c * M, N, include_end=True)
-    total += float(np.trace(E_tail @ (mom[0] + mom[1]))) + e_tail
-    return total
 
 
 def evaluate_policy_cost(
@@ -341,10 +305,10 @@ def evaluate_policy_cost(
     equivalent through the horizon predictor); this routine computes its
     exact closed-loop expected cost for ANY reliability chain via
     conditional second-moment recursions, O(N). method="enumeration"
-    recomputes the matched case over the prefix tree of availability
-    histories as a cross-check: each history's conditional mean and
-    covariance, a few batched operations per stage over at most 2^(k+1)
-    histories at stage k.
+    recomputes it over the prefix tree of gate histories as a cross-check,
+    for perfect match and delays alike: each history's conditional mean and
+    covariance, a few batched operations per epoch over at most 2^(j+1)
+    histories at epoch j.
 
     Raises:
         ModelValidationError: partial observation, drift, a malformed tau0,
@@ -361,15 +325,8 @@ def evaluate_policy_cost(
     dist = _tau0_dist(chain, tau0)
     if method not in ("moments", "enumeration"):
         raise ModelValidationError([f"unknown evaluation method {method!r}"])
-    if delay is None:
-        if method == "enumeration":
-            return _eval_perfect_enumeration(model, chain, policy, x0, dist)
-        return _eval_perfect_moments(model, chain, policy, x0, dist)
-    if method == "enumeration":
-        raise ModelValidationError(
-            ["enumeration evaluation covers the zero-delay loop only"]
-        )
-    return _eval_delayed_moments(model, chain, delay, policy, x0, dist)
+    evaluate = _rollout if method == "enumeration" else _moments
+    return evaluate(model, chain, delay, policy, x0, dist)
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,10 @@ class SimulationConfig:
     def __post_init__(self):
         for name, low in (("replications", 1), ("master_seed", 0)):
             object.__setattr__(self, name, _whole(name, getattr(self, name), low))
+        if not isinstance(self.record_traces, bool):
+            raise ModelValidationError(
+                [f"record_traces must be True or False, got {self.record_traces!r}"]
+            )
 
 
 @dataclass(frozen=True)

@@ -46,11 +46,35 @@ class TestWaypointPlan:
                 circle_radius=0.0, circle_stages=0, return_stages=0,
                 speed_bound=0.0,
             )
-        with pytest.raises(fc.ModelValidationError, match="nonnegative integer"):
+        with pytest.raises(fc.ModelValidationError,
+                           match="approach_stages must be a whole number >= 0"):
             fc.WaypointPlan(
                 approach_target=(1, 0), approach_stages=-1,
                 circle_radius=0.0, circle_stages=0, return_stages=1,
             )
+
+    @pytest.mark.parametrize("field", ["approach_stages", "circle_stages", "return_stages"])
+    @pytest.mark.parametrize("value", [True, 2.5])
+    def test_stage_counts_must_be_whole(self, field, value):
+        # True used to count as one stage, like the whole-number rule elsewhere
+        kwargs = dict(approach_target=(2.0, 0.0), approach_stages=1, circle_radius=1.0,
+                      circle_stages=1, return_stages=1)
+        kwargs[field] = value
+        with pytest.raises(fc.ModelValidationError, match=f"{field} must be a whole number >= 0"):
+            fc.WaypointPlan(**kwargs)
+
+    def test_stage_counts_read_whole_floats_as_ints(self):
+        # 2.0 used to be rejected, where make_system and DelayProfile read it as 2
+        def plan(*stages):
+            return fc.WaypointPlan(approach_target=(2.0, 0.0), approach_stages=stages[0],
+                                   circle_radius=1.0, circle_stages=stages[1],
+                                   return_stages=stages[2])
+        floats = plan(2.0, np.int64(3), 1.0)
+        counts = (floats.approach_stages, floats.circle_stages, floats.return_stages)
+        assert counts == (2, 3, 1)
+        assert all(type(c) is int for c in counts)
+        np.testing.assert_array_equal(fc.make_waypoints(floats, 1.0),
+                                      fc.make_waypoints(plan(2, 3, 1), 1.0))
 
     @pytest.mark.parametrize("field,value", [
         ("circle_radius", NAN), ("speed_bound", NAN), ("approach_target", (NAN, 0.0)),

@@ -232,25 +232,32 @@ class TestPolicyEvaluation:
         assert a == pytest.approx(b, rel=1e-10)
 
     def test_enumeration_memory_guard(self, monkeypatch):
+        # the same guard for perfect match and a delay: the message names the
+        # state dimension n, the estimate counts y = (x, u) under the delay
         model = fc.make_system(A=np.eye(2), B=np.ones((2, 1)), Q=np.eye(2), R=1.0,
                                W=np.eye(2), N=6)
-        policy = make_regime(model, 0.5, None)
         chain = fc.symmetric_chain(0.5)
-
-        def evaluate():
-            return fc.evaluate_policy_cost(
-                model, chain, None, policy, np.ones(2), method="enumeration"
-            )
-        monkeypatch.setattr("fogctl.model._physical_mib", lambda: 0.001)
-        with pytest.raises(fc.ModelValidationError, match=r"N = 6, n = 2: .* MiB"):
-            evaluate()
-        monkeypatch.undo()
 
         def exhausted(*args):
             raise MemoryError
-        monkeypatch.setattr(oracle, "_node_cost", exhausted)
-        with pytest.raises(fc.ModelValidationError, match="N = 6, n = 2: out of memory"):
-            evaluate()
+        for delay in (None, fc.DelayProfile(M_F=1, M_B=0)):
+            policy = make_regime(model, 0.5, delay)
+
+            def evaluate():
+                return fc.evaluate_policy_cost(
+                    model, chain, delay, policy, np.ones(2), method="enumeration"
+                )
+            monkeypatch.setattr("fogctl.model._physical_mib", lambda: 0.001)
+            with pytest.raises(fc.ModelValidationError, match=r"N = 6, n = 2: .* MiB"):
+                evaluate()
+            monkeypatch.undo()
+            monkeypatch.setattr(oracle, "_node_cost", exhausted)
+            with pytest.raises(fc.ModelValidationError, match="N = 6, n = 2: out of memory"):
+                evaluate()
+            monkeypatch.undo()
+            assert evaluate() == pytest.approx(
+                fc.evaluate_policy_cost(model, chain, delay, policy, np.ones(2)), rel=1e-12
+            )
 
     def test_mistuned_policy_never_beats_dp(self, rng):
         for _ in range(10):
@@ -270,14 +277,29 @@ class TestPolicyEvaluation:
         with pytest.raises(fc.ModelValidationError, match="delay M=0 but policy gains"):
             fc.evaluate_policy_cost(model, chain, None, policy, x0)
 
-    def test_enumeration_rejected_for_delayed(self):
-        model, x0 = scalar_fixture(N=4)
-        delay = fc.DelayProfile(M_F=1, M_B=1)
-        policy = make_regime(model, 0.5, delay)
-        with pytest.raises(fc.ModelValidationError, match="zero-delay loop only"):
-            fc.evaluate_policy_cost(
-                model, fc.symmetric_chain(0.5), delay, policy, x0, method="enumeration"
+    def test_delayed_enumeration_equals_moments(self, rng):
+        # M_F = 0, N == M (no epoch, the tail alone), absorbing chains, p = 0
+        # and tau0 distributions among the cases
+        splits = [(0, 1), (0, 2), (1, 0), (1, 1), (2, 1), (1, 2), (2, 2)]
+        no_epoch = 0
+        for i in range(35):
+            model, x0 = random_model(rng, N_low=1, N_high=8)
+            M_F, M_B = splits[i % len(splits)]
+            if i % 5 == 4:
+                model, _ = random_model(rng, N_low=M_F + M_B, N_high=M_F + M_B)
+                x0 = rng.normal(size=model.state_dim)
+            elif model.N < M_F + M_B:
+                M_F, M_B = 0, model.N
+            delay = fc.DelayProfile(M_F=M_F, M_B=M_B)
+            no_epoch += model.N == delay.M
+            chain, tau0 = random_chain(rng, i)
+            policy = make_regime(model, float(rng.uniform(0.1, 1.0)), delay)
+            a = fc.evaluate_policy_cost(model, chain, delay, policy, x0, tau0=tau0)
+            b = fc.evaluate_policy_cost(
+                model, chain, delay, policy, x0, tau0=tau0, method="enumeration"
             )
+            assert b == pytest.approx(a, rel=1e-12, abs=0.0), (i, M_F, M_B, model.N)
+        assert no_epoch >= 7
 
     def test_unknown_method_rejected(self):
         model, x0 = scalar_fixture(N=3)

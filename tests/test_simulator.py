@@ -53,12 +53,15 @@ class TestConfigAndStreams:
     @pytest.mark.parametrize("field,value", [
         ("replications", 2.5), ("replications", "3"), ("replications", True),
         ("master_seed", 1.7), ("master_seed", -0.5), ("master_seed", "3"),
-        ("master_seed", True),
+        ("master_seed", True), ("record_traces", "no"), ("record_traces", 1),
+        ("record_traces", None),
     ])
     def test_config_rejects_non_whole_values(self, field, value):
-        # 2.5 replications used to run 2, and a seed of 1.7 ran as seed 1
+        # 2.5 replications used to run 2, a seed of 1.7 ran as seed 1, and
+        # record_traces="no" kept every trace
         kwargs = {"replications": 4, field: value}
-        with pytest.raises(fc.ModelValidationError, match=f"{field} must be a whole number"):
+        rule = "True or False" if field == "record_traces" else "a whole number"
+        with pytest.raises(fc.ModelValidationError, match=f"{field} must be {rule}"):
             fc.SimulationConfig(**kwargs)
 
     def test_config_reads_whole_floats_as_ints(self):
