@@ -52,6 +52,10 @@ EXIT_VERIFY = 3
 
 _TOP_KEYS = {"system", "reliability", "delay", "scenario", "simulation", "verify", "placement"}
 
+# Label of gains computed for the symmetric chain at rate p but written for,
+# or run on, an asymmetric (p, q) chain, where they are not the optimum.
+RATE_P_BASIS = "symmetric-rate-p"
+
 # Example endpoint catalog. Latencies follow the published service-execution
 # measurements (local node through Tokyo); the reliability pairs are
 # illustrative symmetric values, not measurements.
@@ -150,10 +154,16 @@ def _write_json(path: Path, obj) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_gains(config: dict, out_dir: Path) -> dict:
-    """Run the applicable backward recursion and dump the schedule."""
+    """Run the applicable backward recursion and dump the schedule.
+
+    The gains are those of the symmetric chain at rate p; for an asymmetric
+    chain gains.json says so in its "basis" entry.
+    """
     model, _, _ = _plant_from(config)
     chain = reliability_from_config(config.get("reliability", {}))
     payload = solve(model, chain.p, _delay_from(config, model.N)).gains.to_jsonable()
+    if not chain.symmetric:
+        payload["basis"] = RATE_P_BASIS
     _write_json(out_dir / "gains.json", payload)
     return payload
 
@@ -169,7 +179,9 @@ def cmd_simulate(
     With simulation.sweep ({"p": [...], "M": [...]}) one summary row per
     (delay, availability) pair is produced; sweep entries use symmetric
     chains. M entries are round-trip stage counts (default forward-heavy
-    split) or explicit [M_F, M_B] pairs.
+    split) or explicit [M_F, M_B] pairs. Every point runs the gains of the
+    symmetric chain at its rate p; a row whose chain is asymmetric says so
+    in its "gains_basis" entry.
     """
     model, x0, scenario = _plant_from(config)
     sim = config_block("simulation", config.get("simulation", {}), {
@@ -216,6 +228,8 @@ def cmd_simulate(
             "mean_cost": res["mean_cost"],
             "std_error": res["std_error"],
         }
+        if not chain.symmetric:
+            row["gains_basis"] = RATE_P_BASIS
         if scenario is not None:
             row["mode"] = mode
             row.update(res["tracking"])

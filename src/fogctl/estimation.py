@@ -4,8 +4,11 @@ Partial observation uses a standard intermittent Kalman filter: the
 measurement update runs only at stages where the endpoint served the request.
 The helpers here act on batches: covariances per ON/OFF history node
 (`gated_posterior`, `predict_covariances`, `advance_histories`) and means
-per replication row (`propagate_mean`, the deterministic M-step propagation
-of the last transmitted (state, control) pair, the identity for M = 0).
+per replication column (`propagate_mean`, the deterministic M-step
+propagation of the last transmitted (state, control) pair, the identity for
+M = 0). The means are state-major, (n, R): `column_product` multiplies a
+matrix into such a block so that every column rounds as it would in any
+other block.
 
 `gated_posterior` is the one measurement update, shared by the exact and
 Monte Carlo penalties and the simulator. For a well-conditioned noise V it
@@ -79,6 +82,20 @@ class EstimationPenalty:
             object.__setattr__(self, "stages", tuple(range(len(vals))))
 
 
+def column_product(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M @ X for a block X of columns, each column rounded on its own.
+
+    A one-row M would send numpy's matmul down its vector-matrix (gemv)
+    path, which rounds a column by its position in the block; such an M
+    is applied as an elementwise product summed down the columns instead.
+    Any other M takes the matrix-matrix product, whose columns round alike
+    wherever they sit.
+    """
+    if len(M) == 1:
+        return (M.T * X).sum(axis=0, keepdims=True)
+    return M @ X
+
+
 def propagate_mean(
     model: LinearSystemModel,
     base: np.ndarray,
@@ -86,21 +103,28 @@ def propagate_mean(
     t0: int,
     t1: int,
 ) -> np.ndarray:
-    """Rows of E[x_{t1} | x_{t0} = row, u_{t0} = u-row, no later control].
+    """Columns of E[x_{t1} | x_{t0} = column, u_{t0} = u-column, no later control].
 
-    Propagates each row of base (R, n) through the model's dynamics and
-    known drift from stage t0 to t1 with zero-mean disturbances: the delayed
-    regimes' M-step predictor. Returns base itself when t1 == t0 (perfect
-    match: the control acts at the stage it is computed). Pass a
-    drift-stripped model for the zero-mean variant; its `drift_at` is the
-    scalar 0.0, which adds the same bits as a zero vector.
+    Propagates each column of base (n, R) through the model's dynamics and
+    known drift from stage t0 to t1 with zero-mean disturbances, u_first
+    being (s, R): the delayed regimes' M-step predictor. Returns base
+    itself when t1 == t0 (perfect match: the control acts at the stage it
+    is computed). Pass a drift-stripped model for the zero-mean variant;
+    its `drift_column` is the scalar 0.0, which adds the same bits as a
+    zero vector.
     """
     if t1 == t0:
         return base
-    mean = base @ model.A[t0].T + u_first @ model.B[t0].T + model.drift_at(t0)
+    mean = (column_product(model.A[t0], base) + column_product(model.B[t0], u_first)
+            + drift_column(model, t0))
     for t in range(t0 + 1, t1):
-        mean = mean @ model.A[t].T + model.drift_at(t)
+        mean = column_product(model.A[t], mean) + drift_column(model, t)
     return mean
+
+
+def drift_column(model: LinearSystemModel, t: int):
+    """`model.drift_at(t)` shaped to add to a block of columns: (n, 1), or the scalar 0.0."""
+    return 0.0 if model.drift is None else model.drift[t][:, None]
 
 
 # ---------------------------------------------------------------------------

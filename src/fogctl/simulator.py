@@ -13,12 +13,19 @@ until its last reader (its epoch's service, or under partial observation the
 next epoch's filter prediction), so the body's memory does not grow with N.
 
 Replications run in blocks of consecutive replications, each block in lock
-step on vectorized arrays. Three independent substreams (disturbance,
-measurement noise, chain) spawn from the master seed, so runs with the same
-seed share noise realizations (common random numbers across regime or
-parameter comparisons). A run draws the measurement noise only when a
-regime observes partially: full observation never reads it, and leaving
-its substream undrawn changes no other draw.
+step on vectorized arrays. Every per-replication array of a block is
+state-major, one column per replication: x and the estimate are (n, rows),
+u (s, rows), a saved measurement (m, rows), and so are the scaled noise and
+the pending arrivals. A stage is thus one wide product per matrix,
+A x + B u + w, the control -(V x_hat) with the OFF columns zeroed, and the
+stage cost (Q x * x) summed down each column.
+
+Three independent substreams (disturbance, measurement noise, chain) spawn
+from the master seed, so runs with the same seed share noise realizations
+(common random numbers across regime or parameter comparisons). A run
+draws the measurement noise only when a regime observes partially: full
+observation never reads it, and leaving its substream undrawn changes no
+other draw.
 
 `sweep` runs several points (chain, delay, regime) on one plant, seed and
 R; `run` is its one-point case. Each block is drawn once and every point
@@ -31,24 +38,32 @@ draws (at most N (n + m + 1) doubles per replication) take at most
 CHUNK_BYTES. Two blocks' draws are held at once: while block b runs on the
 calling thread, block b + 1's are filled on a second thread, into the other
 of two buffer sets allocated once per call (`_Prefetch`). The buffers are
-stage-major, so that each stage's draws for the block are one contiguous
-slab. A generator fills only contiguous arrays, so the fill draws short
-runs of rows into a scratch of FILL_BYTES (one row, if a row is larger)
-and copies each run transposed into the stage slabs. The draws thus take
-at most 2 CHUNK_BYTES and that scratch, and the working memory of a run
-does not grow with R. When a sweep streams the tracking metrics, the
-block's x and u traces count towards the budget too, and are reduced to
-three per-replication numbers before the next block; only the totals,
-those numbers, and the traces when recorded, are kept for all R
-replications.
+state-major too, (N, dim, widest), and a block uses their leading elements
+as (N, dim, rows), so that each stage's draws for the block are one
+contiguous (dim, rows) slab. A generator fills only contiguous arrays, so
+the fill draws short runs of replications into a scratch of FILL_BYTES
+(one replication, if one is larger) and copies each run transposed into
+the slabs. The draws thus take at most 2 CHUNK_BYTES and that scratch,
+and the working memory of a run does not grow with R. When a sweep
+streams the tracking metrics, the block's x and u traces count towards
+the budget too, and are reduced to three per-replication numbers before
+the next block; only the totals, those numbers, and the traces when
+recorded, are kept for all R replications.
+
 Each block takes its draws in order from the three substreams, and a numpy
 generator yields the same sequence whether it is drawn in one call or in
 consecutive pieces, into a new array or into a given one, so the draws are
-exactly those of `noise_streams` for all R at once, whose (R, N, ...)
-layout is also the layout of the views each block reads. Every row
-of a block runs the arithmetic it would run in any other block: a one-row
-remainder is folded into the block before it, because a one-row matrix
-product takes BLAS's matrix-vector path, which rounds differently. Per
+exactly those of `noise_streams` for all R at once, in its (replication,
+stage, component) order. Every column of a block runs the arithmetic it
+would run in any other block. A matrix-matrix product rounds each column
+alike wherever it sits, but numpy sends a product with a one-row left
+matrix (the gain V when s = 1, C when m = 1, a noise root when n = 1) or
+with a one-column right block down its matrix-vector path, which rounds
+unlike the matrix-matrix product, and for a one-row matrix rounds a
+column by its position in the block. So `column_product` applies a
+one-row matrix as an elementwise product summed down the columns, and a
+one-replication remainder is folded into the block before it. The
+quadratic costs, too, are sums down each column in a fixed order. Per
 replication, totals, traces and tracking reductions are bit for bit
 independent of the blocking, and means and standard errors are taken once
 over all R values.
@@ -59,11 +74,12 @@ saved measurement updates it when the epoch is served (stage 0 needs no
 update, x0 being known). Its error covariance and gain depend on the
 replication's service-gate history alone, never on the noise. Each replication
 therefore carries a history id, and the covariances are computed once per
-distinct sampled history node instead of once per replication; each
-replication gathers its node's gain for the mean update, a zero gain where
-its node took no update, so the update runs on the whole block without a
-mask. Every node runs the same per-matrix arithmetic the replication would
-have run on its own, so the results are bit for bit those of a
+distinct sampled history node instead of once per replication. The gains
+form a table (n, m, nodes), zero where a node took no update, and each
+column gathers its node's gain along the node axis for the mean update,
+so the update runs on the whole block without a mask or a per-replication
+gain stack. Every node runs the same per-matrix arithmetic the replication
+would have run on its own, so the results are bit for bit those of a
 per-replication filter.
 
 A stage whose running cost total is not finite (an unstable or badly scaled
@@ -81,6 +97,8 @@ import numpy as np
 
 from .estimation import (
     advance_histories,
+    column_product,
+    drift_column,
     gated_posterior,
     predict_covariances,
     propagate_mean,
@@ -100,7 +118,7 @@ from .model import (
 from .policy import ControllerRegime, check_fits
 
 CHUNK_BYTES = 8 * 2**20  # per block; two blocks' draws are held at once (module docstring)
-FILL_BYTES = 32 * 2**10  # scratch of one run of rows in a stage-major fill (`_draw`)
+FILL_BYTES = 32 * 2**10  # scratch of one run of replications in a state-major fill (`_draw`)
 
 
 @dataclass(frozen=True)
@@ -202,11 +220,12 @@ def _substreams(master_seed: int) -> list:
 def _draw(streams, out):
     """Fill out = (w, v, u) in place with the next draws, taken in order from each substream.
 
-    A fill into `out=` yields the same sequence as a draw of that size. A
-    generator fills only a contiguous array, so a strided one (a block's
-    rows of the stage-major buffers) is filled in runs of whole rows, each
-    drawn into a scratch of FILL_BYTES (one row, if a row is larger) and
-    copied into place.
+    Each array is laid out (replications, ...), as `noise_streams` draws
+    it. A fill into `out=` yields the same sequence as a draw of that size.
+    A generator fills only a contiguous array, so a strided one (a block's
+    view of the state-major buffers) is filled in runs of whole
+    replications, each drawn into a scratch of FILL_BYTES (one replication,
+    if one is larger) and copied into place.
     """
     g_w, g_v, g_tau = streams
     for fill, arr in zip((g_w.standard_normal, g_v.standard_normal, g_tau.random), out):
@@ -246,7 +265,7 @@ def sample_tau(chain: ReliabilityChain, chain_u: np.ndarray) -> np.ndarray:
 def _blocks(R: int, rows: int) -> list:
     """(start, stop) of consecutive blocks of `rows` replications.
 
-    A one-row remainder joins the block before it (see the module docstring).
+    A one-replication remainder joins the block before it (see the module docstring).
     """
     starts = list(range(0, R, rows))
     if len(starts) > 1 and R - starts[-1] == 1:
@@ -257,18 +276,20 @@ def _blocks(R: int, rows: int) -> list:
 class _Prefetch:
     """Each block's draws, the next block's filled on a second thread.
 
-    The buffer sets are stage-major, (N, widest, ...), so that a block's
-    draws at one stage are one contiguous slab. Block b's draws fill the
-    leading rows of each stage of buffer set b % 2; `take(b)` returns them
-    as (rows, N, ...) views, the layout of `noise_streams`, and starts
+    The buffer sets are state-major, (N, dim, widest) and (N, widest) for
+    the chain's uniforms. Block b's draws take the leading N dim rows
+    elements of each buffer of set b % 2, laid out (N, dim, rows), so that
+    a block's draws at one stage are one contiguous (dim, rows) slab
+    whatever the block's width. `take(b)` returns those views and starts
     filling block b + 1's into the other set, whose last reader, block
-    b - 1, has finished by then. The fill runs through `_draw`'s scratch
-    in short runs of rows, each copied transposed into the stage slabs.
-    The thread runs only the generator fills and those copies, which
-    release the GIL; the scaling and every matrix product stay on the
-    calling thread. A one-block run starts no thread. An error raised by a
-    fill is raised again by the `take` that waits for it, and leaving the
-    `with` block joins any fill still running.
+    b - 1, has finished by then. The fill draws in the order of
+    `noise_streams` (replication, stage, component) through `_draw`'s
+    scratch, in short runs of replications, each copied transposed into
+    the slabs. The thread runs only the generator fills and those copies,
+    which release the GIL; the scaling and every matrix product stay on
+    the calling thread. A one-block run starts no thread. An error raised
+    by a fill is raised again by the `take` that waits for it, and leaving
+    the `with` block joins any fill still running.
     """
 
     def __init__(self, streams, buffers, blocks):
@@ -278,8 +299,9 @@ class _Prefetch:
 
     def _fill(self, b):
         lo, hi = self.blocks[b]
-        return _draw(self.streams,
-                     [np.swapaxes(buf[:, :hi - lo], 0, 1) for buf in self.buffers[b % 2]])
+        slabs = [_leading(buf, hi - lo) for buf in self.buffers[b % 2]]
+        _draw(self.streams, [slab.transpose(-1, *range(slab.ndim - 1)) for slab in slabs])
+        return slabs
 
     def _fill_ahead(self, b):
         try:
@@ -312,20 +334,32 @@ class _Prefetch:
         self._join()
 
 
-def _quad_rows(x: np.ndarray, Qmat: np.ndarray) -> np.ndarray:
-    return np.einsum("ri,ri->r", x @ Qmat, x)
+def _leading(buf: np.ndarray, rows: int) -> np.ndarray:
+    """The leading elements of buf laid out as buf.shape[:-1] + (rows,)."""
+    shape = buf.shape[:-1] + (rows,)
+    return buf.reshape(-1)[:int(np.prod(shape))].reshape(shape)
+
+
+def _quad_columns(x: np.ndarray, Qmat: np.ndarray) -> np.ndarray:
+    """x_r' Q x_r of each column, summed down the column in a fixed order."""
+    return (column_product(Qmat, x) * x).sum(axis=0)
 
 
 def _filter_update(ids, Sg, xh, gate, z, C, V):
-    """Measurement update of the gated rows, covariances per history node.
+    """Measurement update of the gated columns, covariances per history node.
 
-    ids maps each replication to its covariance node in Sg. Posteriors are
-    computed once per node that takes an update, into a gain table over
-    all nodes whose other entries are zero. Every row gathers its node's
-    gain, so the mean update runs on the whole block without a mask: an
-    ungated row adds +0.0, which leaves every estimate but a -0.0 as it
-    was, and a gated row runs the arithmetic of its own update. Returns the
-    new (ids, Sg); xh is updated in place.
+    ids maps each replication to its covariance node in Sg; xh is (n, R)
+    and z (m, R). Posteriors are computed once per node that takes an
+    update, into a gain table (n, m, nodes) whose other nodes' entries are
+    zero. Every column gathers its node's gain along the node axis, one
+    measurement component at a time, and the m products are added in
+    component order into one temporary that is added to xh once. (An
+    einsum over m is no substitute: for m >= 3 its summation order depends
+    on the operands' memory alignment.) The update thus runs on the whole
+    block without a mask: an ungated column
+    adds +0.0, which leaves every estimate but a -0.0 as it was, and a
+    gated column runs the arithmetic of its own update. Returns the new
+    (ids, Sg); xh is updated in place.
     """
     ids, parents, updated = advance_histories(ids, gate, len(Sg))
     # np.take gathers these rows two to three times faster than fancy indexing
@@ -334,9 +368,13 @@ def _filter_update(ids, Sg, xh, gate, z, C, V):
     if len(nodes):
         node_gain, Sg[nodes] = gated_posterior(np.take(Sg, nodes, axis=0), C, V)
         # allocated after the posteriors, whose temporaries set the update's peak
-        gain = np.zeros((len(Sg),) + C.T.shape)
-        gain[nodes] = node_gain
-        xh += np.einsum("pnm,pm->pn", np.take(gain, ids, axis=0), z - xh @ C.T)
+        gain = np.zeros(C.T.shape + (len(Sg),))
+        gain[:, :, nodes] = node_gain.transpose(1, 2, 0)
+        innovation = z - column_product(C, xh)
+        step = np.take(gain[:, 0], ids, axis=1) * innovation[0]
+        for j in range(1, len(C)):
+            step += np.take(gain[:, j], ids, axis=1) * innovation[j]
+        xh += step
     return ids, Sg
 
 
@@ -471,10 +509,10 @@ def sweep(
     widest = max(hi - lo for lo, hi in blocks)
     scratch = {}  # block-local x and u traces, reduced to tracking metrics per block
     if streamed:
-        # stage-major, so that each stage's write is one contiguous slab
-        scratch = {"x": np.empty((N + 1, widest, n)), "u": np.empty((N, widest, s))}
+        # laid out as the block loop's arrays, so that each stage's write is one slab
+        scratch = {"x": np.empty((N + 1, n, widest)), "u": np.empty((N, s, widest))}
     # full observation reads no measurement noise: its substream stays undrawn
-    shapes = ((N, widest, n), (N, widest, m if partial else 0), (N, widest))
+    shapes = ((N, n, widest), (N, m if partial else 0, widest), (N, widest))
     buffers = [[np.empty(shape) for shape in shapes] for _ in blocks[:2]]
     Lw = [psd_sqrt(model.W[k]) for k in range(N)]
     Lv = [psd_sqrt(model.V_noise[k]) for k in range(N)] if partial else None
@@ -482,26 +520,29 @@ def sweep(
     with _Prefetch(_substreams(config.master_seed), buffers, blocks) as draws:
         for b, (lo, hi) in enumerate(blocks):
             w_eps, v_eps, chain_u = draws.take(b)
-            w = _SharedNoise(w_eps, Lw, w_reads, model.drift_at)
+            w = _SharedNoise(w_eps, Lw, w_reads, lambda k: drift_column(model, k))
             v = _SharedNoise(v_eps, Lv, v_reads)
             taus = {}
             for pt in runs:
                 if pt.chain not in taus:
-                    taus[pt.chain] = sample_tau(pt.chain, chain_u)
+                    taus[pt.chain] = sample_tau(pt.chain, chain_u.T)
                 tau = taus[pt.chain]
+                # transposes, not np.moveaxis: a process's first thousand or so
+                # moveaxis calls grow free lists by about 100 KB, which a traced
+                # peak counts
                 if pt.record is not None:
-                    record = {name: arr[lo:hi] for name, arr in pt.record.items()}
-                    record["tau"][:] = tau
+                    pt.record["tau"][lo:hi] = tau
+                    record = {name: arr[lo:hi].transpose(*range(1, arr.ndim), 0)
+                              for name, arr in pt.record.items()}
                 else:
-                    record = {name: np.swapaxes(arr[:, :hi - lo], 0, 1)
-                              for name, arr in scratch.items()}
+                    record = {name: _leading(arr, hi - lo) for name, arr in scratch.items()}
                 bad = _run_block(model, pt.ctrl_model, pt.regime, tau, w, v, x0,
                                  pt.totals[lo:hi], record)
                 if bad is not None:
                     pt.first_bad = bad if pt.first_bad is None else min(pt.first_bad, bad)
                 elif alpha is not None:
                     pt.mse[lo:hi], pt.energy[lo:hi], e2_max = _tracking_rows(
-                        record["x"], record["u"], alpha
+                        record["x"].transpose(2, 0, 1), record["u"].transpose(2, 0, 1), alpha
                     )
                     pt.e2_max = max(pt.e2_max, e2_max)
     # freed before the reductions below, whose temporaries grow with R
@@ -528,11 +569,14 @@ def sweep(
 def _run_block(model, ctrl_model, regime, tau, w, v, x0, totals, record):
     """Advance one block of replications through all stages on the arrival grid.
 
-    w(k) is the block's disturbance at stage k (drift included) and v(k) its
-    measurement noise, both scaled. Accumulates into `totals` and writes each
-    trace that `record` holds (a subset of SimulationBatch's trace fields, as
-    arrays over the block's rows). Returns the first stage whose running total
-    is not finite, stopping there, or None.
+    Every per-replication array is state-major, one column per replication:
+    x and x_hat are (n, rows), u is (s, rows). w(k) is the block's
+    disturbance at stage k (drift included) and v(k) its measurement noise,
+    both scaled and laid out the same way; tau is (rows, N). Accumulates into
+    `totals` and writes each trace that `record` holds (a subset of
+    SimulationBatch's trace fields, each laid out stage first and
+    replication last). Returns the first stage whose running total is not
+    finite, stopping there, or None.
     """
     N, n, s = model.N, model.state_dim, model.control_dim
     R = tau.shape[0]
@@ -544,12 +588,12 @@ def _run_block(model, ctrl_model, regime, tau, w, v, x0, totals, record):
     # partial observation as the next epoch's u_prev
     last_read = M_F + (step if partial else 0)
 
-    x = np.broadcast_to(x0, (R, n)).copy()
+    x = np.broadcast_to(x0[:, None], (n, R)).copy()
     saved = {}     # epoch -> state (full) or measurement (partial) at its start, until served
     arrivals = {}  # arrival stage -> control, until last read; other stages apply zero
-    zero = np.zeros((R, s)) if M else None  # perfect match has an arrival at every stage
+    zero = np.zeros((s, R)) if M else None  # perfect match has an arrival at every stage
     if partial:
-        xh_b = np.broadcast_to(x0, (R, n)).copy()   # boundary estimate
+        xh_b = x.copy()                             # boundary estimate
         ids = np.zeros(R, dtype=np.intp)            # gate-history node per replication
         Sg_b = np.zeros((1, n, n))                  # boundary covariance per node
 
@@ -557,7 +601,7 @@ def _run_block(model, ctrl_model, regime, tau, w, v, x0, totals, record):
         j_b, phase = divmod(k, step)
         if phase == 0 and j_b < epochs:
             if partial:
-                saved[j_b] = x @ model.C[k].T + v(k)
+                saved[j_b] = column_product(model.C[k], x) + v(k)
             else:
                 saved[j_b] = x  # x is rebound at every stage, never written in place
         if k in services:
@@ -578,18 +622,18 @@ def _run_block(model, ctrl_model, regime, tau, w, v, x0, totals, record):
                 _keep(record, t0, x_hat=xh_b)
                 base = xh_b
             base = propagate_mean(ctrl_model, base, arrivals.get(t0, zero), t0, t0 + M)
-            u_new = -(base @ gains.V[t0 + M].T)
-            u_new[~gate] = 0.0
+            u_new = -column_product(gains.V[t0 + M], base)
+            u_new[:, ~gate] = 0.0
             arrivals[t0 + M] = u_new
         u = arrivals.get(k, zero)
-        g = _quad_rows(x, model.Q[k]) + _quad_rows(u, model.R[k])
+        g = _quad_columns(x, model.Q[k]) + _quad_columns(u, model.R[k])
         totals += g
         if not np.isfinite(totals).all():
             return k
         _keep(record, k, x=x, u=u, stage_cost=g)
-        x = x @ model.A[k].T + u @ model.B[k].T + w(k)
+        x = column_product(model.A[k], x) + column_product(model.B[k], u) + w(k)
         arrivals.pop(k - last_read, None)
-    g_term = _quad_rows(x, model.Q[N])
+    g_term = _quad_columns(x, model.Q[N])
     totals += g_term
     if not np.isfinite(totals).all():
         return N
@@ -600,8 +644,10 @@ def _run_block(model, ctrl_model, regime, tau, w, v, x0, totals, record):
 class _SharedNoise:
     """One block's noise, scaled stage by stage on first read for all points.
 
-    reads[k] counts the points that read stage k; the last of them drops
-    it, so a one-point run holds one scaled stage at a time.
+    eps is the block's (N, dim, rows) draws; stage k is scaled as L[k] eps[k]
+    and shifted by shift(k) when given. reads[k] counts the points that
+    read stage k; the last of them drops it, so a one-point run holds one
+    scaled stage at a time.
     """
 
     def __init__(self, eps, L, reads, shift=None):
@@ -612,7 +658,7 @@ class _SharedNoise:
     def __call__(self, k: int) -> np.ndarray:
         y = self.scaled.pop(k, None)
         if y is None:
-            y = self.eps[:, k] @ self.L[k].T
+            y = column_product(self.L[k], self.eps[k])
             if self.shift is not None:
                 y += self.shift(k)
         self.unread[k] -= 1
@@ -625,7 +671,7 @@ def _keep(record: dict, k: int, **traces) -> None:
     """Write stage k of each of these traces that the record holds."""
     for name, value in traces.items():
         if name in record:
-            record[name][:, k] = value
+            record[name][k] = value
 
 
 # ---------------------------------------------------------------------------

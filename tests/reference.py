@@ -7,13 +7,14 @@ is evidence rather than self-confirmation.
 """
 
 import csv
+import functools
 import itertools
 from fractions import Fraction
 
 import numpy as np
 
 import fogctl as fc
-from fogctl.estimation import advance_histories, gated_posterior
+from fogctl.estimation import advance_histories, column_product, gated_posterior
 
 
 def textbook_riccati(A, B, Q, R, Q_N, N):
@@ -200,19 +201,24 @@ def reference_gated_posterior(Sig, C, V):
 def reference_filter_update(ids, Sg, xh, gate, z, C, V):
     """The simulator's masked measurement update, frozen as the reference.
 
-    Posteriors once per history node that takes an update; the gated rows
-    then gather their node's gain through boolean masks. The mask-free
-    `simulator._filter_update` must match it bit for bit: same (ids, Sg)
-    returned, same xh after the in-place update.
+    Posteriors once per history node that takes an update; the gated
+    columns of xh (n, R) then gather their node's gain through boolean
+    masks and contract it with their innovation (m, R), adding the m
+    products in component order before adding them to xh. (np.einsum is
+    no reference for this: for m >= 3 its summation order depends on the
+    operands' memory alignment.) The mask-free `simulator._filter_update`
+    must match it bit for bit: same (ids, Sg) returned, same xh after the
+    in-place update.
     """
     ids, parents, updated = advance_histories(ids, gate, len(Sg))
     Sg = Sg[parents]
     if updated.any():
         gain, post = gated_posterior(Sg[updated], C, V)
         Sg[updated] = post
-        row_gain = gain[np.cumsum(updated)[ids[gate]] - 1]
-        innovation = (z - xh @ C.T)[gate]
-        xh[gate] += np.einsum("pnm,pm->pn", row_gain, innovation)
+        col_gain = gain[np.cumsum(updated)[ids[gate]] - 1]
+        innovation = (z - column_product(C, xh))[:, gate]
+        terms = [col_gain[:, :, j].T * innovation[j] for j in range(len(C))]
+        xh[:, gate] += functools.reduce(np.add, terms)
     return ids, Sg
 
 

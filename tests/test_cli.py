@@ -163,6 +163,24 @@ class TestGains:
         assert payload["delay"] == {"M_F": 1, "M_B": 1}
         assert len(payload["P"]) == 3  # collateral weights run through stage cM
 
+    @pytest.mark.parametrize("q,basis", [(None, None), (0.1, None), (0.5, "symmetric-rate-p")])
+    def test_rate_p_gains_labelled_for_asymmetric_chains(self, tmp_path, q, basis):
+        # q = 0.1 is 1 - 0.9 within the symmetry tolerance, not exactly
+        cfg = scalar_config(N=3, p=0.9)
+        if q is None:
+            del cfg["reliability"]["q"]
+        else:
+            cfg["reliability"]["q"] = q
+        cfg_path = write_config(tmp_path, cfg)
+        assert cli.main(["gains", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "gains.json").read_text())
+        assert payload.get("basis") == basis
+        assert payload["p_used"] == 0.9
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(tmp_path),
+                         "--replications", "20"]) == 0
+        row, = json.loads((tmp_path / "summary.json").read_text())["rows"]
+        assert row.get("gains_basis") == basis
+
 
 class TestConfigErrors:
     @pytest.mark.parametrize("command", ["gains", "placement"])

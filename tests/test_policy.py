@@ -154,8 +154,8 @@ class TestDelayedLaws:
         regime = fc.solve(model, 0.5, self.delay)
         tr = traced(model, regime, ALWAYS_ON, x0)
         for t0 in (0, 2):
-            pred = propagate_mean(model, tr.x[:, t0], tr.u[:, t0], t0, t0 + 2)
-            assert tr.u[0, t0 + 2] == pytest.approx(-(regime.gains.V[t0 + 2] @ pred[0]))
+            pred = propagate_mean(model, tr.x[:, t0].T, tr.u[:, t0].T, t0, t0 + 2)
+            assert tr.u[0, t0 + 2] == pytest.approx(-(regime.gains.V[t0 + 2] @ pred[:, 0]))
             assert tr.u[0, t0 + 2] != pytest.approx(-(regime.gains.V[t0 + 2] @ tr.x[0, t0 + 2]))
 
     def test_partial_uses_filter_mean_on_grid(self):
@@ -163,8 +163,8 @@ class TestDelayedLaws:
         regime = fc.solve(model, 0.5, self.delay, observation="partial")
         tr = traced(model, regime, ALWAYS_ON, np.array([2.0]))
         for t0 in (0, 2):
-            pred = propagate_mean(model, tr.x_hat[:, t0], tr.u[:, t0], t0, t0 + 2)
-            assert tr.u[0, t0 + 2] == pytest.approx(-(regime.gains.V[t0 + 2] @ pred[0]))
+            pred = propagate_mean(model, tr.x_hat[:, t0].T, tr.u[:, t0].T, t0, t0 + 2)
+            assert tr.u[0, t0 + 2] == pytest.approx(-(regime.gains.V[t0 + 2] @ pred[:, 0]))
         off = traced(model, regime, ALWAYS_OFF, np.array([2.0]))
         assert np.all(off.u == 0.0)
 

@@ -116,17 +116,19 @@ class TestConfigAndStreams:
         for rows in (3, 4, 5):
             blocks = simulator._blocks(R, rows)
             widest = max(hi - lo for lo, hi in blocks)
-            buffers = [[np.empty((N, widest, n)), np.empty((N, widest, m)), np.empty((N, widest))]
+            buffers = [[np.empty((N, n, widest)), np.empty((N, m, widest)), np.empty((N, widest))]
                        for _ in range(2)]
             pieces = []
             with simulator._Prefetch(simulator._substreams(5), buffers, blocks) as draws:
                 for b, (lo, hi) in enumerate(blocks):
                     drawn = draws.take(b)
                     for arr, buf in zip(drawn, buffers[b % 2]):
-                        assert arr.shape == (hi - lo,) + buf.shape[:1] + buf.shape[2:]
+                        # state-major: each stage one contiguous (dim, rows) slab,
+                        # a short block's too
+                        assert arr.shape == buf.shape[:-1] + (hi - lo,)
                         assert np.shares_memory(arr, buf)
-                        assert all(arr[:, k].flags.c_contiguous for k in range(N))
-                    pieces.append([a.copy() for a in drawn])
+                        assert all(arr[k].flags.c_contiguous for k in range(N))
+                    pieces.append([np.moveaxis(a, -1, 0).copy() for a in drawn])
             for i, want in enumerate(whole):
                 assert np.concatenate([piece[i] for piece in pieces]).tobytes() == want.tobytes()
 
@@ -359,6 +361,49 @@ class TestBlocks:
                 assert b is None and observation == "full"
             else:
                 assert np.array_equal(a, b, equal_nan=True), name
+
+    @pytest.mark.parametrize("rows", [2, 3, 5])
+    def test_scalar_plant_blocking_is_bit_identical(self, monkeypatch, rows):
+        # n = s = m = 1: every array of the block loop is one row of
+        # replications and every matrix it applies (A, B, C, the gains, the
+        # noise roots, Q and R) is 1 x 1. drift_plant's one-row gain and C
+        # with two columns are covered by TestPrefetch. R = 23 folds a
+        # one-row remainder into the last block at 2 and 5 rows.
+        model = fc.make_system(A=1.1, B=0.7, Q=1.0, R=0.5, W=0.3, V_noise=0.2,
+                               drift=np.linspace(-0.2, 0.3, 7)[:, None], N=7)
+        x0 = np.array([0.8])
+        chain = fc.symmetric_chain(0.7, tau0=(0.3, 0.7))
+        cfg = fc.SimulationConfig(replications=23, master_seed=41, record_traces=True)
+        points = []
+        for observation, delay in REGIMES:
+            delay = None if delay is None else fc.DelayProfile(*delay)
+            points.append((chain, delay, fc.solve(model, 0.7, delay, observation)))
+        whole = [fc.run(model, *point, cfg, x0=x0) for point in points]
+        set_block_rows(monkeypatch, model, rows)
+        assert len(simulator._blocks(23, rows)) > 1
+        for point, want in zip(points, whole):
+            assert_same_result(fc.run(model, *point, cfg, x0=x0), want)
+
+    @pytest.mark.parametrize("observation,delay", REGIMES)
+    def test_wide_blocks_are_bit_identical(self, monkeypatch, observation, delay):
+        # R = 20,000 in one block against blocks of 6,667 rows (the last
+        # one 6,666), on an n = 4, s = 2, m = 2 plant
+        rng = np.random.default_rng(97)
+        model = fc.make_system(
+            A=0.45 * rng.normal(size=(4, 4)), B=rng.normal(size=(4, 2)),
+            C=rng.normal(size=(2, 4)), Q=random_psd(rng, 4, floor=0.05),
+            R=random_psd(rng, 2, floor=0.1), W=random_psd(rng, 4, floor=0.05),
+            V_noise=random_psd(rng, 2, floor=0.2), N=6,
+        )
+        x0 = rng.normal(size=4)
+        delay = None if delay is None else fc.DelayProfile(*delay)
+        point = (fc.symmetric_chain(0.8), delay, fc.solve(model, 0.8, delay, observation))
+        cfg = fc.SimulationConfig(replications=20_000, master_seed=43, record_traces=True)
+        set_block_rows(monkeypatch, model, 20_000)
+        whole = fc.run(model, *point, cfg, x0=x0)
+        set_block_rows(monkeypatch, model, 6_667)
+        assert simulator._blocks(20_000, 6_667)[-1] == (13_334, 20_000)
+        assert_same_result(fc.run(model, *point, cfg, x0=x0), whole)
 
     @pytest.mark.parametrize("observation,delay", REGIMES)
     def test_memory_bounded_by_block(self, observation, delay):
@@ -823,12 +868,12 @@ class TestFilterUpdate:
         n, R = 3, 40
         C, V = rng.normal(size=(m, n)), random_psd(rng, m, floor=0.2)
         Phi, Xi = 0.8 * rng.normal(size=(n, n)), random_psd(rng, n, floor=0.1)
-        ids, Sg, xh = np.zeros(R, dtype=np.intp), np.zeros((1, n, n)), rng.normal(size=(R, n))
+        ids, Sg, xh = np.zeros(R, dtype=np.intp), np.zeros((1, n, n)), rng.normal(size=(n, R))
         ref_ids, ref_Sg, ref_xh = ids.copy(), Sg.copy(), xh.copy()
         for _ in range(6):
             gate = {"random": rng.random(R) < 0.6, "all-on": np.ones(R, dtype=bool),
                     "all-off": np.zeros(R, dtype=bool)}[gates]
-            z = rng.normal(size=(R, m))
+            z = rng.normal(size=(m, R))
             ids, Sg = simulator._filter_update(
                 ids, predict_covariances(Sg, Phi, Xi), xh, gate, z, C, V)
             ref_ids, ref_Sg = reference_filter_update(
@@ -839,19 +884,19 @@ class TestFilterUpdate:
 
 
 class RowMajorDraws:
-    """Drop-in for `simulator._Prefetch` that hands each block the leading
-    rows of replication-major arrays drawn at once: the strided stage reads
-    of the row-major buffers the stage-major ones replaced."""
+    """Drop-in for `simulator._Prefetch` that hands each block its rows of
+    replication-major arrays drawn at once, viewed stage first: the strided
+    stage reads of the row-major buffers the state-major ones replaced."""
 
     def __init__(self, streams, buffers, blocks):
         R = blocks[-1][1]
-        shapes = [(R, buf.shape[0]) + buf.shape[2:] for buf in buffers[0]]
+        shapes = [(R,) + buf.shape[:-1] for buf in buffers[0]]
         self.whole = simulator._draw(streams, [np.empty(shape) for shape in shapes])
         self.blocks = blocks
 
     def take(self, b):
         lo, hi = self.blocks[b]
-        return [arr[lo:hi] for arr in self.whole]
+        return [np.moveaxis(arr[lo:hi], 0, -1) for arr in self.whole]
 
     def __enter__(self):
         return self
@@ -861,8 +906,9 @@ class RowMajorDraws:
 
 
 class TestBlockLayout:
-    """The block loop on stage-major draws with the mask-free update gives
-    the results of row-major draws with the masked update, bit for bit."""
+    """The block loop on state-major draws with the mask-free update gives
+    the results of strided replication-major draws with the masked update,
+    bit for bit."""
 
     @staticmethod
     def row_major_masked(monkeypatch):
