@@ -23,9 +23,11 @@ conditional mean instead of the true state. For linear-Gaussian models each
 per-stage term is an expectation over ON/OFF histories of a weighted trace of
 the filter error covariance; the covariances are history-dependent but
 state-independent, so the expectation is computable by exact enumeration at
-small horizons or by Monte Carlo sampling otherwise. Exact enumeration
-estimates the memory of its widest epoch first and refuses a problem that
-would not fit.
+small horizons or by Monte Carlo sampling otherwise. Both walk the history
+tree one epoch at a time and run each epoch's nodes through the update in
+fixed-size chunks, so beyond two epochs of priors they hold one chunk's
+temporaries. Both estimate the memory of their widest epoch first and refuse
+a problem that would not fit.
 """
 
 from __future__ import annotations
@@ -46,6 +48,10 @@ from .model import (
 
 PENALTY_METHODS = ("exact-enumeration", "monte-carlo")
 EXACT_ENUMERATION_MAX_N = 20
+# Bytes of one chunk of n x n covariances in the penalty sweep: 2048 nodes
+# at n = 4. Smaller chunks pay numpy's per-call overhead, larger ones hold
+# more temporaries for no speed.
+_CHUNK_BYTES = 2**18
 # Largest cond(V) that `gated_posterior` serves by sequential scalar updates.
 _SEQUENTIAL_MAX_COND = 1e8
 
@@ -211,7 +217,7 @@ def gated_posterior(Sig: np.ndarray, C: np.ndarray, V: np.ndarray):
         G[..., i:i + 1, :] = k
         H[..., i + 1:, :] -= np.matmul(H[..., i + 1:, :], c) * k
     Kt = np.matmul(U, G)
-    del H, G  # the exact penalty's peak memory sits in this call
+    del H, G  # freed before the Joseph step's temporaries
     gain = np.ascontiguousarray(np.swapaxes(Kt, -1, -2))
     A = np.matmul(gain, np.matmul(C, Sig))
     np.subtract(Sig, A, out=A)
@@ -277,15 +283,29 @@ def penalty_config_for(N: int, replications: int, seed: int) -> dict:
     return {"method": "monte-carlo", "replications": replications, "seed": seed}
 
 
-def _branch(post: np.ndarray, prior: np.ndarray, probs: np.ndarray, p: float):
-    """Split enumeration branches on this stage's ON/OFF outcome."""
-    if p == 1.0:
-        return post, probs
-    if p == 0.0:
-        return prior, probs
-    children = np.concatenate([post, prior], axis=0)
-    probs = np.concatenate([probs * p, probs * (1.0 - p)])
-    return children, probs
+def _chunk_nodes(n: int) -> int:
+    return max(1, _CHUNK_BYTES // (8 * n * n))
+
+
+def _sweep_mib(n: int, m: int, epochs: int, p: float, replications: Optional[int] = None):
+    """(MiB, nodes): `_penalty_sweep`'s memory at its widest level, and that level's size.
+
+    The last epoch's level is the widest: one prior per history of the
+    epochs before it, at most `replications` when sampled. Alive at once are
+    the priors of that level and of the one before it, about four scalars
+    per node of both (probabilities, traces, history bookkeeping), and one
+    chunk's update temporaries: about six n x n, three m x n and eight
+    scalars per node. Monte Carlo adds its (R, epochs) draws, its
+    (R, epochs - 1) samples and about six id and gather vectors of R.
+    """
+    nodes = 2 ** max(epochs - 2, 0) if 0.0 < p < 1.0 else 1
+    reps = 0
+    if replications is not None:
+        nodes, reps = min(nodes, replications), replications * (2 * epochs + 5)
+    chunk = min(_chunk_nodes(n), nodes)
+    doubles = ((nodes + (nodes + 1) // 2) * (n * n + 4)
+               + chunk * (6 * n * n + 3 * m * n + 8) + reps)
+    return 8 * doubles / 2**20, nodes
 
 
 def _penalty_sweep(Sig0, steps, p, cfg):
@@ -293,14 +313,27 @@ def _penalty_sweep(Sig0, steps, p, cfg):
 
     Sig0 is the prior covariance at the first epoch; steps holds, per epoch,
     (C, V, weight, Phi, Xi): the measurement channel, the trace weight, and
-    the time update Phi Sig Phi^T + Xi to the next epoch. Monte Carlo
-    computes the covariances once per distinct sampled history and gathers
-    each replication's trace by its history id.
+    the time update Phi Sig Phi^T + Xi to the next epoch. The history tree
+    is walked level by level; each level's priors go through the update,
+    the trace and the time update of their children in chunks of
+    `_CHUNK_BYTES`, writing into the preallocated next level, so the
+    working memory beyond two levels of priors is one chunk's.
+
+    Exact enumeration puts the ON children of parents [lo, hi) at [lo, hi)
+    and the OFF children at [P + lo, P + hi), the order of the level's
+    probabilities. Monte Carlo computes the covariances once per distinct
+    sampled history and gathers each replication's trace by its history id;
+    `advance_histories` numbers the children in parent order, so the
+    children of a chunk of parents are one contiguous range. Every node is
+    computed on its own, and each term is one product over the whole
+    level, so the results do not depend on the chunk size.
 
     Returns:
         (per, total, standard_error) with one conditional term per epoch.
     """
     exact = cfg["method"] == "exact-enumeration"
+    n = Sig0.shape[-1]
+    chunk = _chunk_nodes(n)
     Sig = Sig0[None].copy()
     if exact:
         probs = np.array([1.0])
@@ -312,22 +345,42 @@ def _penalty_sweep(Sig0, steps, p, cfg):
         samples = np.zeros((R, len(steps)))
     per = np.zeros(len(steps))
     for i, (C, V, weight, Phi, Xi) in enumerate(steps):
-        post = gated_posterior(Sig, C, V)[1]  # holding no gains keeps the peak down
-        traces = _batch_traces(post, weight)
+        P, last = len(Sig), i == len(steps) - 1
+        traces = np.empty(P)
+        if last:
+            kids = None  # no later epoch reads the last one's children
+        elif exact:
+            kids = np.empty((P if p in (0.0, 1.0) else 2 * P, n, n))
+        else:
+            kid_ids, parents, updated = advance_histories(ids, draws[:, i + 1] < p, P)
+            kids = np.empty((len(parents), n, n))
+        for lo in range(0, P, chunk):
+            prior = Sig[lo:lo + chunk]
+            hi = lo + len(prior)
+            post = gated_posterior(prior, C, V)[1]
+            traces[lo:hi] = _batch_traces(post, weight)
+            if last:
+                continue
+            if exact:  # ON children, then OFF ones: the order of the next probs
+                if p > 0.0:
+                    kids[lo:hi] = predict_covariances(post, Phi, Xi)
+                if p < 1.0:
+                    off = P if p > 0.0 else 0
+                    kids[off + lo:off + hi] = predict_covariances(prior, Phi, Xi)
+            else:
+                a, b = np.searchsorted(parents, (lo, hi))
+                up, at = updated[a:b, None, None], parents[a:b] - lo
+                kids[a:b] = predict_covariances(np.where(up, post[at], prior[at]), Phi, Xi)
+        del prior, post  # a view of this level would keep it alive into the next
         if exact:
             per[i] = float(probs @ traces)
+            if not last and 0.0 < p < 1.0:
+                probs = np.outer((p, 1.0 - p), probs).ravel()
         else:
             samples[:, i] = traces[ids]
-        if i == len(steps) - 1:
-            break  # no later epoch reads the last one's children
-        # the children replace Sig, so no earlier stack outlives this epoch
-        if exact:
-            Sig, probs = _branch(post, Sig, probs, p)
-        else:
-            ids, parents, updated = advance_histories(ids, draws[:, i + 1] < p, len(Sig))
-            Sig = Sig[parents]
-            Sig[updated] = post[parents[updated]]
-        Sig = predict_covariances(Sig, Phi, Xi)
+            if not last:
+                ids = kid_ids
+        Sig = kids  # the children replace Sig, so no earlier level outlives this epoch
     if exact:
         return per, p * float(per.sum()), 0.0
     totals = p * samples.sum(axis=1)
@@ -365,10 +418,10 @@ def expected_estimation_penalty(
 
     Raises:
         ModelValidationError: exact enumeration requested with N > 20
-            (use method "monte-carlo") or needing more memory than the
-            machine has, a sweep that runs out of memory, a replication count
-            or seed that is not a whole number at its lower limit, or an
-            unknown regime/method.
+            (use method "monte-carlo"), a sweep whose estimate (`_sweep_mib`)
+            exceeds the machine's memory or that runs out of memory, a
+            replication count or seed that is not a whole number at its
+            lower limit, or an unknown regime/method.
     """
     if regime not in ("partial-perfect", "partial-delayed"):
         raise ModelValidationError(
@@ -389,15 +442,7 @@ def expected_estimation_penalty(
         raise ModelValidationError(["partial-delayed penalty requires a delayed schedule"])
     delay = schedule.delay if regime == "partial-delayed" else None
     step, _, M, epochs = arrival_grid(delay, N)
-    mib, extent = None, ""
-    if exact:
-        # the last epoch is the widest: one prior per history of the epochs
-        # before it. Per node about six n x n stacks are alive at once (the
-        # prior, the posterior and the update's temporaries), three m x n
-        # ones and a few scalars.
-        nodes = 2 ** max(epochs - 2, 0) if 0.0 < p < 1.0 else 1
-        mib = 8 * nodes * (6 * n * n + 3 * model.obs_dim * n + 8) / 2**20
-        extent = f" for {nodes} histories"
+    mib, nodes = _sweep_mib(n, model.obs_dim, epochs, p, None if exact else cfg["replications"])
     steps = []
     for j in range(1, epochs):
         t = j * step
@@ -410,7 +455,7 @@ def expected_estimation_penalty(
             transition_product(model, t + step, t), window_noise(model, t, t + step),
         ))
     what = "the exact estimation penalty" if exact else "the estimation penalty"
-    with _memory_guard(f"N = {N}, n = {n}", what, mib, extent):
+    with _memory_guard(f"N = {N}, n = {n}", what, mib, f" for {nodes} histories"):
         per, total, se = _penalty_sweep(window_noise(model, 0, step), steps, p, cfg)
     stages = [j * step for j in range(1, epochs)]
     if M == 0:  # perfect match also lists stage 0, where x0 is known exactly

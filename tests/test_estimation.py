@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -266,6 +267,68 @@ class TestPenaltyMemoryGuard:
                            match=r"N = 6, n = 1: the exact estimation penalty needs .* MiB"):
             fc.expected_estimation_penalty(model, 0.5, sched, "partial-perfect")
 
+    def test_monte_carlo_estimate_above_memory_raises_before_the_sweep(self, monkeypatch):
+        model, _ = noisy_scalar(N=6)
+        sched = fc.backward_recursion_perfect(model, 0.5)
+
+        def sweep(*args):
+            raise AssertionError("the sweep started")
+        monkeypatch.setattr("fogctl.model._physical_mib", lambda: 0.001)
+        monkeypatch.setattr(estimation, "_penalty_sweep", sweep)
+        with pytest.raises(fc.ModelValidationError,
+                           match=r"N = 6, n = 1: the estimation penalty needs .* MiB for 16 histories"):
+            fc.expected_estimation_penalty(
+                model, 0.5, sched, "partial-perfect",
+                config={"method": "monte-carlo", "replications": 10_000, "seed": 0},
+            )
+
+    @pytest.mark.parametrize("N, n", [(18, 4), (14, 8)])
+    def test_estimate_bounds_the_traced_peak(self, monkeypatch, N, n):
+        # the guard's estimate must cover what the exact sweep allocates
+        # without overstating it by more than a factor of two
+        model = fc.make_system(A=0.9 * np.eye(n), B=np.ones((n, 1)), Q=np.eye(n), R=1.0,
+                               W=0.1 * np.eye(n), C=np.eye(2, n), V_noise=0.5 * np.eye(2), N=N)
+        sched = fc.backward_recursion_perfect(model, 0.7)
+        estimates, guard = [], estimation._memory_guard
+
+        def spy(where, what, mib, extent=""):
+            estimates.append(mib)
+            return guard(where, what, mib, extent)
+        monkeypatch.setattr(estimation, "_memory_guard", spy)
+        tracemalloc.start()
+        try:
+            fc.expected_estimation_penalty(model, 0.7, sched, "partial-perfect")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        [mib] = estimates
+        assert peak <= mib * 2**20 <= 2 * peak
+
+    def test_exact_penalty_at_the_cap_fits_a_bounded_address_space(self):
+        # N = 20, n = 8 holds two levels of 2^17 and 2^18 priors (192 MiB)
+        # and one chunk's temporaries; updating a whole level at once needed
+        # about 880 MiB and ran out of memory under this limit
+        limit = 512 * 2**20
+        code = (
+            "import resource\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "import numpy as np\n"
+            "import fogctl as fc\n"
+            "n = 8\n"
+            "model = fc.make_system(A=0.9 * np.eye(n), B=np.ones((n, 1)), Q=np.eye(n), R=1.0,\n"
+            "                       W=0.1 * np.eye(n), C=np.eye(2, n), V_noise=0.5 * np.eye(2),\n"
+            "                       N=20)\n"
+            "sched = fc.backward_recursion_perfect(model, 0.7)\n"
+            "print(fc.expected_estimation_penalty(model, 0.7, sched, 'partial-perfect').total)\n"
+        )
+        src = str(Path(fc.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert float(proc.stdout) > 0.0
+
     def test_out_of_memory_is_a_clean_error(self):
         # n = 16, N = 20 needs about 3.2 GiB at its widest epoch; the child's
         # address space is capped at 800 MiB, so the sweep runs out of memory
@@ -293,6 +356,42 @@ class TestPenaltyMemoryGuard:
                               env=env, timeout=120)
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout.startswith("N = 20, n = 16: ") and "MiB" in proc.stdout
+
+
+class TestPenaltyChunking:
+    """The penalty sweep's chunk of history nodes never changes a bit."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("exact_observation", [False, True])
+    def test_values_equal_at_any_chunk_size(self, monkeypatch, m, exact_observation):
+        rng = np.random.default_rng(100 + m)
+        n, N = 3, 10
+        V = np.zeros((m, m)) if exact_observation else 0.3 * np.eye(m)  # V = 0: pseudo-inverse
+        model = fc.make_system(A=rng.normal(size=(n, n)) / 2, B=rng.normal(size=(n, 1)),
+                               Q=np.eye(n), R=1.0, W=0.2 * np.eye(n),
+                               C=rng.normal(size=(m, n)), V_noise=V, N=N)
+        delay = fc.DelayProfile(M_F=0, M_B=1)
+        runs = []
+        for p in (0.0, 0.5, 1.0):
+            for regime, sched in (
+                ("partial-perfect", fc.backward_recursion_perfect(model, p)),
+                ("partial-delayed", fc.backward_recursion_delayed(model, p, delay)),
+            ):
+                for config in (None, {"method": "monte-carlo", "replications": 400, "seed": 3}):
+                    runs.append((p, sched, regime, config))
+
+        def values():
+            out = []
+            for p, sched, regime, config in runs:
+                pen = fc.expected_estimation_penalty(model, p, sched, regime, config)
+                out.append((pen.per_stage, pen.total, pen.standard_error))
+            return out
+        default = values()
+        assert estimation._chunk_nodes(n) >= 2 ** (N - 2)  # one chunk per level
+        for nodes in (1, 3, 7):
+            monkeypatch.setattr(estimation, "_CHUNK_BYTES", nodes * 8 * n * n)
+            assert estimation._chunk_nodes(n) == nodes
+            assert values() == default
 
 
 class TestDelayedPenalty:
