@@ -357,7 +357,8 @@ def cmd_placement(
     pessimistic-rate estimate min(p, 1-q) and is labeled as such. The
     penalty_basis column names the estimation penalty: none (full
     observation), exact-enumeration or, above EXACT_ENUMERATION_MAX_N
-    stages, monte-carlo.
+    stages, monte-carlo. A model with drift (any scenario) is refused by
+    `min_cost`, whose closed form assumes zero-mean dynamics.
     """
     model, x0, scenario = _plant_from(config)
     block = config_block("placement", config.get("placement", {}), {

@@ -351,10 +351,11 @@ def bound_check(
     land inside the same bracket. Returns lower, upper, the value of that
     policy on the true chain, a holds flag, and the tolerance used.
 
-    The policy value is exact (moment recursion) when the model fits the
-    oracle scope; otherwise it falls back to Monte Carlo and the tolerance
-    widens to three standard errors. config sets that fallback's
-    replications (a whole number >= 1) and seed (>= 0).
+    The policy value is exact (moment recursion) under full observation;
+    under partial observation it falls back to Monte Carlo and the
+    tolerance widens to three standard errors. config sets that fallback's
+    replications (a whole number >= 1) and seed (>= 0). A model with drift
+    raises, as `min_cost` does.
     """
     if regime not in REGIMES:
         raise ModelValidationError([f"unknown regime {regime!r}"])
@@ -378,7 +379,7 @@ def bound_check(
     policy = sandwich_policy(model, p, q, delay, observation)
     upper = min_cost(model, policy, x0, tau0, pen_cfg).total
     chain_true = ReliabilityChain(p=p, q=q, tau0=tau0)
-    if observation == "full" and model.drift is None:
+    if observation == "full":
         policy_value = evaluate_policy_cost(model, chain_true, delay, policy, x0, tau0=tau0)
         tolerance = 1e-9
         method = "exact"

@@ -42,7 +42,8 @@ class ControllerRegime:
 
     compensate_drift selects whether the controller's internal propagation
     feeds the model's known drift (affine-compensated mode) or ignores it
-    (the default, matching the zero-mean derivations).
+    (the default, matching the zero-mean derivations). The delay's split
+    (M_F, M_B) must be the one the gains were built for.
     """
 
     observation: str
@@ -60,6 +61,12 @@ class ControllerRegime:
         if self.gains.regime != expected:
             raise ModelValidationError(
                 [f"gain schedule tagged {self.gains.regime}, regime requires {expected}"]
+            )
+        (M_F, M_B), (gains_M_F, gains_M_B) = _split(self.delay), _split(self.gains.delay)
+        if (M_F, M_B) != (gains_M_F, gains_M_B):
+            raise ModelValidationError(
+                [f"configuration inconsistencies: regime delay split M_F={M_F}, M_B={M_B} "
+                 f"but policy gains built for M_F={gains_M_F}, M_B={gains_M_B}"]
             )
 
 
@@ -137,7 +144,15 @@ def min_cost(
     included), and on a symmetric chain a later gate is ON with probability
     p whatever tau0 was. A malformed x0 or tau0 raises before the penalty is
     computed.
+
+    A model with drift raises ModelValidationError: the closed form assumes
+    zero-mean dynamics, so it is not the cost of any law on such a plant.
     """
+    if model.drift is not None:
+        raise ModelValidationError(
+            ["the closed-form cost ignores the model's drift: no exact minimum cost "
+             "for a model with drift"]
+        )
     x0 = state_vector(x0, model.state_dim)
     tau0_pair(tau0)
     gains, penalty = regime.gains, None

@@ -28,9 +28,10 @@ observation never reads it, and leaving its substream undrawn changes no
 other draw.
 
 `sweep` runs several points (chain, delay, regime) on one plant, seed and
-R; `run` is its one-point case. Each block is drawn once and every point
-runs on those draws in turn; a stage's noise is scaled on its first read
-and dropped after its last. A sweep thus pays for its noise once, and each
+R; `run` is its one-point case. Each block is drawn once and scaled in
+place, the disturbance at every stage (drift added) and the measurement
+noise at the stages a partially observed point reads; every point runs on
+that one copy in turn. A sweep thus pays for its noise once, and each
 point's results are bit for bit those of its own `run`.
 
 A block holds max(2, CHUNK_BYTES // (8 N (n + m + 1))) replications, so its
@@ -110,6 +111,7 @@ from .model import (
     LinearSystemModel,
     ModelValidationError,
     ReliabilityChain,
+    _memory_guard,
     _whole,
     arrival_grid,
     state_vector,
@@ -289,7 +291,10 @@ class _Prefetch:
     which release the GIL; the scaling and every matrix product stay on
     the calling thread. A one-block run starts no thread. An error raised
     by a fill is raised again by the `take` that waits for it, and leaving
-    the `with` block joins any fill still running.
+    the `with` block joins any fill still running. The caller scales block
+    b's draws in place, in set b % 2. That is safe: the next write to the
+    set is block b + 2's fill, whose thread starts in `take(b + 1)`, and
+    the caller calls `take(b + 1)` only after every point has run block b.
     """
 
     def __init__(self, streams, buffers, blocks):
@@ -411,6 +416,16 @@ def _block_rows(model: LinearSystemModel, streamed: bool) -> int:
     return max(2, CHUNK_BYTES // per_rep)
 
 
+def _kept_bytes(model: LinearSystemModel, partial: bool, record: bool, tracking: bool) -> int:
+    """Bytes a point keeps per replication for the whole run: its total, its
+    two tracking reductions when asked, and its traces (`_trace_arrays`) when recorded."""
+    N, n, s = model.N, model.state_dim, model.control_dim
+    kept = 8 * (1 + 2 * tracking)
+    if record:
+        kept += 8 * ((N + 1) * (n + 1) + N * s + N * n * partial) + N
+    return kept
+
+
 def _trace_arrays(model: LinearSystemModel, R: int, partial: bool) -> dict:
     """Trace arrays for R replications, laid out as SimulationBatch's fields."""
     N, n, s = model.N, model.state_dim, model.control_dim
@@ -483,27 +498,30 @@ def sweep(
     R = int(config.replications)
     if alpha is not None:
         _check_tracking_layout(n, s)
-    w_reads = [len(points)] * N  # every point reads every stage's disturbance
-    v_reads = [0] * N            # a partially observed point measures at its epoch starts
+    v_stages = set()  # a partially observed point measures at its epoch starts
     for _, _, regime in points:
         if regime.observation == "partial":
             step, _, _, epochs = arrival_grid(regime.delay, N)
-            for j in range(epochs):
-                v_reads[j * step] += 1
-    partial = any(v_reads)
+            v_stages.update(j * step for j in range(epochs))
 
     runs = []
-    for chain, _, regime in points:
-        pt = _PointRun(
-            chain=chain, regime=regime,
-            ctrl_model=model if regime.compensate_drift else model.without_drift(),
-            totals=np.zeros(R),
-            record=(_trace_arrays(model, R, regime.observation == "partial")
-                    if config.record_traces else None),
-        )
-        if alpha is not None:
-            pt.mse, pt.energy = np.empty(R), np.empty(R)
-        runs.append(pt)
+    where, what = f"R = {R}", "keeping the per-replication results"
+    # every point's kept arrays, and the one temporary of a standard error
+    mib = R * (8 + sum(_kept_bytes(model, regime.observation == "partial",
+                                   config.record_traces, alpha is not None)
+                       for _, _, regime in points)) / 2**20
+    with _memory_guard(where, what, mib):
+        for chain, _, regime in points:
+            pt = _PointRun(
+                chain=chain, regime=regime,
+                ctrl_model=model if regime.compensate_drift else model.without_drift(),
+                totals=np.zeros(R),
+                record=(_trace_arrays(model, R, regime.observation == "partial")
+                        if config.record_traces else None),
+            )
+            if alpha is not None:
+                pt.mse, pt.energy = np.empty(R), np.empty(R)
+            runs.append(pt)
     streamed = alpha is not None and not config.record_traces
     blocks = _blocks(R, _block_rows(model, streamed))
     widest = max(hi - lo for lo, hi in blocks)
@@ -512,16 +530,19 @@ def sweep(
         # laid out as the block loop's arrays, so that each stage's write is one slab
         scratch = {"x": np.empty((N + 1, n, widest)), "u": np.empty((N, s, widest))}
     # full observation reads no measurement noise: its substream stays undrawn
-    shapes = ((N, n, widest), (N, m if partial else 0, widest), (N, widest))
+    shapes = ((N, n, widest), (N, m if v_stages else 0, widest), (N, widest))
     buffers = [[np.empty(shape) for shape in shapes] for _ in blocks[:2]]
     Lw = [psd_sqrt(model.W[k]) for k in range(N)]
-    Lv = [psd_sqrt(model.V_noise[k]) for k in range(N)] if partial else None
+    Lv = {k: psd_sqrt(model.V_noise[k]) for k in v_stages}
 
     with _Prefetch(_substreams(config.master_seed), buffers, blocks) as draws:
         for b, (lo, hi) in enumerate(blocks):
-            w_eps, v_eps, chain_u = draws.take(b)
-            w = _SharedNoise(w_eps, Lw, w_reads, lambda k: drift_column(model, k))
-            v = _SharedNoise(v_eps, Lv, v_reads)
+            w, v, chain_u = draws.take(b)
+            # scaled in place, once for every point (`_Prefetch`)
+            for k in range(N):
+                np.add(column_product(Lw[k], w[k]), drift_column(model, k), out=w[k])
+            for k in v_stages:
+                v[k] = column_product(Lv[k], v[k])
             taus = {}
             for pt in runs:
                 if pt.chain not in taus:
@@ -546,7 +567,7 @@ def sweep(
                     )
                     pt.e2_max = max(pt.e2_max, e2_max)
     # freed before the reductions below, whose temporaries grow with R
-    del draws, buffers, w_eps, v_eps, chain_u, w, v, taus
+    del draws, buffers, w, v, chain_u, taus
 
     results = []
     for pt in runs:
@@ -555,13 +576,15 @@ def sweep(
                 [f"non-finite simulated cost at stage {pt.first_bad}: the plant is unstable "
                  "or badly scaled for this horizon"]
             )
-        res = {
-            "mean_cost": float(pt.totals.mean()),
-            "std_error": float(pt.totals.std(ddof=1) / np.sqrt(R)) if R > 1 else 0.0,
-            "traces": None if pt.record is None else SimulationBatch(totals=pt.totals, **pt.record),
-        }
-        if alpha is not None:
-            res["tracking"] = _tracking_summary(pt.mse, pt.energy, pt.e2_max)
+        with _memory_guard(where, what, mib):
+            res = {
+                "mean_cost": float(pt.totals.mean()),
+                "std_error": float(pt.totals.std(ddof=1) / np.sqrt(R)) if R > 1 else 0.0,
+                "traces": (None if pt.record is None
+                           else SimulationBatch(totals=pt.totals, **pt.record)),
+            }
+            if alpha is not None:
+                res["tracking"] = _tracking_summary(pt.mse, pt.energy, pt.e2_max)
         results.append(res)
     return results
 
@@ -570,8 +593,8 @@ def _run_block(model, ctrl_model, regime, tau, w, v, x0, totals, record):
     """Advance one block of replications through all stages on the arrival grid.
 
     Every per-replication array is state-major, one column per replication:
-    x and x_hat are (n, rows), u is (s, rows). w(k) is the block's
-    disturbance at stage k (drift included) and v(k) its measurement noise,
+    x and x_hat are (n, rows), u is (s, rows). w[k] is the block's
+    disturbance at stage k (drift included) and v[k] its measurement noise,
     both scaled and laid out the same way; tau is (rows, N). Accumulates into
     `totals` and writes each trace that `record` holds (a subset of
     SimulationBatch's trace fields, each laid out stage first and
@@ -601,7 +624,7 @@ def _run_block(model, ctrl_model, regime, tau, w, v, x0, totals, record):
         j_b, phase = divmod(k, step)
         if phase == 0 and j_b < epochs:
             if partial:
-                saved[j_b] = column_product(model.C[k], x) + v(k)
+                saved[j_b] = column_product(model.C[k], x) + v[k]
             else:
                 saved[j_b] = x  # x is rebound at every stage, never written in place
         if k in services:
@@ -631,7 +654,7 @@ def _run_block(model, ctrl_model, regime, tau, w, v, x0, totals, record):
         if not np.isfinite(totals).all():
             return k
         _keep(record, k, x=x, u=u, stage_cost=g)
-        x = column_product(model.A[k], x) + column_product(model.B[k], u) + w(k)
+        x = column_product(model.A[k], x) + column_product(model.B[k], u) + w[k]
         arrivals.pop(k - last_read, None)
     g_term = _quad_columns(x, model.Q[N])
     totals += g_term
@@ -639,32 +662,6 @@ def _run_block(model, ctrl_model, regime, tau, w, v, x0, totals, record):
         return N
     _keep(record, N, x=x, stage_cost=g_term)
     return None
-
-
-class _SharedNoise:
-    """One block's noise, scaled stage by stage on first read for all points.
-
-    eps is the block's (N, dim, rows) draws; stage k is scaled as L[k] eps[k]
-    and shifted by shift(k) when given. reads[k] counts the points that
-    read stage k; the last of them drops it, so a one-point run holds one
-    scaled stage at a time.
-    """
-
-    def __init__(self, eps, L, reads, shift=None):
-        self.eps, self.L, self.shift = eps, L, shift
-        self.unread = list(reads)
-        self.scaled = {}
-
-    def __call__(self, k: int) -> np.ndarray:
-        y = self.scaled.pop(k, None)
-        if y is None:
-            y = column_product(self.L[k], self.eps[k])
-            if self.shift is not None:
-                y += self.shift(k)
-        self.unread[k] -= 1
-        if self.unread[k] > 0:
-            self.scaled[k] = y
-        return y
 
 
 def _keep(record: dict, k: int, **traces) -> None:

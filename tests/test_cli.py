@@ -373,6 +373,32 @@ class TestSimulate:
         assert a["rows"][0]["mean_cost"] != b["rows"][0]["mean_cost"]
         assert b["master_seed"] == 99
 
+    def test_oversized_traces_exit_2(self, tmp_path):
+        # R = 10^8 with traces asks for about 12 GiB of per-replication
+        # arrays; the child's address space is capped at 800 MiB. The
+        # allocation used to end in a traceback and exit 1
+        cfg = scalar_config(N=4, p=0.9, simulation={"record_traces": True})
+        cfg_path = write_config(tmp_path, cfg)
+        limit = 800 * 2**20
+        code = (
+            "import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from fogctl import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        src = str(Path(fc.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "simulate", "--config", cfg_path,
+             "--out", str(tmp_path / "out"), "--replications", "100000000"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        err = proc.stderr.splitlines()
+        assert proc.returncode == 2, proc.stderr
+        assert err == [err[0]] and err[0].startswith("error: R = 100000000: ")
+        assert "MiB" in err[0]
+
     def test_mean_tracks_closed_form(self, tmp_path):
         cfg = scalar_config(N=1, p=1.0)
         cfg["simulation"] = {"replications": 4000, "master_seed": 3}
@@ -461,6 +487,7 @@ class TestSimulate:
         per_rep = 8 * N * (n + m + 1) + 8 * ((N + 1) * n + N * s)
         monkeypatch.setattr(simulator, "CHUNK_BYTES", 50 * per_rep)  # 50-row blocks
         R, points = 400, 4
+        cli.cmd_simulate(cfg, tmp_path, replications=R)  # warm-up: free lists grow, unmeasured
         peaks = []
         for reps in (R, 10 * R):
             tracemalloc.start()
@@ -663,6 +690,16 @@ class TestPlacement:
         mc = self.partial_placement(tmp_path, 21, 0)
         assert mc.splitlines()[1].endswith(",monte-carlo")
         assert mc != self.partial_placement(tmp_path, 21, 1)
+
+    def test_drift_model_refused(self, tmp_path, capsys):
+        # a scenario's drift (the waypoint steps) is outside the closed form:
+        # placement used to rank such a model by drift-free costs labelled exact
+        cfg = scenario_config(delta_t=0.5)
+        cfg_path = write_config(tmp_path, cfg)
+        rc = cli.main(["placement", "--config", cfg_path, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "drift" in capsys.readouterr().err
+        assert not (tmp_path / "placement.csv").exists()
 
     def test_catalog_entry_validation(self, tmp_path, capsys):
         cfg = scalar_config(N=4, p=0.9, x0=0.0)

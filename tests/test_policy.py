@@ -41,6 +41,17 @@ class TestControllerRegime:
         ok = fc.ControllerRegime(observation="full", gains=dgains, delay=dgains.delay)
         assert ok.gains.regime == "full-delayed"
 
+    def test_delay_split_must_match_gains(self):
+        # gains for (M_F, M_B) = (0, 2) were accepted with a (1, 1) delay:
+        # min_cost then gave 44.89, the cost of the (0, 2) split, while `run`
+        # simulated the (1, 1) split, whose optimum is 46.09
+        model = fc.make_system(A=1.1, B=1, Q=1, R=1, W=1, N=8)
+        gains = fc.backward_recursion_delayed(model, 0.8, fc.DelayProfile(0, 2))
+        with pytest.raises(fc.ModelValidationError,
+                           match=r"configuration inconsistencies: regime delay split M_F=1, M_B=1"):
+            fc.ControllerRegime(observation="full", gains=gains, delay=fc.DelayProfile(1, 1))
+        fc.ControllerRegime(observation="full", gains=gains, delay=fc.DelayProfile(0, 2))
+
     def test_observation_values(self):
         _, gains = perfect_gains()
         with pytest.raises(fc.ModelValidationError, match="observation"):

@@ -425,6 +425,35 @@ class TestBlocks:
         assert peak < R * N * (2 + 1 + 1) * 8 / 2
 
 
+class TestMemoryGuard:
+    """Per-replication results too large for memory end in a clean error."""
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_oversized_replications_refused(self, monkeypatch, record):
+        model, x0 = scalar_fixture(N=4)
+        point = (fc.symmetric_chain(0.6), None, fc.solve(model, 0.6))
+        monkeypatch.setattr("fogctl.model._physical_mib", lambda: 1.0)
+        fits = fc.SimulationConfig(replications=2_000, record_traces=record)
+        simulator.sweep(model, [point], fits, x0=x0)
+        oversized = fc.SimulationConfig(replications=200_000, record_traces=record)
+        with pytest.raises(fc.ModelValidationError,
+                           match=r"R = 200000: keeping the per-replication results needs \d+ MiB"):
+            simulator.sweep(model, [point], oversized, x0=x0)
+
+    def test_out_of_memory_in_the_reductions_is_a_clean_error(self, monkeypatch):
+        # the standard errors' temporaries grow with R too; running out of
+        # memory there used to end in a traceback after the whole run
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(simulator, "_tracking_summary", no_memory)
+        model = fc.build_system(TestStreamedTracking.scenario())
+        point = (fc.symmetric_chain(0.6), None, fc.solve(model, 0.6))
+        with pytest.raises(fc.ModelValidationError,
+                           match=r"R = 50: out of memory in keeping the per-replication results"):
+            simulator.sweep(model, [point], fc.SimulationConfig(50), alpha=0.2)
+
+
 class TestDelayedLoopStructure:
     def test_causality_and_grid_discipline(self):
         model, x0 = scalar_fixture(N=7)
@@ -667,6 +696,31 @@ class TestSweep:
         regime = fc.solve(model, 0.8, None, observation)
         fc.run(model, fc.symmetric_chain(0.8), None, regime, fc.SimulationConfig(5), x0=None)
         assert drawn == [m_drawn]
+
+    def test_holds_one_copy_of_the_noise(self):
+        # every point runs on the block's draws, scaled once in place; a
+        # cache of scaled stages used to keep a second copy of the
+        # disturbance until the last point had read it
+        scenario = fc.scenario_from_config({"plan": {
+            "approach": {"target": [10.0, 5.0], "stages": 10},
+            "circle": {"radius": 5.0, "stages": 40}, "return": {"stages": 10},
+        }})
+        model, x0 = fc.build_system(scenario), fc.initial_state(scenario)
+        points = [(fc.symmetric_chain(p), delay, fc.solve(model, p, delay))
+                  for delay in (None, fc.DelayProfile(2, 1)) for p in (0.5, 0.9)]
+        R = 10_000
+        cfg = fc.SimulationConfig(replications=R, master_seed=2)
+        simulator.sweep(model, points, cfg, x0=x0, alpha=scenario.alpha)  # warm-up, unmeasured
+        peaks = []
+        for swept in (points[:1], points):
+            tracemalloc.start()
+            try:
+                simulator.sweep(model, swept, cfg, x0=x0, alpha=scenario.alpha)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        rows = max(hi - lo for lo, hi in simulator._blocks(R, simulator._block_rows(model, True)))
+        assert peaks[1] - peaks[0] < 8 * model.N * model.state_dim * rows
 
     def test_sweep_checks_every_point(self):
         model = drift_plant()
