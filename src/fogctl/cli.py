@@ -44,6 +44,7 @@ from .model import (
 from .estimation import penalty_config_for
 from .oracle import bound_check, brute_force_min_cost
 from .policy import min_cost, sandwich_policy, solve
+from .riccati import _tag
 from .simulator import SimulationConfig, sweep
 
 EXIT_OK = 0
@@ -316,15 +317,12 @@ def cmd_verify(config: dict, out_dir: Path, seed: Optional[int] = None) -> int:
         model, x0 = _random_verify_model(rng)
         q = float(rng.uniform(0.2, 0.95))
         p = float(rng.uniform(1.0 - q + 0.02, 0.995))
-        use_delay = bool(rng.integers(0, 2)) and model.N >= 3
-        if use_delay:
+        delay = None
+        if bool(rng.integers(0, 2)) and model.N >= 3:
             delay = DelayProfile(M_F=1, M_B=int(rng.integers(0, 2)))
             if delay.M > model.N - 1:
                 delay = DelayProfile(M_F=1, M_B=0)
-            tag = "full-delayed"
-        else:
-            delay = None
-            tag = "full-perfect"
+        tag = _tag("full", delay)
         res = bound_check(model, p, q, delay, tag, x0=x0, tau0=1)
         all_pass &= res["holds"]
         sandwich.append(

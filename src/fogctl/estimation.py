@@ -45,6 +45,7 @@ from .model import (
     arrival_grid,
     symmetrize,
 )
+from .riccati import _fit, _tag
 
 PENALTY_METHODS = ("exact-enumeration", "monte-carlo")
 EXACT_ENUMERATION_MAX_N = 20
@@ -408,7 +409,7 @@ def expected_estimation_penalty(
         schedule: gain schedule supplying the weights (control-benefit
             matrices for the no-delay regime; transported collateral weights
             for the delayed regime).
-        regime: "partial-perfect" or "partial-delayed".
+        regime: "partial-perfect" or "partial-delayed", the schedule's match type.
         config: {method, replications, seed}; method defaults to
             exact-enumeration, which enumerates all ON/OFF histories and is
             guarded at N <= 20.
@@ -417,9 +418,10 @@ def expected_estimation_penalty(
         EstimationPenalty (standard_error 0 for the exact method).
 
     Raises:
-        ModelValidationError: exact enumeration requested with N > 20
-            (use method "monte-carlo"), a sweep whose estimate (`_sweep_mib`)
-            exceeds the machine's memory or that runs out of memory, a
+        ModelValidationError: a schedule of another match type or horizon
+            ("configuration inconsistencies"), exact enumeration requested
+            with N > 20 (use method "monte-carlo"), a sweep whose estimate
+            (`_sweep_mib`) exceeds the memory left or that runs out of it, a
             replication count or seed that is not a whole number at its
             lower limit, or an unknown regime/method.
     """
@@ -429,8 +431,11 @@ def expected_estimation_penalty(
         )
     if not (0.0 <= p <= 1.0):
         raise ModelValidationError([f"p must be in [0, 1], got {p}"])
+    # the weights are the schedule's gains under either observation tag
+    tag = schedule.regime if regime == _tag("partial", schedule.delay) else regime
+    _fit(schedule, tag, schedule.delay, model.N)
     cfg = _penalty_config(config)
-    N, n, exact = model.N, model.state_dim, cfg["method"] == "exact-enumeration"
+    N, n, exact = schedule.N, model.state_dim, cfg["method"] == "exact-enumeration"
     if exact and N > EXACT_ENUMERATION_MAX_N:
         raise ModelValidationError(
             [
@@ -438,10 +443,7 @@ def expected_estimation_penalty(
                 f"(got N = {N}); use method 'monte-carlo'"
             ]
         )
-    if regime == "partial-delayed" and schedule.delay is None:
-        raise ModelValidationError(["partial-delayed penalty requires a delayed schedule"])
-    delay = schedule.delay if regime == "partial-delayed" else None
-    step, _, M, epochs = arrival_grid(delay, N)
+    step, _, M, epochs = arrival_grid(schedule.delay, N)
     mib, nodes = _sweep_mib(n, model.obs_dim, epochs, p, None if exact else cfg["replications"])
     steps = []
     for j in range(1, epochs):

@@ -33,7 +33,7 @@ import math
 import numbers
 import os
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
@@ -259,22 +259,38 @@ def _physical_mib() -> float:
         return math.inf
 
 
+def _address_space_left_mib() -> float:
+    """MiB left under the soft RLIMIT_AS (all of it where /proc/self/statm is
+    unreadable), or infinity without a limit."""
+    try:
+        import resource  # here, not at module import, which it would slow
+    except ImportError:
+        return math.inf
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if limit == resource.RLIM_INFINITY:
+        return math.inf
+    with suppress(OSError, ValueError), open("/proc/self/statm") as f:
+        limit -= int(f.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    return limit / 2**20
+
+
 @contextmanager
 def _memory_guard(where: str, what: str, mib: Optional[float], extent: str = ""):
-    """Run a large computation only if its estimated mib fit in physical memory.
+    """Run a large computation only if its estimated mib fit in the memory left.
 
     Raises ModelValidationError "<where>: <what> needs <mib> MiB<extent>, more
-    than this machine's ... MiB of memory" before the body when the estimate
-    exceeds `_physical_mib()`, and "<where>: out of memory in <what> (<mib>
-    MiB needed)" when the body raises MemoryError. With mib None (no
-    estimate) only the MemoryError is translated.
+    than the ... MiB this process can use" before the body when the estimate
+    exceeds `_physical_mib()` or `_address_space_left_mib()`, and "<where>: out
+    of memory in <what> (<mib> MiB needed)" when the body raises MemoryError.
+    With mib None (no estimate) only the MemoryError is translated.
     """
-    physical = _physical_mib()
-    if mib is not None and mib > physical:
-        raise ModelValidationError(
-            [f"{where}: {what} needs {mib:.0f} MiB{extent}, more than this "
-             f"machine's {physical:.0f} MiB of memory"]
-        )
+    if mib is not None:
+        room = min(_physical_mib(), _address_space_left_mib())
+        if mib > room:
+            raise ModelValidationError(
+                [f"{where}: {what} needs {mib:.0f} MiB{extent}, more than the "
+                 f"{room:.0f} MiB this process can use"]
+            )
     try:
         yield
     except MemoryError:

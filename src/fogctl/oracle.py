@@ -16,7 +16,7 @@ epochs' gates as a row of stacked arrays, so the rollout takes a few
 batched operations per epoch over about 2^(c+1) nodes in all for c epochs,
 where a path-by-path loop would take c 2^c steps. Its widest stage holds up
 to 2^c nodes, so it is limited to N <= 16 and checked against the
-machine's memory before it starts.
+memory left before it starts.
 
 The exact oracles cover full observation without drift. Anything outside
 that envelope raises instead of silently approximating.
@@ -42,7 +42,7 @@ from .model import (
     tau0_pair,
 )
 from .policy import ControllerRegime, check_fits, min_cost, sandwich_policy, solve
-from .riccati import REGIMES
+from .riccati import REGIMES, _tag
 from .simulator import SimulationConfig, run
 
 ORACLE_MAX_N = 16
@@ -361,13 +361,12 @@ def bound_check(
         raise ModelValidationError([f"unknown regime {regime!r}"])
     if not (p > 1.0 - q):
         raise ModelValidationError(["sandwich hypotheses violated: requires p > 1 - q"])
-    observation = "full" if regime.startswith("full") else "partial"
-    delayed = regime.endswith("delayed")
-    eff_M = delay.M if delay is not None else 0
-    if delayed and eff_M < 1:
-        raise ModelValidationError(["delayed regime requires a delay profile with M >= 1"])
-    if not delayed and eff_M != 0:
-        raise ModelValidationError(["matched regime given a nonzero delay profile"])
+    observation = regime.partition("-")[0]
+    if regime != _tag(observation, delay):
+        raise ModelValidationError(
+            ["matched regime given a nonzero delay profile" if regime == _tag(observation, None)
+             else "delayed regime requires a delay profile with M >= 1"]
+        )
     cfg = dict(config or {})
     replications = _whole("bound_check replications", cfg.pop("replications", 50_000), 1)
     seed = _whole("bound_check seed", cfg.pop("seed", 0), 0)

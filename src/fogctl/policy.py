@@ -33,7 +33,7 @@ from .model import (
     state_vector,
     tau0_pair,
 )
-from .riccati import GainSchedule, backward_recursion, closed_form
+from .riccati import GainSchedule, _fit, _tag, backward_recursion, closed_form
 
 
 @dataclass(frozen=True)
@@ -56,18 +56,7 @@ class ControllerRegime:
             raise ModelValidationError(
                 [f"observation must be 'full' or 'partial', got {self.observation!r}"]
             )
-        match = "delayed" if (self.delay is not None and self.delay.M >= 1) else "perfect"
-        expected = f"{self.observation}-{match}"
-        if self.gains.regime != expected:
-            raise ModelValidationError(
-                [f"gain schedule tagged {self.gains.regime}, regime requires {expected}"]
-            )
-        (M_F, M_B), (gains_M_F, gains_M_B) = _split(self.delay), _split(self.gains.delay)
-        if (M_F, M_B) != (gains_M_F, gains_M_B):
-            raise ModelValidationError(
-                [f"configuration inconsistencies: regime delay split M_F={M_F}, M_B={M_B} "
-                 f"but policy gains built for M_F={gains_M_F}, M_B={gains_M_B}"]
-            )
+        _fit(self.gains, _tag(self.observation, self.delay), self.delay)
 
 
 def solve(
@@ -89,15 +78,11 @@ def solve(
     """
     gains = backward_recursion(model, p, delay)
     if observation == "partial":
-        gains = gains.with_regime(gains.regime.replace("full-", "partial-"))
+        gains = gains.with_regime(_tag("partial", gains.delay))
     return ControllerRegime(
         observation=observation, gains=gains, delay=gains.delay,
         compensate_drift=compensate_drift,
     )
-
-
-def _split(delay: Optional[DelayProfile]) -> tuple:
-    return (0, 0) if delay is None else (delay.M_F, delay.M_B)
 
 
 def check_fits(
@@ -109,22 +94,7 @@ def check_fits(
     were built for another delay split (M_F, M_B) or another horizon.
     """
     delay = bind_delay(delay, model.N)
-    (M_F, M_B), (gains_M_F, gains_M_B) = _split(delay), _split(regime.delay)
-    if M_F + M_B != gains_M_F + gains_M_B:
-        raise ModelValidationError(
-            [f"configuration inconsistencies: delay M={M_F + M_B} but policy gains "
-             f"built for M={gains_M_F + gains_M_B}"]
-        )
-    if M_F != gains_M_F:
-        raise ModelValidationError(
-            [f"configuration inconsistencies: delay split M_F={M_F}, M_B={M_B} but policy "
-             f"gains built for M_F={gains_M_F}, M_B={gains_M_B}"]
-        )
-    if regime.gains.N != model.N:
-        raise ModelValidationError(
-            [f"configuration inconsistencies: gains horizon {regime.gains.N} "
-             f"!= model horizon {model.N}"]
-        )
+    _fit(regime.gains, _tag(regime.observation, delay), delay, model.N)
     return delay
 
 
@@ -142,8 +112,8 @@ def min_cost(
     `expected_estimation_penalty`; exact enumeration by default). tau0 enters
     through the first service gate: it matters when M_F = 0 (perfect match
     included), and on a symmetric chain a later gate is ON with probability
-    p whatever tau0 was. A malformed x0 or tau0 raises before the penalty is
-    computed.
+    p whatever tau0 was. A malformed x0 or tau0, and gains of another horizon
+    ("configuration inconsistencies"), raise before the penalty is computed.
 
     A model with drift raises ModelValidationError: the closed form assumes
     zero-mean dynamics, so it is not the cost of any law on such a plant.

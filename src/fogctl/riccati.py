@@ -30,7 +30,7 @@ Exactness notes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -51,6 +51,11 @@ from .model import (
 REGIMES = ("full-perfect", "partial-perfect", "full-delayed", "partial-delayed")
 
 
+def _tag(observation: str, delay: Optional[DelayProfile]) -> str:
+    """The regime tag of an observation mode ("full" or "partial") under a delay."""
+    return f"{observation}-{'delayed' if delay is not None and delay.M >= 1 else 'perfect'}"
+
+
 @dataclass(frozen=True)
 class GainSchedule:
     """Gain and weight matrices produced by a backward recursion.
@@ -62,7 +67,7 @@ class GainSchedule:
         V: feedback gains, k = 0..N-1.
         P: collateral weight matrices, k = 0..cM (delayed regimes only).
         regime: one of full-perfect, partial-perfect, full-delayed,
-            partial-delayed.
+            partial-delayed: `_tag` of its observation mode and delay.
         p_used: the symmetric-chain ON-persistence the recursion used.
         delay: the delay profile (bound to the horizon) for delayed regimes.
     """
@@ -79,12 +84,11 @@ class GainSchedule:
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise ModelValidationError([f"unknown regime tag {self.regime!r}"])
-        delayed = self.regime.endswith("-delayed")
-        if delayed and (self.delay is None or self.delay.M < 1):
-            raise ModelValidationError([f"regime {self.regime} requires a delay profile with M >= 1"])
-        if not delayed and self.delay is not None and self.delay.M >= 1:
-            raise ModelValidationError([f"regime {self.regime} carries a nonzero delay profile"])
-        if delayed and self.P is None:
+        observation = self.regime.partition("-")[0]
+        if self.regime != _tag(observation, self.delay):
+            raise ModelValidationError([f"cannot tag a {_tag(observation, self.delay)} "
+                                        f"schedule as {self.regime}: match type differs"])
+        if self.P is None and self.regime != _tag(observation, None):
             raise ModelValidationError(["delayed schedule missing P matrices"])
 
     @property
@@ -93,14 +97,7 @@ class GainSchedule:
 
     def with_regime(self, regime: str) -> "GainSchedule":
         """Copy retagged for another observation mode (same match type)."""
-        if regime.endswith("-delayed") != self.regime.endswith("-delayed"):
-            raise ModelValidationError(
-                [f"cannot retag {self.regime} schedule as {regime}: match type differs"]
-            )
-        return GainSchedule(
-            K=self.K, L=self.L, Lambda=self.Lambda, V=self.V, P=self.P,
-            regime=regime, p_used=self.p_used, delay=self.delay,
-        )
+        return replace(self, regime=regime)
 
     def to_jsonable(self) -> dict:
         out = {
@@ -116,6 +113,28 @@ class GainSchedule:
         if self.delay is not None:
             out["delay"] = {"M_F": self.delay.M_F, "M_B": self.delay.M_B}
         return out
+
+
+def _fit(schedule: GainSchedule, tag: str, delay: Optional[DelayProfile], N: Optional[int] = None):
+    """schedule, if it was built for regime `tag`, `delay`'s split and horizon N (None: any).
+
+    The one comparison of a regime with its gains: ModelValidationError
+    "configuration inconsistencies: ..." names every mismatch.
+    """
+    split, built = ((0, 0) if d is None else (d.M_F, d.M_B) for d in (delay, schedule.delay))
+    observation, _, match = tag.partition("-")
+    misfits = []
+    if schedule.regime != tag:
+        misfits.append(f"regime mismatch: gains tagged {schedule.regime}, but a {tag} regime "
+                       f"requires a {match} schedule for {observation} observation")
+    if split != built:
+        misfits.append("regime delay split M_F={}, M_B={}, delay M={} but policy gains built "
+                       "for M_F={}, M_B={}, M={}".format(*split, sum(split), *built, sum(built)))
+    if N is not None and N != schedule.N:
+        misfits.append(f"gains horizon {schedule.N} != model horizon {N}")
+    if misfits:
+        raise ModelValidationError(["configuration inconsistencies: " + "; ".join(misfits)])
+    return schedule
 
 
 def _stage_gains(model: LinearSystemModel, k: int, K_next: np.ndarray):
@@ -205,7 +224,7 @@ def backward_recursion(
         P = tuple(P)
     return GainSchedule(
         K=tuple(K), L=tuple(L), Lambda=tuple(Lam), V=tuple(V), P=P,
-        regime="full-delayed" if M else "full-perfect", p_used=float(p),
+        regime=_tag("full", delay), p_used=float(p),
         delay=bind_delay(delay, N),
     )
 
@@ -260,15 +279,16 @@ def closed_form(
             perfect match); None under full observation.
 
     Raises:
-        ModelValidationError: a malformed x0 or tau0, a penalty missing under
-            partial observation or given under full observation, or one
-            whose length does not fit the horizon ("penalty horizon
-            mismatch").
+        ModelValidationError: a model of another horizon ("configuration
+            inconsistencies"), a malformed x0 or tau0, a penalty missing under
+            partial observation or given under full observation, or one whose
+            length does not fit the horizon ("penalty horizon mismatch").
     """
-    _, M_F, M, epochs = arrival_grid(schedule.delay, model.N)
+    _fit(schedule, schedule.regime, schedule.delay, model.N)
+    _, M_F, M, epochs = arrival_grid(schedule.delay, schedule.N)
     x0 = state_vector(x0, model.state_dim)
     p, pi1 = schedule.p_used, tau0_pair(tau0)[1]
-    if schedule.regime.startswith("partial") != (penalty is not None):
+    if (schedule.regime == _tag("partial", schedule.delay)) != (penalty is not None):
         raise ModelValidationError(
             [f"a {schedule.regime} schedule takes "
              f"{'an' if penalty is None else 'no'} estimation penalty"]
@@ -286,7 +306,7 @@ def closed_form(
         for A in model.A[:M]:
             xhat = A @ xhat
         initial += correction * _quad(xhat, schedule.Lambda[M])
-    disturbance = float(sum(np.trace(schedule.K[k + 1] @ model.W[k]) for k in range(model.N)))
+    disturbance = float(sum(np.trace(schedule.K[k + 1] @ model.W[k]) for k in range(schedule.N)))
     collateral = p * float(
         sum(np.trace(schedule.P[k + 1] @ model.W[k]) for k in range(epochs * M))
     )
@@ -296,20 +316,12 @@ def closed_form(
     )
 
 
-def _checked(schedule: GainSchedule, expected: str) -> GainSchedule:
-    if schedule.regime != expected:
-        raise ModelValidationError(
-            [f"regime mismatch: schedule is {schedule.regime}, expected {expected}"]
-        )
-    return schedule
-
-
 def min_cost_full_perfect(
     schedule: GainSchedule, model: LinearSystemModel, x0: np.ndarray, tau0
 ) -> CostBreakdown:
     """`closed_form` of a full-perfect schedule:
     x0^T (L_0 - P[tau0 = 1] Lambda_0) x0 + sum_k tr(K_{k+1} W_k)."""
-    return closed_form(_checked(schedule, "full-perfect"), model, x0, tau0)
+    return closed_form(_fit(schedule, "full-perfect", schedule.delay), model, x0, tau0)
 
 
 def min_cost_full_delayed(
@@ -317,7 +329,7 @@ def min_cost_full_delayed(
 ) -> CostBreakdown:
     """`closed_form` of a full-delayed schedule with the chain started stationary:
     x0^T L_0 x0 + sum_{k<N} tr(K_{k+1} W_k) + p * sum_{k<cM} tr(P_{k+1} W_k)."""
-    p = _checked(schedule, "full-delayed").p_used
+    p = _fit(schedule, "full-delayed", schedule.delay).p_used
     return closed_form(schedule, model, x0, (1.0 - p, p))
 
 
@@ -326,7 +338,7 @@ def min_cost_partial_perfect(
 ) -> CostBreakdown:
     """`closed_form` of a partial-perfect schedule: the full-perfect cost plus
     the penalty total (one per-stage term for each stage 0..N-1)."""
-    return closed_form(_checked(schedule, "partial-perfect"), model, x0, tau0, penalty)
+    return closed_form(_fit(schedule, "partial-perfect", schedule.delay), model, x0, tau0, penalty)
 
 
 def min_cost_partial_delayed(
@@ -335,5 +347,5 @@ def min_cost_partial_delayed(
     """`closed_form` of a partial-delayed schedule with the chain started
     stationary: the full-delayed cost plus the penalty total (one term per
     interior service epoch, k = 1..c-1)."""
-    p = _checked(schedule, "partial-delayed").p_used
+    p = _fit(schedule, "partial-delayed", schedule.delay).p_used
     return closed_form(schedule, model, x0, (1.0 - p, p), penalty)

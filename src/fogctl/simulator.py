@@ -576,7 +576,7 @@ def sweep(
                 [f"non-finite simulated cost at stage {pt.first_bad}: the plant is unstable "
                  "or badly scaled for this horizon"]
             )
-        with _memory_guard(where, what, mib):
+        with _memory_guard(where, what, 8 * R / 2**20):  # the kept arrays are allocated
             res = {
                 "mean_cost": float(pt.totals.mean()),
                 "std_error": float(pt.totals.std(ddof=1) / np.sqrt(R)) if R > 1 else 0.0,

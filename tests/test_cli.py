@@ -206,7 +206,7 @@ class TestConfigErrors:
 
     def test_huge_horizon_exits_2(self, tmp_path):
         # N = 10^8 asks for about 5 GiB of stage arrays; the child's address
-        # space is capped at 600 MiB, so the stacking itself runs out of memory
+        # space is capped at 600 MiB, which the memory guard counts
         cfg_path = write_config(tmp_path, scalar_config(N=100_000_000, p=0.9))
         limit = 600 * 2**20
         code = (
@@ -398,6 +398,32 @@ class TestSimulate:
         assert proc.returncode == 2, proc.stderr
         assert err == [err[0]] and err[0].startswith("error: R = 100000000: ")
         assert "MiB" in err[0]
+
+    def test_replications_beyond_the_address_space_refused_up_front(self, tmp_path):
+        # R = 5 x 10^7 keeps 763 MiB of totals and temporaries; the child's
+        # address space is capped at 800 MiB. The guard compared the
+        # estimate with physical memory alone, so the run simulated every
+        # replication before it ran out of memory in the reductions
+        cfg_path = write_config(tmp_path, scalar_config(N=1, p=0.9))
+        limit = 800 * 2**20
+        code = (
+            "import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from fogctl import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        src = str(Path(fc.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "simulate", "--config", cfg_path,
+             "--out", str(tmp_path / "out"), "--replications", "50000000"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: R = 50000000: keeping the per-replication "
+                                      "results needs 763 MiB"), proc.stderr
+        assert "out of memory in" not in proc.stderr
 
     def test_mean_tracks_closed_form(self, tmp_path):
         cfg = scalar_config(N=1, p=1.0)

@@ -179,6 +179,40 @@ class TestPenaltyStructures:
             fc.EstimationPenalty(per_stage=(), total=0.0, method="psychic", standard_error=0.0)
 
 
+def observed_pair(N):
+    """2-state plant observed through its first coordinate."""
+    return fc.make_system(A=[[1.1, 0.1], [0.0, 0.9]], B=[[0.0], [1.0]], Q=np.eye(2), R=1.0,
+                          W=0.1 * np.eye(2), C=[[1.0, 0.0]], V_noise=0.5, N=N)
+
+
+class TestPenaltyFitsItsSchedule:
+    """The penalty refuses a schedule built for another delay or horizon."""
+
+    def test_delayed_schedule_as_perfect_refused(self):
+        # read 1.827 against the schedule's own penalty of 0.326
+        model = observed_pair(8)
+        sched = fc.solve(model, 0.7, fc.DelayProfile(1, 1), "partial").gains
+        assert fc.expected_estimation_penalty(
+            model, 0.7, sched, "partial-delayed").total == pytest.approx(0.326, abs=1e-3)
+        with pytest.raises(fc.ModelValidationError, match="configuration inconsistencies"):
+            fc.expected_estimation_penalty(model, 0.7, sched, "partial-perfect")
+
+    @pytest.mark.parametrize("N", [6, 10])
+    def test_schedule_of_another_horizon_refused(self, N):
+        # on N = 6 it read 1.132 against 0.677; on N = 10 it ended in an IndexError
+        sched = fc.solve(observed_pair(8), 0.7, None, "partial").gains
+        with pytest.raises(fc.ModelValidationError, match="configuration inconsistencies"):
+            fc.expected_estimation_penalty(observed_pair(N), 0.7, sched, "partial-perfect")
+
+    @pytest.mark.parametrize("delay", [None, (1, 1)])
+    def test_full_tag_of_the_same_match_type_served(self, delay):
+        model = observed_pair(8)
+        delay = None if delay is None else fc.DelayProfile(*delay)
+        full, partial = (fc.solve(model, 0.7, delay, obs).gains for obs in ("full", "partial"))
+        assert (fc.expected_estimation_penalty(model, 0.7, full, partial.regime)
+                == fc.expected_estimation_penalty(model, 0.7, partial, partial.regime))
+
+
 class TestPerfectPenalty:
     def test_hand_value_and_cost(self):
         model, x0 = noisy_scalar(N=2)
@@ -330,8 +364,8 @@ class TestPenaltyMemoryGuard:
         assert float(proc.stdout) > 0.0
 
     def test_out_of_memory_is_a_clean_error(self):
-        # n = 16, N = 20 needs about 3.2 GiB at its widest epoch; the child's
-        # address space is capped at 800 MiB, so the sweep runs out of memory
+        # n = 16, N = 20 needs about 780 MiB (`_sweep_mib`); the child's
+        # address space is capped at 800 MiB, which the memory guard counts
         limit = 800 * 2**20
         code = (
             "import resource, sys\n"

@@ -86,6 +86,17 @@ class TestDispatcher:
         assert np.array_equal(regime.gains.V, fc.backward_recursion_perfect(model, 0.7).V)
         assert fc.min_cost(model, regime, x0) == closed_form_cost(model, 0.7, None, "full", x0)
 
+    @pytest.mark.parametrize("N", [3, 8])
+    def test_gains_of_another_horizon_refused(self, N):
+        # N = 5 gains on an N = 3 plant read 8.888 (the optimum is 6.809);
+        # on an N = 8 plant they ended in an IndexError
+        regime = fc.solve(fc.make_system(A=1.1, B=1, Q=1, R=1, W=1, N=5), 0.7)
+        model = fc.make_system(A=1.1, B=1, Q=1, R=1, W=1, N=N)
+        with pytest.raises(fc.ModelValidationError, match="configuration inconsistencies"):
+            fc.min_cost(model, regime, [1.0])
+        with pytest.raises(fc.ModelValidationError, match="configuration inconsistencies"):
+            fc.min_cost_full_perfect(regime.gains, model, [1.0], 1)
+
     @pytest.mark.parametrize("delay", [None, (1, 1)])
     @pytest.mark.parametrize("x0,tau0,match", [
         (np.ones(3), 5, "tau0 point value"),
