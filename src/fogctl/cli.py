@@ -28,7 +28,7 @@ from .model import (
     DelayProfile,
     ModelValidationError,
     ReliabilityChain,
-    bind_delay,
+    arrival_grid,
     choice,
     config_block,
     count,
@@ -84,20 +84,16 @@ def split_delay(M: int, M_F: Optional[int] = None, M_B: Optional[int] = None) ->
     """Split a round-trip stage count into forward/backward parts.
 
     Default split puts the extra stage forward (M_F = ceil(M/2)), so M >= 1
-    always has M_F >= 1. Explicit overrides must sum to M.
+    always has M_F >= 1. Explicit overrides must sum to M, M = 0 included
+    (None, no delay).
     """
-    if M == 0:
-        return None
-    if M_F is None and M_B is None:
-        M_F = (M + 1) // 2
-        M_B = M - M_F
-    elif M_F is None:
-        M_F = M - M_B
-    elif M_B is None:
+    if M_F is None:
+        M_F = (M + 1) // 2 if M_B is None else M - M_B
+    if M_B is None:
         M_B = M - M_F
     if M_F < 0 or M_B < 0 or M_F + M_B != M:
         raise ConfigError(f"delay split M_F={M_F}, M_B={M_B} does not sum to M={M}")
-    return DelayProfile(M_F=M_F, M_B=M_B)
+    return DelayProfile(M_F=M_F, M_B=M_B) if M else None
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +130,6 @@ def _plant_from(cfg: dict):
     return drone_build_system(scenario), initial_state(scenario), scenario
 
 
-def _delay_from(cfg: dict, N: int) -> Optional[DelayProfile]:
-    return bind_delay(delay_from_config(cfg.get("delay")), N)
-
-
 def _sweep_delay(entry) -> Optional[DelayProfile]:
     """A sweep M entry: a round-trip stage count or an [M_F, M_B] pair."""
     if isinstance(entry, list) and len(entry) == 2:
@@ -162,7 +154,7 @@ def cmd_gains(config: dict, out_dir: Path) -> dict:
     """
     model, _, _ = _plant_from(config)
     chain = reliability_from_config(config.get("reliability", {}))
-    payload = solve(model, chain.p, _delay_from(config, model.N)).gains.to_jsonable()
+    payload = solve(model, chain.p, delay_from_config(config.get("delay"))).gains.to_jsonable()
     if not chain.symmetric:
         payload["basis"] = RATE_P_BASIS
     _write_json(out_dir / "gains.json", payload)
@@ -198,7 +190,8 @@ def cmd_simulate(
     compensate = _compensates_drift(mode)
 
     base_chain = reliability_from_config(config.get("reliability", {}))
-    base_delay = _delay_from(config, model.N)
+    base_delay = delay_from_config(config.get("delay"))
+    arrival_grid(base_delay, model.N)  # checked even where the sweep's M entries replace it
     grid = config_block("simulation.sweep", sim.get("sweep", {}), {
         "p": listed(number, "numbers"),
         "M": listed(_sweep_delay, "stage counts or [M_F, M_B] pairs"),

@@ -24,7 +24,7 @@ from .model import (
     DelayProfile,
     _floats,
     _whole,
-    bind_delay,
+    arrival_grid,
     config_block,
     count,
     make_system,
@@ -286,22 +286,21 @@ def tracking_study(
     model = build_system(scenario)
     points = []
     for delay in delays:
-        eff = bind_delay(delay, model.N)
         for p in p_values:
             chain = symmetric_chain(p)
-            points.append((chain, eff, solve(model, p, eff, compensate_drift=compensate)))
+            points.append((chain, delay, solve(model, p, delay, compensate_drift=compensate)))
     cfg = SimulationConfig(replications=replications, master_seed=master_seed)
     results = sweep(model, points, cfg, x0=initial_state(scenario), alpha=scenario.alpha)
     return [
         {
             "p": float(chain.p),
-            "M": int(eff.M) if eff is not None else 0,
+            "M": int(delay.M) if delay is not None else 0,
             "mode": mode,
             "mean_cost": res["mean_cost"],
             "std_error": res["std_error"],
             **res["tracking"],
         }
-        for (chain, eff, _), res in zip(points, results)
+        for (chain, delay, _), res in zip(points, results)
     ]
 
 
@@ -312,7 +311,7 @@ def tracking_study(
 def _simulate_raw_kinematics(scenario, chain, delay, regime, replications, master_seed):
     """Independent position/velocity simulation of the same closed loop.
 
-    delay is None for no delay, else bound to the horizon (see `bind_delay`).
+    delay is None or M = 0 for no delay, as for `simulator.run`.
 
     Integrates the raw kinematics (position += dt*(velocity + control),
     velocity += control) under the same noise draws as the error-form
@@ -338,7 +337,8 @@ def _simulate_raw_kinematics(scenario, chain, delay, regime, replications, maste
     gains = regime.gains
     drift_known = regime.compensate_drift
     errors = np.empty((R, N + 1, 4))
-    if delay is None:
+    _, M_F, M, c = arrival_grid(delay, N)
+    if M == 0:
         for k in range(N):
             e = np.hstack([pos - pts[k], vel])
             errors[:, k] = e
@@ -349,7 +349,6 @@ def _simulate_raw_kinematics(scenario, chain, delay, regime, replications, maste
             pos = pos + dt * (vel + u) + w[:, :2]
             vel = vel + u + w[:, 2:]
     else:
-        M, M_F, c = delay.M, delay.M_F, delay.c
         services = {j * M + M_F: j for j in range(c)}
         saved = {}
         pending = {}
@@ -409,13 +408,12 @@ def error_consistency_check(
     compensate = _compensates_drift(mode)
     model = build_system(scenario)
     x0 = initial_state(scenario)
-    eff = bind_delay(delay, model.N)
-    regime = solve(model, chain.p, eff, compensate_drift=compensate)
+    regime = solve(model, chain.p, delay, compensate_drift=compensate)
     cfg = SimulationConfig(
         replications=replications, master_seed=master_seed, record_traces=True
     )
-    res = run(model, chain, eff, regime, cfg, x0=x0)
-    raw_errors = _simulate_raw_kinematics(scenario, chain, eff, regime, replications, master_seed)
+    res = run(model, chain, delay, regime, cfg, x0=x0)
+    raw_errors = _simulate_raw_kinematics(scenario, chain, delay, regime, replications, master_seed)
     diff = float(np.max(np.abs(res["traces"].x - raw_errors)))
     return {
         "max_abs_difference": diff,

@@ -418,12 +418,12 @@ def expected_estimation_penalty(
         EstimationPenalty (standard_error 0 for the exact method).
 
     Raises:
-        ModelValidationError: a schedule of another match type or horizon
-            ("configuration inconsistencies"), exact enumeration requested
-            with N > 20 (use method "monte-carlo"), a sweep whose estimate
-            (`_sweep_mib`) exceeds the memory left or that runs out of it, a
-            replication count or seed that is not a whole number at its
-            lower limit, or an unknown regime/method.
+        ModelValidationError: a schedule of another match type, horizon or
+            plant A, B, Q, R ("configuration inconsistencies"), exact
+            enumeration requested with N > 20 (use method "monte-carlo"), a
+            sweep whose estimate (`_sweep_mib`) exceeds the memory left or
+            that runs out of it, a replication count or seed that is not a
+            whole number at its lower limit, or an unknown regime/method.
     """
     if regime not in ("partial-perfect", "partial-delayed"):
         raise ModelValidationError(
@@ -433,7 +433,7 @@ def expected_estimation_penalty(
         raise ModelValidationError([f"p must be in [0, 1], got {p}"])
     # the weights are the schedule's gains under either observation tag
     tag = schedule.regime if regime == _tag("partial", schedule.delay) else regime
-    _fit(schedule, tag, schedule.delay, model.N)
+    _fit(schedule, tag, schedule.delay, model.N, model)
     cfg = _penalty_config(config)
     N, n, exact = schedule.N, model.state_dim, cfg["method"] == "exact-enumeration"
     if exact and N > EXACT_ENUMERATION_MAX_N:

@@ -11,7 +11,7 @@ This module holds the domain vocabulary shared by the whole package:
 - ``ReliabilityChain``: the two-state Markov ON/OFF process describing whether
   the remote controller endpoint can serve a request at a given stage.
 - ``DelayProfile``: forward/backward transport delays between plant and
-  controller, plus the derived epoch bookkeeping.
+  controller; ``arrival_grid`` turns one into epochs on a horizon.
 - ``CostBreakdown``: the decomposition of an expected cost into its
   initial-state, disturbance, collateral and estimation terms.
 
@@ -214,7 +214,8 @@ def make_system(
         V_noise: measurement noise covariances; defaults to zero.
         drift: optional known disturbance means.
         N: horizon, a whole number >= 1 (see ``count``); required when every
-            input is constant, inferred otherwise.
+            input is constant, otherwise inferred from the first field given
+            per stage (in the order A, B, C, Q, R, W, V_noise, drift).
 
     Returns:
         A validated LinearSystemModel.
@@ -225,19 +226,23 @@ def make_system(
             the machine's physical memory or than the memory left (naming N
             and the MiB needed).
     """
-    A, B, Q = _floats("A", A), _floats("B", B), _floats("Q", Q)
-    if N is None:
-        counts = [x.shape[0] - extra for x, extra in ((A, 0), (B, 0), (Q, 1)) if x.ndim == 3]
-        if not counts:
-            raise ModelValidationError(["N is required when all matrix inputs are constant"])
-        N = counts[0]
-    N = _whole("N", N, 1)
+    A, B = _floats("A", A), _floats("B", B)
     n = A.shape[-2] if A.ndim >= 2 else 1
     s = B.shape[-1] if B.ndim >= 2 else 1
     C = _floats("C", np.eye(n) if C is None else C)
     m = C.shape[-2] if C.ndim >= 2 else 1
     raw = dict(A=A, B=B, C=C, Q=Q, R=R, W=W, drift=drift,
                V_noise=np.zeros((m, m)) if V_noise is None else V_noise)
+    raw = {name: None if x is None else _floats(name, x) for name, x in raw.items()}
+    if N is None:
+        # a field given per stage has a stage axis; Q lists one stage more than N
+        counts = [raw[name].shape[0] - extra
+                  for name, (extra, shape, _) in _stage_layout(0, n, s, m).items()
+                  if raw[name] is not None and raw[name].ndim == len(shape) + 1]
+        if not counts:
+            raise ModelValidationError(["N is required when all matrix inputs are constant"])
+        N = counts[0]
+    N = _whole("N", N, 1)
     layout = _stage_layout(N, n, s, m)
     mib = 8 * sum(
         count * math.prod(shape) for name, (count, shape, _) in layout.items()
@@ -422,7 +427,9 @@ class DelayProfile:
         a: N mod M when nonzero, else M.
         c: (N - a) / M, the number of controls that arrive in the horizon.
 
-    M = 0 denotes perfect match; a and c are undefined there.
+    M = 0 denotes perfect match; a and c are undefined there. Nothing in
+    fogctl binds a delay (`arrival_grid` alone meets it with the model's
+    horizon); N, `bound_to`, a and c remain for callers.
     """
 
     M_F: int
@@ -464,30 +471,21 @@ class DelayProfile:
         return (self.N - self.a) // self.M
 
 
-def bind_delay(delay: Optional[DelayProfile], N: int) -> Optional[DelayProfile]:
-    """None for no delay (None or M = 0), else the profile bound to horizon N.
-
-    Raises ModelValidationError "horizon shorter than round-trip delay" when N < M.
-    """
-    if delay is None or delay.M == 0:
-        return None
-    delay = delay.bound_to(N)
-    if N < delay.M:
-        raise ModelValidationError(["horizon shorter than round-trip delay"])
-    return delay
-
-
 def arrival_grid(delay: Optional[DelayProfile], N: int) -> tuple:
-    """(step, M_F, M, epochs): the epochs on which a controller acts.
+    """(step, M_F, M, epochs): the epochs on which a controller acts over horizon N.
 
     Epoch j starts at stage j step, is served at j step + M_F, and its
     control arrives at j step + M. Perfect match (None or M = 0) is
     (1, 0, 0, N): every stage is an epoch, served and acted on at once. A
-    delay is (M, M_F, M, c), bound to horizon N as in `bind_delay`.
+    delay is (M, M_F, M, c), c from `DelayProfile.bound_to(N)`: the only
+    place that relates a delay to a horizon. ModelValidationError for a delay
+    bound to another horizon, or N < M ("horizon shorter than round-trip delay").
     """
-    delay = bind_delay(delay, N)
-    if delay is None:
+    if delay is None or delay.M == 0:
         return 1, 0, 0, N
+    delay = delay.bound_to(N)
+    if N < delay.M:
+        raise ModelValidationError(["horizon shorter than round-trip delay"])
     return delay.M, delay.M_F, delay.M, delay.c
 
 

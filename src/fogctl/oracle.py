@@ -320,7 +320,7 @@ def evaluate_policy_cost(
     _check_oracle_scope(model, "exact policy evaluation")
     if policy.observation != "full":
         raise ModelValidationError(["exact policy evaluation covers full observation only"])
-    delay = check_fits(policy, model, delay)
+    check_fits(policy, model, delay)
     x0 = state_vector(x0, model.state_dim)
     dist = _tau0_dist(chain, tau0)
     if method not in ("moments", "enumeration"):

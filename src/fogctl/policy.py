@@ -29,7 +29,7 @@ from .model import (
     DelayProfile,
     LinearSystemModel,
     ModelValidationError,
-    bind_delay,
+    arrival_grid,
     state_vector,
     tau0_pair,
 )
@@ -70,7 +70,7 @@ def solve(
 
     Runs `backward_recursion` on the delay's arrival grid (every stage for
     None and M = 0 alike) and retags the schedule for partial observation.
-    The regime carries the delay bound to the horizon.
+    The regime carries the delay as given (None for M = 0).
 
     Raises:
         ModelValidationError: observation other than "full" or "partial",
@@ -87,15 +87,13 @@ def solve(
 
 def check_fits(
     regime: ControllerRegime, model: LinearSystemModel, delay: Optional[DelayProfile]
-) -> Optional[DelayProfile]:
-    """`bind_delay(delay, model.N)`, after checking the regime's gains were built for it.
-
-    Raises ModelValidationError "configuration inconsistencies" when the gains
-    were built for another delay split (M_F, M_B) or another horizon.
+) -> None:
+    """Check that delay fits model's horizon (`arrival_grid`) and the regime's gains
+    were built for both: "configuration inconsistencies" for gains of another
+    split (M_F, M_B) or horizon. Gains of another plant pass (`_fit`).
     """
-    delay = bind_delay(delay, model.N)
+    arrival_grid(delay, model.N)
     _fit(regime.gains, _tag(regime.observation, delay), delay, model.N)
-    return delay
 
 
 def min_cost(
@@ -113,7 +111,8 @@ def min_cost(
     through the first service gate: it matters when M_F = 0 (perfect match
     included), and on a symmetric chain a later gate is ON with probability
     p whatever tau0 was. A malformed x0 or tau0, and gains of another horizon
-    ("configuration inconsistencies"), raise before the penalty is computed.
+    or plant ("configuration inconsistencies"), raise before the penalty is
+    computed.
 
     A model with drift raises ModelValidationError: the closed form assumes
     zero-mean dynamics, so it is not the cost of any law on such a plant.

@@ -42,7 +42,6 @@ from .model import (
     ModelValidationError,
     _freeze,
     arrival_grid,
-    bind_delay,
     state_vector,
     symmetrize,
     tau0_pair,
@@ -69,7 +68,9 @@ class GainSchedule:
         regime: one of full-perfect, partial-perfect, full-delayed,
             partial-delayed: `_tag` of its observation mode and delay.
         p_used: the symmetric-chain ON-persistence the recursion used.
-        delay: the delay profile (bound to the horizon) for delayed regimes.
+        delay: the delay profile as given, for delayed regimes (M >= 1).
+        plant: the (A, B, Q, R) stacks of the model the recursion read; the
+            closed forms price the gains on that plant only (`_fit`).
     """
 
     K: tuple
@@ -80,6 +81,7 @@ class GainSchedule:
     regime: str
     p_used: float
     delay: Optional[DelayProfile] = None
+    plant: Optional[tuple] = None
 
     def __post_init__(self):
         if self.regime not in REGIMES:
@@ -115,11 +117,14 @@ class GainSchedule:
         return out
 
 
-def _fit(schedule: GainSchedule, tag: str, delay: Optional[DelayProfile], N: Optional[int] = None):
-    """schedule, if it was built for regime `tag`, `delay`'s split and horizon N (None: any).
+def _fit(schedule: GainSchedule, tag: str, delay: Optional[DelayProfile],
+         N: Optional[int] = None, plant: Optional[LinearSystemModel] = None):
+    """schedule, if it was built for regime `tag`, `delay`'s split, horizon N
+    and the A, B, Q, R of model `plant` (None: any), compared by identity, then value.
 
     The one comparison of a regime with its gains: ModelValidationError
-    "configuration inconsistencies: ..." names every mismatch.
+    "configuration inconsistencies: ..." names every mismatch. Only the
+    closed forms pass a plant: running gains on another plant is a valid question.
     """
     split, built = ((0, 0) if d is None else (d.M_F, d.M_B) for d in (delay, schedule.delay))
     observation, _, match = tag.partition("-")
@@ -132,6 +137,11 @@ def _fit(schedule: GainSchedule, tag: str, delay: Optional[DelayProfile], N: Opt
                        "for M_F={}, M_B={}, M={}".format(*split, sum(split), *built, sum(built)))
     if N is not None and N != schedule.N:
         misfits.append(f"gains horizon {schedule.N} != model horizon {N}")
+    elif plant is not None:
+        differ = [name for name, X in zip("ABQR", schedule.plant or (None,) * 4)
+                  if X is not getattr(plant, name) and not np.array_equal(X, getattr(plant, name))]
+        if differ:
+            misfits.append(f"gains built on another plant (stacks {', '.join(differ)} differ)")
     if misfits:
         raise ModelValidationError(["configuration inconsistencies: " + "; ".join(misfits)])
     return schedule
@@ -184,7 +194,7 @@ def backward_recursion(
     Args:
         model: validated system model.
         p: ON-persistence of the symmetric availability chain, in [0, 1].
-        delay: delay profile, bound to the model horizon here.
+        delay: delay profile; None or M = 0 for perfect match.
 
     Returns:
         GainSchedule tagged full-perfect (P absent) or full-delayed.
@@ -224,8 +234,8 @@ def backward_recursion(
         P = tuple(P)
     return GainSchedule(
         K=tuple(K), L=tuple(L), Lambda=tuple(Lam), V=tuple(V), P=P,
-        regime=_tag("full", delay), p_used=float(p),
-        delay=bind_delay(delay, N),
+        regime=_tag("full", delay), p_used=float(p), delay=delay if M else None,
+        plant=(model.A, model.B, model.Q, model.R),
     )
 
 
@@ -271,7 +281,7 @@ def closed_form(
     Args:
         schedule: a schedule from `backward_recursion`, tagged for its
             observation mode (its p_used is the chain parameter).
-        model: the model the schedule was built from.
+        model: the model the schedule was built from (W may differ).
         x0: known initial state.
         tau0: initial endpoint state, 0 or 1, or a (P[0], P[1]) distribution.
         penalty: the estimation penalty of a partial-observation schedule
@@ -279,12 +289,13 @@ def closed_form(
             perfect match); None under full observation.
 
     Raises:
-        ModelValidationError: a model of another horizon ("configuration
-            inconsistencies"), a malformed x0 or tau0, a penalty missing under
-            partial observation or given under full observation, or one whose
-            length does not fit the horizon ("penalty horizon mismatch").
+        ModelValidationError: a model of another horizon or another A, B,
+            Q or R ("configuration inconsistencies"), a malformed x0 or tau0,
+            a penalty missing under partial observation or given under full
+            observation, or one whose length does not fit the horizon
+            ("penalty horizon mismatch").
     """
-    _fit(schedule, schedule.regime, schedule.delay, model.N)
+    _fit(schedule, schedule.regime, schedule.delay, model.N, model)
     _, M_F, M, epochs = arrival_grid(schedule.delay, schedule.N)
     x0 = state_vector(x0, model.state_dim)
     p, pi1 = schedule.p_used, tau0_pair(tau0)[1]

@@ -204,6 +204,22 @@ class TestConfigErrors:
         assert not (tmp_path / "gains.json").exists()
         assert not (tmp_path / "placement.csv").exists()
 
+    @pytest.mark.parametrize("command,sweep", [
+        ("gains", None), ("simulate", None), ("simulate", {"M": [0, 1]}),
+    ])
+    def test_delay_longer_than_horizon_exits_2(self, tmp_path, capsys, command, sweep):
+        # also where the sweep's M entries replace the delay block
+        cfg = scalar_config(N=2, p=0.9, delay={"M_F": 2, "M_B": 1})
+        if sweep is not None:
+            cfg["simulation"] = {"sweep": sweep}
+        extra = ["--replications", "10"] if command == "simulate" else []
+        rc = cli.main([command, "--config", write_config(tmp_path, cfg),
+                       "--out", str(tmp_path), *extra])
+        assert rc == 2
+        assert "horizon shorter than round-trip delay" in capsys.readouterr().err
+        assert not (tmp_path / "gains.json").exists()
+        assert not (tmp_path / "summary.json").exists()
+
     def test_huge_horizon_exits_2(self, tmp_path):
         # N = 10^8 asks for about 5 GiB of stage arrays; the child's address
         # space is capped at 600 MiB, which the memory guard counts
@@ -645,6 +661,23 @@ class TestPlacement:
         rc = cli.main(["placement", "--config", cfg_path, "--out", str(tmp_path)])
         assert rc == 2
         assert "exceeds horizon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("latency,M_F,message", [
+        (0.0, 1, "delay split M_F=1, M_B=-1 does not sum to M=0"),
+        (0.1, 3, "delay split M_F=3, M_B=-2 does not sum to M=1"),
+    ])
+    def test_split_override_that_does_not_sum_exits_2(self, tmp_path, capsys, latency, M_F,
+                                                      message):
+        # the M = 0 entry used to run as M_F = 0, dropping its override
+        cfg = scalar_config(N=6, p=0.9, x0=1.0)
+        cfg["placement"] = {"delta_t": 0.1, "catalog": [
+            {"name": "edge", "latency_seconds": latency, "p": 0.9, "q": 0.1, "M_F": M_F},
+        ]}
+        rc = cli.main(["placement", "--config", write_config(tmp_path, cfg),
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "placement.csv").exists()
 
     def test_explicit_split_override(self, tmp_path):
         cfg = scalar_config(N=8, p=0.9, x0=0.0)

@@ -39,6 +39,25 @@ class TestMakeSystemAndValidation:
         m = fc.make_system(A=A, B=1.0, Q=Q, R=1.0, W=1.0, N=3)
         assert m.A[2][0, 0] == 3.0
 
+    @pytest.mark.parametrize("fields,N", [
+        ({"A": np.ones((3, 1, 1))}, 3),
+        ({"Q": np.ones((4, 1, 1))}, 3),  # Q lists the terminal weight too
+        ({"R": np.ones((4, 1, 1))}, 4),
+        ({"W": np.ones((2, 1, 1)), "drift": np.zeros((2, 1))}, 2),
+    ])
+    def test_horizon_inferred_from_any_per_stage_field(self, fields, N):
+        # R, W, C, V_noise and drift given per stage used to leave N unknown
+        m = fc.make_system(**{**dict(A=1.0, B=1.0, Q=1.0, R=1.0, W=1.0), **fields})
+        assert m.N == N
+
+    def test_disagreeing_stage_counts_rejected(self):
+        with pytest.raises(fc.ModelValidationError, match=r"R: shape \(3, 1, 1\), expected \(4, 1, 1\)"):
+            fc.make_system(A=np.ones((4, 1, 1)), B=1.0, Q=1.0, R=np.ones((3, 1, 1)), W=1.0)
+
+    def test_horizon_required_when_every_field_is_constant(self):
+        with pytest.raises(fc.ModelValidationError, match="N is required when all matrix inputs"):
+            fc.make_system(A=1.0, B=1.0, Q=1.0, R=1.0, W=1.0)
+
     def test_arrays_are_read_only(self):
         m = fc.make_system(A=1.0, B=1.0, Q=1.0, R=1.0, W=1.0, N=2)
         with pytest.raises(ValueError):
@@ -282,6 +301,13 @@ class TestDelayProfile:
         # perfect match is the M = 0 grid: every stage an epoch, served and acted on at once
         delay = None if delay is None else fc.DelayProfile(M_F=delay[0], M_B=delay[1])
         assert arrival_grid(delay, 7) == grid
+
+    def test_arrival_grid_checks_the_horizon(self):
+        with pytest.raises(fc.ModelValidationError, match="bound to N=5, used with N=6"):
+            arrival_grid(fc.DelayProfile(M_F=1, M_B=1, N=5), 6)
+        with pytest.raises(fc.ModelValidationError, match="horizon shorter than round-trip delay"):
+            arrival_grid(fc.DelayProfile(M_F=2, M_B=1), 2)
+        assert arrival_grid(fc.DelayProfile(M_F=0, M_B=0, N=5), 6) == (1, 0, 0, 6)
 
     def test_requires_bound_for_derived(self):
         with pytest.raises(fc.ModelValidationError):

@@ -97,6 +97,60 @@ class TestDispatcher:
         with pytest.raises(fc.ModelValidationError, match="configuration inconsistencies"):
             fc.min_cost_full_perfect(regime.gains, model, [1.0], 1)
 
+    @pytest.mark.parametrize("observation", ["full", "partial"])
+    def test_gains_of_another_plant_refused_by_the_cost_formulas(self, observation):
+        # A = 1.1 gains on an A = 0.5 plant read 11.674: neither that plant's
+        # optimum 6.846 nor the 8.711 those gains cost when run on it
+        built = fc.make_system(A=1.1, B=1, Q=1, R=1, W=1, V_noise=1, N=5)
+        model = fc.make_system(A=0.5, B=1, Q=1, R=1, W=1, V_noise=1, N=5)
+        regime = fc.solve(built, 0.7, observation=observation)
+        with pytest.raises(fc.ModelValidationError, match=r"another plant \(stacks A differ\)"):
+            fc.min_cost(model, regime, [1.0])
+        with pytest.raises(fc.ModelValidationError, match="another plant"):
+            fc.riccati.closed_form(regime.gains.with_regime("full-perfect"), model, [1.0], 1)
+        if observation == "partial":
+            with pytest.raises(fc.ModelValidationError, match="another plant"):
+                fc.expected_estimation_penalty(model, 0.7, regime.gains, "partial-perfect")
+        # the horizon misfit is named first, and alone
+        with pytest.raises(fc.ModelValidationError, match=r"horizon 5 != model horizon 4$"):
+            fc.min_cost(fc.make_system(A=0.5, B=1, Q=1, R=1, W=1, V_noise=1, N=4), regime, [1.0])
+
+    def test_gains_of_another_plant_still_run(self):
+        # running a controller on a plant it was not designed for is a valid question
+        regime = fc.solve(fc.make_system(A=1.1, B=1, Q=1, R=1, W=1, N=5), 0.7)
+        model = fc.make_system(A=0.5, B=1, Q=1, R=1, W=1, N=5)
+        chain = fc.symmetric_chain(0.7)
+        cost = fc.evaluate_policy_cost(model, chain, None, regime, [1.0], tau0=1)
+        assert cost == pytest.approx(8.711, abs=5e-4)
+        assert fc.min_cost(model, fc.solve(model, 0.7), [1.0]).total == pytest.approx(6.846, abs=5e-4)
+        res = fc.run(model, chain, None, regime, fc.SimulationConfig(replications=200), x0=[1.0])
+        assert np.isfinite(res["mean_cost"])
+
+    def test_gains_price_a_plant_of_other_noise(self):
+        # the recursion reads A, B, Q and R only: W, C and V_noise come from the model
+        built = fc.make_system(A=1.1, B=1, Q=1, R=1, W=1, V_noise=1.0, N=5)
+        model = fc.make_system(A=1.1, B=1, Q=1, R=1, W=2, V_noise=3.0, N=5)
+        regime = fc.solve(built, 0.7, observation="partial")
+        own = fc.solve(model, 0.7, observation="partial")
+        assert fc.min_cost(model, regime, [1.0]) == fc.min_cost(model, own, [1.0])
+
+    @pytest.mark.parametrize("call", ["solve", "run", "evaluate_policy_cost",
+                                      "brute_force_min_cost"])
+    def test_delay_bound_to_another_horizon_refused(self, call):
+        model, x0 = scalar_fixture(N=6)
+        bound, chain = fc.DelayProfile(M_F=1, M_B=1, N=5), fc.symmetric_chain(0.7)
+        regime = fc.solve(model, 0.7, fc.DelayProfile(M_F=1, M_B=1))
+        calls = {
+            "solve": lambda: fc.solve(model, 0.7, bound),
+            "run": lambda: fc.run(model, chain, bound, regime,
+                                  fc.SimulationConfig(replications=10), x0=x0),
+            "evaluate_policy_cost": lambda: fc.evaluate_policy_cost(
+                model, chain, bound, regime, x0, tau0=1),
+            "brute_force_min_cost": lambda: fc.brute_force_min_cost(model, chain, bound, x0),
+        }
+        with pytest.raises(fc.ModelValidationError, match="bound to N=5, used with N=6"):
+            calls[call]()
+
     @pytest.mark.parametrize("delay", [None, (1, 1)])
     @pytest.mark.parametrize("x0,tau0,match", [
         (np.ones(3), 5, "tau0 point value"),
@@ -219,7 +273,7 @@ class TestSandwichPolicy:
         model, _ = scalar_fixture(N=4)
         reg = fc.sandwich_policy(model, p=0.9, q=0.3, delay=fc.DelayProfile(M_F=1, M_B=1))
         assert reg.gains.regime == "full-delayed"
-        assert reg.delay.M == 2 and reg.delay.N == 4
+        assert reg.delay == fc.DelayProfile(M_F=1, M_B=1)  # as given: no delay is bound
 
     def test_partial_variant(self):
         model, _ = scalar_fixture(N=3)
