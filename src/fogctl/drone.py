@@ -337,55 +337,33 @@ def _simulate_raw_kinematics(scenario, chain, delay, regime, replications, maste
     gains = regime.gains
     drift_known = regime.compensate_drift
     errors = np.empty((R, N + 1, 4))
-    _, M_F, M, c = arrival_grid(delay, N)
-    if M == 0:
-        for k in range(N):
-            e = np.hstack([pos - pts[k], vel])
-            errors[:, k] = e
-            u = np.zeros((R, 2))
-            on = tau[:, k] == 1
-            u[on] = -(e[on] @ gains.V[k].T)
-            w = w_eps[:, k] @ Lw.T
-            pos = pos + dt * (vel + u) + w[:, :2]
-            vel = vel + u + w[:, 2:]
-    else:
-        services = {j * M + M_F: j for j in range(c)}
-        saved = {}
-        pending = {}
-        applied_at = {}
-        for k in range(N):
-            j_b = k // M
-            if k % M == 0 and j_b < c:
-                saved[j_b] = np.hstack([pos - pts[k], vel])
-            if k in services:
-                j = services[k]
-                t0, t1 = j * M, (j + 1) * M
-                gate = tau[:, k] == 1
-                if t0 == 0:
-                    u_win = np.zeros((R, 2))
-                elif t0 in applied_at:
-                    u_win = applied_at[t0]
-                else:
-                    u_win = pending.get(t0, np.zeros((R, 2)))
-                mean = saved[j] @ model.A[t0].T + u_win @ model.B[t0].T
+    step, M_F, M, epochs = arrival_grid(delay, N)
+    services = {j * step + M_F: j for j in range(epochs)}
+    saved = {}     # epoch -> error state at its start, until served
+    arrivals = {}  # arrival stage -> control; other stages apply zero
+    zero = np.zeros((R, 2))
+    for k in range(N):
+        e = np.hstack([pos - pts[k], vel])
+        if k % step == 0 and k // step < epochs:
+            saved[k // step] = e
+        if k in services:
+            j = services[k]
+            t0 = j * step
+            # predicted error at the arrival stage t0 + M; the identity under
+            # perfect match, where the control acts on the state it was served
+            mean = saved.pop(j)
+            for t in range(t0, t0 + M):
+                mean = mean @ model.A[t].T + arrivals.get(t, zero) @ model.B[t].T
                 if drift_known:
-                    mean = mean + model.drift_at(t0)
-                for t in range(t0 + 1, t1):
-                    mean = mean @ model.A[t].T
-                    if drift_known:
-                        mean = mean + model.drift_at(t)
-                u_new = -(mean @ gains.V[t1].T)
-                u_new[~gate] = 0.0
-                pending[t1] = u_new
-            u = pending.pop(k, None)
-            if u is None:
-                u = np.zeros((R, 2))
-            else:
-                applied_at[k] = u
-            errors[:, k] = np.hstack([pos - pts[k], vel])
-            w = w_eps[:, k] @ Lw.T
-            pos = pos + dt * (vel + u) + w[:, :2]
-            vel = vel + u + w[:, 2:]
+                    mean = mean + model.drift_at(t)
+            u_new = -(mean @ gains.V[t0 + M].T)
+            u_new[tau[:, k] != 1] = 0.0
+            arrivals[t0 + M] = u_new
+        u = arrivals.get(k, zero)
+        errors[:, k] = e
+        w = w_eps[:, k] @ Lw.T
+        pos = pos + dt * (vel + u) + w[:, :2]
+        vel = vel + u + w[:, 2:]
     errors[:, N] = np.hstack([pos - pts[N], vel])
     return errors
 

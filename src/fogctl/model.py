@@ -561,14 +561,14 @@ def choice(*options):
 
 
 def listed(read, what: str):
-    """Reader of a list whose entries each pass read."""
+    """Reader of a nonempty list whose entries each pass read."""
     def read_list(value) -> list:
         try:
-            if isinstance(value, list):
+            if isinstance(value, list) and value:
                 return [read(v) for v in value]
         except ValueError:
             pass
-        raise ValueError(f"must be a list of {what}")
+        raise ValueError(f"must be a nonempty list of {what}")
     return read_list
 
 

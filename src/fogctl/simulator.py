@@ -36,20 +36,20 @@ point's results are bit for bit those of its own `run`.
 
 A block holds max(2, CHUNK_BYTES // (8 N (n + m + 1))) replications, so its
 draws (at most N (n + m + 1) doubles per replication) take at most
-CHUNK_BYTES. Two blocks' draws are held at once: while block b runs on the
-calling thread, block b + 1's are filled on a second thread, into the other
-of two buffer sets allocated once per call (`_Prefetch`). The buffers are
-state-major too, (N, dim, widest), and a block uses their leading elements
-as (N, dim, rows), so that each stage's draws for the block are one
-contiguous (dim, rows) slab. A generator fills only contiguous arrays, so
-the fill draws short runs of replications into a scratch of FILL_BYTES
-(one replication, if one is larger) and copies each run transposed into
-the slabs. The draws thus take at most 2 CHUNK_BYTES and that scratch,
-and the working memory of a run does not grow with R. When a sweep
-streams the tracking metrics, the block's x and u traces count towards
-the budget too, and are reduced to three per-replication numbers before
-the next block; only the totals, those numbers, and the traces when
-recorded, are kept for all R replications.
+CHUNK_BYTES. Each block's draws are arrays of its own, allocated on the
+calling thread and filled on one worker thread: block b + 1's fill runs
+while block b runs on the calling thread, and block b's arrays are dropped
+before block b + 2's are allocated, so at most two blocks' draws are alive.
+The arrays are state-major too, (N, dim, rows), so that each stage's draws
+for the block are one contiguous (dim, rows) slab. A generator fills only
+contiguous arrays, so the fill draws short runs of replications into a
+scratch of FILL_BYTES (one replication, if one is larger) and copies each
+run transposed into the slabs. The draws thus take at most 2 CHUNK_BYTES
+and that scratch, and the working memory of a run does not grow with R.
+When a sweep streams the tracking metrics, the block's x and u traces
+count towards the budget too, and are reduced to three per-replication
+numbers before the next block; only the totals, those numbers, and the
+traces when recorded, are kept for all R replications.
 
 Each block takes its draws in order from the three substreams, and a numpy
 generator yields the same sequence whether it is drawn in one call or in
@@ -90,7 +90,6 @@ replications; no NaN or infinite mean is ever returned.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -224,8 +223,8 @@ def _draw(streams, out):
 
     Each array is laid out (replications, ...), as `noise_streams` draws
     it. A fill into `out=` yields the same sequence as a draw of that size.
-    A generator fills only a contiguous array, so a strided one (a block's
-    view of the state-major buffers) is filled in runs of whole
+    A generator fills only a contiguous array, so a strided one (`_fill`'s
+    view of a block's state-major draws) is filled in runs of whole
     replications, each drawn into a scratch of FILL_BYTES (one replication,
     if one is larger) and copied into place.
     """
@@ -275,74 +274,19 @@ def _blocks(R: int, rows: int) -> list:
     return list(zip(starts, starts[1:] + [R]))
 
 
-class _Prefetch:
-    """Each block's draws, the next block's filled on a second thread.
+def _fill(streams, draws):
+    """Fill a block's draws in place, in the order of `noise_streams`, and return them.
 
-    The buffer sets are state-major, (N, dim, widest) and (N, widest) for
-    the chain's uniforms. Block b's draws take the leading N dim rows
-    elements of each buffer of set b % 2, laid out (N, dim, rows), so that
-    a block's draws at one stage are one contiguous (dim, rows) slab
-    whatever the block's width. `take(b)` returns those views and starts
-    filling block b + 1's into the other set, whose last reader, block
-    b - 1, has finished by then. The fill draws in the order of
-    `noise_streams` (replication, stage, component) through `_draw`'s
-    scratch, in short runs of replications, each copied transposed into
-    the slabs. The thread runs only the generator fills and those copies,
-    which release the GIL; the scaling and every matrix product stay on
-    the calling thread. A one-block run starts no thread. An error raised
-    by a fill is raised again by the `take` that waits for it, and leaving
-    the `with` block joins any fill still running. The caller scales block
-    b's draws in place, in set b % 2. That is safe: the next write to the
-    set is block b + 2's fill, whose thread starts in `take(b + 1)`, and
-    the caller calls `take(b + 1)` only after every point has run block b.
+    draws are state-major, (N, dim, rows) and (N, rows) for the chain's
+    uniforms, so that the block's draws at one stage are one contiguous
+    (dim, rows) slab. `_draw` fills their (replication, stage, component)
+    views through its scratch, in short runs of replications, each copied
+    transposed into the slabs. `sweep` runs it on its worker thread: the
+    generator fills and those copies release the interpreter lock, and the
+    scaling and every matrix product stay on the calling thread.
     """
-
-    def __init__(self, streams, buffers, blocks):
-        self.streams, self.buffers, self.blocks = streams, buffers, blocks
-        self.thread = None
-        self.filled = None  # the next block's draws, or the error its fill raised
-
-    def _fill(self, b):
-        lo, hi = self.blocks[b]
-        slabs = [_leading(buf, hi - lo) for buf in self.buffers[b % 2]]
-        _draw(self.streams, [slab.transpose(-1, *range(slab.ndim - 1)) for slab in slabs])
-        return slabs
-
-    def _fill_ahead(self, b):
-        try:
-            self.filled = self._fill(b)
-        except BaseException as exc:  # raised again on the calling thread
-            self.filled = exc
-
-    def take(self, b):
-        if b == 0:
-            draws = self._fill(0)
-        else:
-            self._join()
-            draws, self.filled = self.filled, None
-            if isinstance(draws, BaseException):
-                raise draws
-        if b + 1 < len(self.blocks):
-            self.thread = threading.Thread(target=self._fill_ahead, args=(b + 1,))
-            self.thread.start()
-        return draws
-
-    def _join(self):
-        if self.thread is not None:
-            self.thread.join()
-            self.thread = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._join()
-
-
-def _leading(buf: np.ndarray, rows: int) -> np.ndarray:
-    """The leading elements of buf laid out as buf.shape[:-1] + (rows,)."""
-    shape = buf.shape[:-1] + (rows,)
-    return buf.reshape(-1)[:int(np.prod(shape))].reshape(shape)
+    _draw(streams, [a.transpose(-1, *range(a.ndim - 1)) for a in draws])
+    return draws
 
 
 def _quad_columns(x: np.ndarray, Qmat: np.ndarray) -> np.ndarray:
@@ -524,40 +468,54 @@ def sweep(
             runs.append(pt)
     streamed = alpha is not None and not config.record_traces
     blocks = _blocks(R, _block_rows(model, streamed))
-    widest = max(hi - lo for lo, hi in blocks)
-    scratch = {}  # block-local x and u traces, reduced to tracking metrics per block
-    if streamed:
-        # laid out as the block loop's arrays, so that each stage's write is one slab
-        scratch = {"x": np.empty((N + 1, n, widest)), "u": np.empty((N, s, widest))}
+    streams = _substreams(config.master_seed)
     # full observation reads no measurement noise: its substream stays undrawn
-    shapes = ((N, n, widest), (N, m if v_stages else 0, widest), (N, widest))
-    buffers = [[np.empty(shape) for shape in shapes] for _ in blocks[:2]]
+    shapes = ((N, n), (N, m if v_stages else 0), (N,))
     Lw = [psd_sqrt(model.W[k]) for k in range(N)]
     Lv = {k: psd_sqrt(model.V_noise[k]) for k in v_stages}
 
-    with _Prefetch(_substreams(config.master_seed), buffers, blocks) as draws:
+    # imported here: concurrent.futures loads logging, which a module-level
+    # import would add to every `import fogctl`
+    from concurrent.futures import ThreadPoolExecutor
+
+    # One worker fills block b + 1's draws while block b runs here.
+    # result() raises a fill's error here, and leaving the `with` joins the
+    # worker. A block's arrays are allocated on this thread, not in the
+    # fill: arrays the worker allocates come from its own malloc arena,
+    # which raised the peak RSS.
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        def fill_ahead(lo, hi):
+            draws = [np.empty(shape + (hi - lo,)) for shape in shapes]
+            return worker.submit(_fill, streams, draws)
+
+        ahead = fill_ahead(*blocks[0])
         for b, (lo, hi) in enumerate(blocks):
-            w, v, chain_u = draws.take(b)
-            # scaled in place, once for every point (`_Prefetch`)
+            w, v, chain_u = ahead.result()
+            if b + 1 < len(blocks):
+                ahead = fill_ahead(*blocks[b + 1])
+            # scaled in place, once for every point
             for k in range(N):
                 np.add(column_product(Lw[k], w[k]), drift_column(model, k), out=w[k])
             for k in v_stages:
                 v[k] = column_product(Lv[k], v[k])
             taus = {}
+            # streamed, the block's x and u traces, laid out as the block's
+            # arrays so that each stage's write is one slab; recorded, each
+            # point's own block of traces
+            record = {}
+            if streamed:
+                record = {"x": np.empty((N + 1, n, hi - lo)), "u": np.empty((N, s, hi - lo))}
             for pt in runs:
                 if pt.chain not in taus:
                     taus[pt.chain] = sample_tau(pt.chain, chain_u.T)
-                tau = taus[pt.chain]
                 # transposes, not np.moveaxis: a process's first thousand or so
                 # moveaxis calls grow free lists by about 100 KB, which a traced
                 # peak counts
                 if pt.record is not None:
-                    pt.record["tau"][lo:hi] = tau
+                    pt.record["tau"][lo:hi] = taus[pt.chain]
                     record = {name: arr[lo:hi].transpose(*range(1, arr.ndim), 0)
                               for name, arr in pt.record.items()}
-                else:
-                    record = {name: _leading(arr, hi - lo) for name, arr in scratch.items()}
-                bad = _run_block(model, pt.ctrl_model, pt.regime, tau, w, v, x0,
+                bad = _run_block(model, pt.ctrl_model, pt.regime, taus[pt.chain], w, v, x0,
                                  pt.totals[lo:hi], record)
                 if bad is not None:
                     pt.first_bad = bad if pt.first_bad is None else min(pt.first_bad, bad)
@@ -566,8 +524,12 @@ def sweep(
                         record["x"].transpose(2, 0, 1), record["u"].transpose(2, 0, 1), alpha
                     )
                     pt.e2_max = max(pt.e2_max, e2_max)
-    # freed before the reductions below, whose temporaries grow with R
-    del draws, buffers, w, v, chain_u, taus
+            # dropped before the next block's arrays are allocated: at most
+            # two blocks' draws are alive
+            del w, v, chain_u, taus, record
+    # the last block's draws, freed before the reductions below, whose
+    # temporaries grow with R
+    del ahead
 
     results = []
     for pt in runs:

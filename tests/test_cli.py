@@ -92,6 +92,12 @@ MALFORMED_ENTRIES = {
         ("simulate", system_config, "simulation.sweep.p", [0.5, "x"], "simulation.sweep.p"),
     "sweep-M-non-numeric":
         ("simulate", system_config, "simulation.sweep.M", [0, "x"], "simulation.sweep.M"),
+    "sweep-p-empty":
+        ("simulate", system_config, "simulation.sweep.p", [],
+         "simulation.sweep.p must be a nonempty list of numbers, got []"),
+    "sweep-M-empty":
+        ("simulate", system_config, "simulation.sweep.M", [],
+         "simulation.sweep.M must be a nonempty list of stage counts or [M_F, M_B] pairs, got []"),
     "simulation-non-object": ("simulate", system_config, "simulation", 5, "simulation"),
     "reliability-non-object": ("gains", system_config, "reliability", [0.9], "reliability"),
     "catalog-entry-non-object":

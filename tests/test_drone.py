@@ -339,10 +339,13 @@ class TestErrorConsistency:
         assert out["agree"], out
         assert out["max_abs_difference"] <= 1e-9
 
-    def test_delayed_and_affine_variants_agree(self):
+    # M_F = 0: the served epoch's prediction reads the control arriving at
+    # that same stage; M_B = 0: the control arrives at its service stage
+    @pytest.mark.parametrize("M_F,M_B", [(2, 1), (0, 1), (0, 2), (1, 0)])
+    def test_delayed_and_affine_variants_agree(self, M_F, M_B):
         sc = demo_scenario()
         chain = fc.symmetric_chain(0.75)
-        delay = fc.DelayProfile(M_F=2, M_B=1)
+        delay = fc.DelayProfile(M_F=M_F, M_B=M_B)
         a = fc.error_consistency_check(sc, chain, delay=delay, replications=3, master_seed=6)
         assert a["agree"], a
         b = fc.error_consistency_check(

@@ -114,21 +114,18 @@ class TestConfigAndStreams:
             monkeypatch.setattr(simulator, "FILL_BYTES", 2 * 8 * N * n)
         whole = fc.noise_streams(5, R, N, n, m)
         for rows in (3, 4, 5):
-            blocks = simulator._blocks(R, rows)
-            widest = max(hi - lo for lo, hi in blocks)
-            buffers = [[np.empty((N, n, widest)), np.empty((N, m, widest)), np.empty((N, widest))]
-                       for _ in range(2)]
+            streams = simulator._substreams(5)
             pieces = []
-            with simulator._Prefetch(simulator._substreams(5), buffers, blocks) as draws:
-                for b, (lo, hi) in enumerate(blocks):
-                    drawn = draws.take(b)
-                    for arr, buf in zip(drawn, buffers[b % 2]):
-                        # state-major: each stage one contiguous (dim, rows) slab,
-                        # a short block's too
-                        assert arr.shape == buf.shape[:-1] + (hi - lo,)
-                        assert np.shares_memory(arr, buf)
-                        assert all(arr[k].flags.c_contiguous for k in range(N))
-                    pieces.append([np.moveaxis(a, -1, 0).copy() for a in drawn])
+            for lo, hi in simulator._blocks(R, rows):
+                width = hi - lo
+                given = [np.empty((N, n, width)), np.empty((N, m, width)), np.empty((N, width))]
+                drawn = simulator._fill(streams, given)
+                for arr, own in zip(drawn, given):
+                    # filled in place, state-major: each stage one contiguous
+                    # (dim, rows) slab, a short block's too
+                    assert arr is own
+                    assert all(arr[k].flags.c_contiguous for k in range(N))
+                pieces.append([np.moveaxis(a, -1, 0).copy() for a in drawn])
             for i, want in enumerate(whole):
                 assert np.concatenate([piece[i] for piece in pieces]).tobytes() == want.tobytes()
 
@@ -809,12 +806,12 @@ class CountingThread(threading.Thread):
 
 
 class TestPrefetch:
-    """Block b + 1's draws are filled on a second thread while block b runs."""
+    """Block b + 1's draws are filled on one worker thread while block b runs."""
 
     @staticmethod
     def count_threads(monkeypatch):
         CountingThread.started = 0
-        monkeypatch.setattr(simulator.threading, "Thread", CountingThread)
+        monkeypatch.setattr(threading, "Thread", CountingThread)
 
     @pytest.mark.parametrize("observation,delay", REGIMES)
     def test_prefetched_blocks_are_bit_identical(self, monkeypatch, observation, delay):
@@ -827,9 +824,20 @@ class TestPrefetch:
         whole = fc.run(model, chain, delay, regime, cfg, x0=x0)
         set_block_rows(monkeypatch, model, 5)
         assert simulator._blocks(23, 5)[-1] == (20, 23)
+        fill, filled = simulator._fill, []
+
+        def keep(streams, draws):
+            filled.append(draws)
+            return fill(streams, draws)
+
+        monkeypatch.setattr(simulator, "_fill", keep)
         self.count_threads(monkeypatch)
         assert_same_result(fc.run(model, chain, delay, regime, cfg, x0=x0), whole)
-        assert CountingThread.started == 4  # one fill ahead per block after the first
+        assert CountingThread.started == 1  # one worker for the run, not one per block
+        # every block fills arrays of its own, sized to it
+        assert [draws[0].shape[-1] for draws in filled] == [5, 5, 5, 5, 3]
+        arrays = [arr for draws in filled for arr in draws if arr.size]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[:i])
 
     def test_prefetched_streamed_sweep_is_bit_identical(self, monkeypatch):
         scenario = TestStreamedTracking.scenario()
@@ -844,7 +852,7 @@ class TestPrefetch:
         set_block_rows(monkeypatch, model, 5, streamed=True)
         self.count_threads(monkeypatch)
         blocked = simulator.sweep(model, points, cfg, x0=x0, alpha=scenario.alpha)
-        assert CountingThread.started == 4
+        assert CountingThread.started == 1
         for got, want in zip(blocked, whole):
             assert got["traces"] is None
             for key in ("mean_cost", "std_error"):
@@ -853,11 +861,14 @@ class TestPrefetch:
             for key, value in want["tracking"].items():
                 assert np.float64(got["tracking"][key]).tobytes() == np.float64(value).tobytes()
 
-    def test_one_block_starts_no_thread(self, monkeypatch):
+    def test_one_block_starts_one_worker(self, monkeypatch):
+        # a one-block run fills its block on the worker too
         model = drift_plant()
         self.count_threads(monkeypatch)
+        before = threading.active_count()
         run_simple(model, 0.7, None, np.ones(2), reps=50)
-        assert CountingThread.started == 0
+        assert CountingThread.started == 1
+        assert threading.active_count() == before
 
     def test_no_thread_outlives_a_run(self, monkeypatch):
         model = drift_plant()
@@ -909,7 +920,7 @@ class TestPrefetch:
         before = threading.active_count()
         with pytest.raises(MemoryError, match="block 2 fill"):
             run_simple(model, 0.7, None, np.ones(2), reps=23)
-        assert fills == [True, False]  # block 1 on the calling thread, block 2 ahead
+        assert fills == [False, False]  # every fill on the worker
         assert threading.active_count() == before
 
 
@@ -937,26 +948,13 @@ class TestFilterUpdate:
                 assert got.tobytes() == want.tobytes()
 
 
-class RowMajorDraws:
-    """Drop-in for `simulator._Prefetch` that hands each block its rows of
-    replication-major arrays drawn at once, viewed stage first: the strided
-    stage reads of the row-major buffers the state-major ones replaced."""
-
-    def __init__(self, streams, buffers, blocks):
-        R = blocks[-1][1]
-        shapes = [(R,) + buf.shape[:-1] for buf in buffers[0]]
-        self.whole = simulator._draw(streams, [np.empty(shape) for shape in shapes])
-        self.blocks = blocks
-
-    def take(self, b):
-        lo, hi = self.blocks[b]
-        return [np.moveaxis(arr[lo:hi], 0, -1) for arr in self.whole]
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        pass
+def row_major_fill(streams, draws):
+    """Drop-in for `simulator._fill` that draws a block replication-major,
+    in one contiguous call per substream, and hands it on viewed stage
+    first: the strided stage reads of the row-major draws the state-major
+    ones replaced."""
+    whole = [np.empty((arr.shape[-1],) + arr.shape[:-1]) for arr in draws]
+    return [np.moveaxis(arr, 0, -1) for arr in simulator._draw(streams, whole)]
 
 
 class TestBlockLayout:
@@ -966,7 +964,7 @@ class TestBlockLayout:
 
     @staticmethod
     def row_major_masked(monkeypatch):
-        monkeypatch.setattr(simulator, "_Prefetch", RowMajorDraws)
+        monkeypatch.setattr(simulator, "_fill", row_major_fill)
         monkeypatch.setattr(simulator, "_filter_update", reference_filter_update)
 
     @pytest.mark.parametrize("rows", [None, 5])
