@@ -279,31 +279,22 @@ def cmd_verify(config: dict, out_dir: Path, seed: Optional[int] = None) -> int:
         model, x0 = _random_verify_model(rng)
         p = float(rng.uniform(0.05, 0.95))
         chain = symmetric_chain(p, tau0=1)
-
-        closed = min_cost(model, solve(model, p), x0, 1).total
-        oracle_value = brute_force_min_cost(model, chain, None, x0, tau0=1)
-        rel = abs(closed - oracle_value) / max(1.0, abs(oracle_value))
-        ok = rel <= tol
-        all_pass &= ok
-        consistency.append(
-            {"check": "matched", "index": i, "p": p, "closed_form": closed,
-             "oracle": oracle_value, "rel_error": rel, "pass": ok}
-        )
-
         M_F = int(rng.integers(0, 3))  # M_F = 0 checks the first-gate closed form
         M_B = int(rng.integers(0 if M_F else 1, 2))  # M >= 1
+        checks = [("matched", None)]
         if M_F + M_B <= model.N - 1:
-            delay = DelayProfile(M_F=M_F, M_B=M_B)
-            closed_d = min_cost(model, solve(model, p, delay), x0).total
-            oracle_d = brute_force_min_cost(model, chain, delay, x0, tau0=1)
-            rel_d = abs(closed_d - oracle_d) / max(1.0, abs(oracle_d))
-            ok_d = rel_d <= tol
-            all_pass &= ok_d
-            consistency.append(
-                {"check": "delayed", "index": i, "p": p, "M": M_F + M_B, "M_F": M_F,
-                 "closed_form": closed_d, "oracle": oracle_d,
-                 "rel_error": rel_d, "pass": ok_d}
-            )
+            checks.append(("delayed", DelayProfile(M_F=M_F, M_B=M_B)))
+        for check, delay in checks:
+            closed = min_cost(model, solve(model, p, delay), x0).total
+            oracle_value = brute_force_min_cost(model, chain, delay, x0, tau0=1)
+            rel = abs(closed - oracle_value) / max(1.0, abs(oracle_value))
+            ok = rel <= tol
+            all_pass &= ok
+            row = {"check": check, "index": i, "p": p}
+            if delay is not None:
+                row.update(M=delay.M, M_F=delay.M_F)
+            consistency.append({**row, "closed_form": closed, "oracle": oracle_value,
+                                "rel_error": rel, "pass": ok})
 
     sandwich = []
     for i in range(n_sandwich):

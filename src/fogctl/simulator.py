@@ -1,22 +1,31 @@
-"""Closed-loop Monte Carlo engine with the causal event ordering.
+"""Closed-loop Monte Carlo engine on the controller's epoch grid.
 
 Per replication and stage: the measurement is generated at the plant, reaches
 the controller after the forward delay, the availability chain is sampled on
 the controller clock, and a generated control reaches the plant after the
 backward delay. Every regime runs through one block body on the grid of
-`model.arrival_grid`: epoch j saves the state (or, under partial
-observation, the measurement) at stage j step, is served at j step + M_F,
-and its gated control arrives at j step + M; other stages apply zero
-control. Perfect match is the M = 0 grid, each stage an epoch served and
-acted on at once. Served entries are dropped and each arrival is kept only
-until its last reader (its epoch's service, or under partial observation the
-next epoch's filter prediction), so the body's memory does not grow with N.
+`model.arrival_grid`: epoch j starts at stage j step, is served at
+j step + M_F, and its gated control arrives at j step + M; other stages
+apply zero control. Perfect match is the M = 0 grid, each stage an epoch
+served and acted on at once.
+
+The body computes each epoch once, at its start stage j step, rather than at
+its service. Nothing the epoch reads changes between the two: the state (or,
+under partial observation, the measurement) at j step, the control arriving
+at j step, which the previous epoch computed at its own start, the estimate
+the previous epoch left, and the service gate at j step + M_F, sampled for
+the whole block before the block runs. The control is thus the one computed
+at service, bit for bit. Each arrival is dropped when it is applied, so the
+body's memory does not grow with N. The two
+independent checks of this loop, `drone._simulate_raw_kinematics` and the
+tests' per-replication reference, stay causal and serve each epoch at
+j step + M_F.
 
 Replications run in blocks of consecutive replications, each block in lock
 step on vectorized arrays. Every per-replication array of a block is
 state-major, one column per replication: x and the estimate are (n, rows),
-u (s, rows), a saved measurement (m, rows), and so are the scaled noise and
-the pending arrivals. A stage is thus one wide product per matrix,
+u (s, rows), a measurement (m, rows), and so are the scaled noise and the
+pending arrivals. A stage is thus one wide product per matrix,
 A x + B u + w, the control -(V x_hat) with the OFF columns zeroed, and the
 stage cost (Q x * x) summed down each column.
 
@@ -29,9 +38,9 @@ other draw.
 
 `sweep` runs several points (chain, delay, regime) on one plant, seed and
 R; `run` is its one-point case. Each block is drawn once and scaled in
-place, the disturbance at every stage (drift added) and the measurement
-noise at the stages a partially observed point reads; every point runs on
-that one copy in turn. A sweep thus pays for its noise once, and each
+place, the disturbance at every stage (drift added) and, when any point
+observes partially, the measurement noise at every stage; every point runs
+on that one copy in turn. A sweep thus pays for its noise once, and each
 point's results are bit for bit those of its own `run`.
 
 A block holds max(2, CHUNK_BYTES // (8 N (n + m + 1))) replications, so its
@@ -71,10 +80,12 @@ over all R values.
 
 Under partial observation the intermittent Kalman filter runs on the epoch
 boundaries: the boundary estimate is propagated over one grid step, and the
-saved measurement updates it when the epoch is served (stage 0 needs no
-update, x0 being known). Its error covariance and gain depend on the
-replication's service-gate history alone, never on the noise. Each replication
-therefore carries a history id, and the covariances are computed once per
+epoch's measurement updates it through the epoch's service gate (stage 0
+needs no update, x0 being known). With a delay, the prediction an epoch
+makes over its M = step stages is the next epoch's prior mean, so it is
+computed once. The filter's error covariance and gain depend on the
+replication's service-gate history alone, never on the noise. Each
+replication therefore carries a history id, and the covariances are computed once per
 distinct sampled history node instead of once per replication. The gains
 form a table (n, m, nodes), zero where a node took no update, and each
 column gathers its node's gain along the node axis for the mean update,
@@ -423,7 +434,9 @@ def sweep(
     block is drawn once and every point runs on those draws in turn: the
     common random numbers of the module docstring, drawn once rather than
     once per point. Each point's results are those `run` returns for it
-    alone, bit for bit.
+    alone, bit for bit. The measurement noise is drawn and scaled at every
+    stage when any point observes partially, and not drawn otherwise. No
+    points, no draws: an empty list returns [].
 
     Args:
         model, config, x0: as for `run`; record_traces keeps every point's traces.
@@ -442,11 +455,9 @@ def sweep(
     R = int(config.replications)
     if alpha is not None:
         _check_tracking_layout(n, s)
-    v_stages = set()  # a partially observed point measures at its epoch starts
-    for _, _, regime in points:
-        if regime.observation == "partial":
-            step, _, _, epochs = arrival_grid(regime.delay, N)
-            v_stages.update(j * step for j in range(epochs))
+    if not points:
+        return []
+    partial = any(regime.observation == "partial" for _, _, regime in points)
 
     runs = []
     where, what = f"R = {R}", "keeping the per-replication results"
@@ -470,9 +481,9 @@ def sweep(
     blocks = _blocks(R, _block_rows(model, streamed))
     streams = _substreams(config.master_seed)
     # full observation reads no measurement noise: its substream stays undrawn
-    shapes = ((N, n), (N, m if v_stages else 0), (N,))
+    shapes = ((N, n), (N, m if partial else 0), (N,))
     Lw = [psd_sqrt(model.W[k]) for k in range(N)]
-    Lv = {k: psd_sqrt(model.V_noise[k]) for k in v_stages}
+    Lv = [psd_sqrt(model.V_noise[k]) for k in range(N)] if partial else []
 
     # imported here: concurrent.futures loads logging, which a module-level
     # import would add to every `import fogctl`
@@ -496,8 +507,8 @@ def sweep(
             # scaled in place, once for every point
             for k in range(N):
                 np.add(column_product(Lw[k], w[k]), drift_column(model, k), out=w[k])
-            for k in v_stages:
-                v[k] = column_product(Lv[k], v[k])
+            for k, L in enumerate(Lv):
+                v[k] = column_product(L, v[k])
             taus = {}
             # streamed, the block's x and u traces, laid out as the block's
             # arrays so that each stage's write is one slab; recorded, each
@@ -554,70 +565,60 @@ def sweep(
 def _run_block(model, ctrl_model, regime, tau, w, v, x0, totals, record):
     """Advance one block of replications through all stages on the arrival grid.
 
-    Every per-replication array is state-major, one column per replication:
-    x and x_hat are (n, rows), u is (s, rows). w[k] is the block's
-    disturbance at stage k (drift included) and v[k] its measurement noise,
-    both scaled and laid out the same way; tau is (rows, N). Accumulates into
-    `totals` and writes each trace that `record` holds (a subset of
-    SimulationBatch's trace fields, each laid out stage first and
-    replication last). Returns the first stage whose running total is not
-    finite, stopping there, or None.
+    Each epoch is computed at its start stage k, with its service gate
+    tau[:, k + M_F] (module docstring); its control waits in `arrivals`
+    until the stage it arrives at applies it. Every per-replication array
+    is state-major, one column per replication: x and x_hat are (n, rows),
+    u is (s, rows). w[k] is the block's disturbance at stage k (drift
+    included) and v[k] its measurement noise, both scaled and laid out the
+    same way; tau is (rows, N). Accumulates into `totals` and writes each
+    trace that `record` holds (a subset of SimulationBatch's trace fields,
+    each laid out stage first and replication last). Returns the first
+    stage whose running total is not finite, stopping there, or None.
     """
     N, n, s = model.N, model.state_dim, model.control_dim
     R = tau.shape[0]
     gains = regime.gains
     partial = regime.observation == "partial"
     step, M_F, M, epochs = arrival_grid(regime.delay, N)
-    services = {j * step + M_F: j for j in range(epochs)}
-    # an arrival is last read by the service of its own epoch, or under
-    # partial observation as the next epoch's u_prev
-    last_read = M_F + (step if partial else 0)
 
     x = np.broadcast_to(x0[:, None], (n, R)).copy()
-    saved = {}     # epoch -> state (full) or measurement (partial) at its start, until served
-    arrivals = {}  # arrival stage -> control, until last read; other stages apply zero
+    arrivals = {}  # arrival stage -> control, until applied; other stages apply zero
     zero = np.zeros((s, R)) if M else None  # perfect match has an arrival at every stage
     if partial:
-        xh_b = x.copy()                             # boundary estimate
+        xh_b = x.copy()                             # boundary estimate, x0 at stage 0
         ids = np.zeros(R, dtype=np.intp)            # gate-history node per replication
         Sg_b = np.zeros((1, n, n))                  # boundary covariance per node
 
     for k in range(N):
-        j_b, phase = divmod(k, step)
-        if phase == 0 and j_b < epochs:
-            if partial:
-                saved[j_b] = column_product(model.C[k], x) + v[k]
-            else:
-                saved[j_b] = x  # x is rebound at every stage, never written in place
-        if k in services:
-            j = services[k]
-            t0 = j * step
-            gate = tau[:, k] == 1
-            base = saved.pop(j)  # the state, or the measurement updating the estimate
+        j, phase = divmod(k, step)
+        if phase == 0 and j < epochs:
+            gate = tau[:, k + M_F] == 1
             if partial:
                 if j >= 1:  # the estimate at stage 0 is x0 exactly
-                    u_prev = arrivals.get(t0 - step, zero)
-                    xh_b = propagate_mean(ctrl_model, xh_b, u_prev, t0 - step, t0)
-                    Phi_w = transition_product(model, t0, t0 - step)
-                    Xi_w = window_noise(model, t0 - step, t0)
+                    Phi_w = transition_product(model, k, k - step)
+                    Xi_w = window_noise(model, k - step, k)
                     Sg_b = predict_covariances(Sg_b, Phi_w, Xi_w)
+                    z = column_product(model.C[k], x) + v[k]
                     ids, Sg_b = _filter_update(
-                        ids, Sg_b, xh_b, gate, base, model.C[t0], model.V_noise[t0]
+                        ids, Sg_b, xh_b, gate, z, model.C[k], model.V_noise[k]
                     )
-                _keep(record, t0, x_hat=xh_b)
-                base = xh_b
-            base = propagate_mean(ctrl_model, base, arrivals.get(t0, zero), t0, t0 + M)
-            u_new = -column_product(gains.V[t0 + M], base)
+                _keep(record, k, x_hat=xh_b)
+            base = xh_b if partial else x
+            base = propagate_mean(ctrl_model, base, arrivals.get(k, zero), k, k + M)
+            u_new = -column_product(gains.V[k + M], base)
             u_new[:, ~gate] = 0.0
-            arrivals[t0 + M] = u_new
-        u = arrivals.get(k, zero)
+            arrivals[k + M] = u_new
+            if partial:  # the next epoch's prior mean
+                xh_b = base if M else propagate_mean(ctrl_model, xh_b, u_new, k, k + 1)
+            del base  # under perfect match the posterior: not kept through the next update
+        u = arrivals.pop(k, zero)
         g = _quad_columns(x, model.Q[k]) + _quad_columns(u, model.R[k])
         totals += g
         if not np.isfinite(totals).all():
             return k
         _keep(record, k, x=x, u=u, stage_cost=g)
         x = column_product(model.A[k], x) + column_product(model.B[k], u) + w[k]
-        arrivals.pop(k - last_read, None)
     g_term = _quad_columns(x, model.Q[N])
     totals += g_term
     if not np.isfinite(totals).all():

@@ -530,10 +530,7 @@ class TestSimulate:
             "delay": {"M_F": 2, "M_B": 1},
             "simulation": {"master_seed": 5, "sweep": {"p": [0.5, 0.9], "M": [0, 3]}},
         }
-        model = fc.build_system(fc.scenario_from_config(cfg["scenario"]))
-        N, n, s, m = model.N, model.state_dim, model.control_dim, model.obs_dim
-        per_rep = 8 * N * (n + m + 1) + 8 * ((N + 1) * n + N * s)
-        monkeypatch.setattr(simulator, "CHUNK_BYTES", 50 * per_rep)  # 50-row blocks
+        monkeypatch.setattr(simulator, "_block_rows", lambda model, streamed: 50)
         R, points = 400, 4
         cli.cmd_simulate(cfg, tmp_path, replications=R)  # warm-up: free lists grow, unmeasured
         peaks = []

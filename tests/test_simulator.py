@@ -33,14 +33,10 @@ def run_simple(model, p, delay, x0, reps=2000, seed=0, observation="full", recor
     return fc.run(model, chain, delay, regime, cfg, x0=x0)
 
 
-def set_block_rows(monkeypatch, model, rows, streamed=False):
-    """Patch the block budget so that `run` (or a `sweep` whose tracking
-    metrics are streamed) takes `rows` replications per block."""
-    N, n, s, m = model.N, model.state_dim, model.control_dim, model.obs_dim
-    per_rep = 8 * N * (n + m + 1)
-    if streamed:
-        per_rep += 8 * ((N + 1) * n + N * s)
-    monkeypatch.setattr(simulator, "CHUNK_BYTES", rows * per_rep)
+def set_block_rows(monkeypatch, rows):
+    """Patch the block size so that every run or sweep takes `rows`
+    replications per block (`_block_rows` itself is pinned in TestBlocks)."""
+    monkeypatch.setattr(simulator, "_block_rows", lambda model, streamed: rows)
 
 
 class TestConfigAndStreams:
@@ -268,7 +264,7 @@ class TestRunBasics:
 
 class TestPartialObservationLoop:
     @pytest.mark.parametrize("p", [0.5, 0.9])
-    @pytest.mark.parametrize("delay", [None, (1, 1), (2, 1)])
+    @pytest.mark.parametrize("delay", [None, (1, 1), (2, 1), (0, 2), (1, 0)])
     def test_matches_per_replication_reference(self, rng, p, delay):
         # p = 0.9 leaves many replications on shared ON/OFF histories,
         # p = 0.5 makes most of them distinct
@@ -301,7 +297,7 @@ class TestPartialObservationLoop:
         design = fc.make_system(A=1.0, B=1.0, Q=1.0, R=1.0, W=1.0, V_noise=1.0, N=4)
         plant = fc.make_system(A=1e200, B=1.0, Q=1.0, R=1.0, W=1.0, V_noise=1.0, N=4)
         if monkeypatch is not None:
-            set_block_rows(monkeypatch, plant, 2)  # four blocks of two rows
+            set_block_rows(monkeypatch, 2)  # four blocks of two rows
         delay = None if delay is None else fc.DelayProfile(M_F=delay[0], M_B=delay[1])
         regime = make_regime(design, 0.8, delay, observation=observation)
         cfg = fc.SimulationConfig(replications=8, master_seed=1)
@@ -327,7 +323,7 @@ class TestPartialObservationLoop:
         # one starting OFF overflows at stage 1. With seed 7 the first block
         # (two rows) starts OFF and a later block has a row starting ON.
         model = fc.make_system(A=1.0, B=1.0, Q=1.0, R=1.0, W=1.0, V_noise=1.0, N=4)
-        set_block_rows(monkeypatch, model, 2)
+        set_block_rows(monkeypatch, 2)
         starts_on = fc.noise_streams(7, 8, 4, 1, 1)[2][:, 0] < 0.5
         assert not starts_on[:2].any() and starts_on[2:].any()
         chain = fc.symmetric_chain(0.8, tau0=(0.5, 0.5))
@@ -340,6 +336,16 @@ class TestPartialObservationLoop:
 
 
 class TestBlocks:
+    def test_block_rows(self):
+        # CHUNK_BYTES of draws, 8 N (n + m + 1) bytes per replication, plus
+        # the x and u traces, 8 ((N + 1) n + N s) bytes, when streamed
+        def plant(m, N):
+            return fc.make_system(A=np.eye(4), B=np.ones((4, 2)), C=np.ones((m, 4)),
+                                  Q=np.eye(4), R=np.eye(2), W=np.eye(4), V_noise=np.eye(m), N=N)
+
+        assert simulator._block_rows(plant(2, 16), False) == 9362
+        assert simulator._block_rows(plant(4, 60), True) == 1159
+
     @pytest.mark.parametrize("rows", [3, 7])
     @pytest.mark.parametrize("observation,delay", REGIMES)
     def test_blocking_is_bit_identical(self, monkeypatch, rng, observation, delay, rows):
@@ -348,7 +354,7 @@ class TestBlocks:
         delay = None if delay is None else fc.DelayProfile(M_F=delay[0], M_B=delay[1])
         whole = run_simple(model, 0.6, delay, x0, reps=64, seed=23,
                            observation=observation, record=True)["traces"]
-        set_block_rows(monkeypatch, model, rows)
+        set_block_rows(monkeypatch, rows)
         assert len(simulator._blocks(64, rows)) > 1
         blocked = run_simple(model, 0.6, delay, x0, reps=64, seed=23,
                              observation=observation, record=True)["traces"]
@@ -376,7 +382,7 @@ class TestBlocks:
             delay = None if delay is None else fc.DelayProfile(*delay)
             points.append((chain, delay, fc.solve(model, 0.7, delay, observation)))
         whole = [fc.run(model, *point, cfg, x0=x0) for point in points]
-        set_block_rows(monkeypatch, model, rows)
+        set_block_rows(monkeypatch, rows)
         assert len(simulator._blocks(23, rows)) > 1
         for point, want in zip(points, whole):
             assert_same_result(fc.run(model, *point, cfg, x0=x0), want)
@@ -396,9 +402,9 @@ class TestBlocks:
         delay = None if delay is None else fc.DelayProfile(*delay)
         point = (fc.symmetric_chain(0.8), delay, fc.solve(model, 0.8, delay, observation))
         cfg = fc.SimulationConfig(replications=20_000, master_seed=43, record_traces=True)
-        set_block_rows(monkeypatch, model, 20_000)
+        set_block_rows(monkeypatch, 20_000)
         whole = fc.run(model, *point, cfg, x0=x0)
-        set_block_rows(monkeypatch, model, 6_667)
+        set_block_rows(monkeypatch, 6_667)
         assert simulator._blocks(20_000, 6_667)[-1] == (13_334, 20_000)
         assert_same_result(fc.run(model, *point, cfg, x0=x0), whole)
 
@@ -660,7 +666,7 @@ class TestSweep:
         # R = 64 folds a one-row remainder into the last block
         model, x0 = drift_plant(), np.array([1.0, -0.5])
         if rows is not None:
-            set_block_rows(monkeypatch, model, rows)
+            set_block_rows(monkeypatch, rows)
         points = []
         for i, (observation, delay, compensate, chain) in enumerate([
             ("full", None, False, fc.symmetric_chain(0.7)),
@@ -718,6 +724,16 @@ class TestSweep:
                 tracemalloc.stop()
         rows = max(hi - lo for lo, hi in simulator._blocks(R, simulator._block_rows(model, True)))
         assert peaks[1] - peaks[0] < 8 * model.N * model.state_dim * rows
+
+    def test_no_points_draw_nothing(self, monkeypatch):
+        def fill(streams, draws):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(simulator, "_fill", fill)
+        TestPrefetch.count_threads(monkeypatch)
+        model = fc.make_system(A=1.0, B=1.0, Q=1.0, R=1.0, W=1.0, N=60)
+        assert simulator.sweep(model, [], fc.SimulationConfig(200_000)) == []
+        assert CountingThread.started == 0
 
     def test_sweep_checks_every_point(self):
         model = drift_plant()
@@ -778,7 +794,7 @@ class TestStreamedTracking:
             for point in points
         ]
         # blocks of three rows, the one-row remainder folded into the last
-        set_block_rows(monkeypatch, model, 3, streamed=True)
+        set_block_rows(monkeypatch, 3)
         blocks = simulator._blocks(64, simulator._block_rows(model, True))
         assert len(blocks) > 1 and blocks[-1] == (60, 64)
         untraced = fc.SimulationConfig(replications=64, master_seed=3)
@@ -822,7 +838,7 @@ class TestPrefetch:
         chain = fc.symmetric_chain(0.7, tau0=(0.3, 0.7))
         cfg = fc.SimulationConfig(replications=23, master_seed=17, record_traces=True)
         whole = fc.run(model, chain, delay, regime, cfg, x0=x0)
-        set_block_rows(monkeypatch, model, 5)
+        set_block_rows(monkeypatch, 5)
         assert simulator._blocks(23, 5)[-1] == (20, 23)
         fill, filled = simulator._fill, []
 
@@ -849,7 +865,7 @@ class TestPrefetch:
                            fc.solve(model, 0.75, delay, observation)))
         cfg = fc.SimulationConfig(replications=23, master_seed=3)
         whole = simulator.sweep(model, points, cfg, x0=x0, alpha=scenario.alpha)
-        set_block_rows(monkeypatch, model, 5, streamed=True)
+        set_block_rows(monkeypatch, 5)
         self.count_threads(monkeypatch)
         blocked = simulator.sweep(model, points, cfg, x0=x0, alpha=scenario.alpha)
         assert CountingThread.started == 1
@@ -872,7 +888,7 @@ class TestPrefetch:
 
     def test_no_thread_outlives_a_run(self, monkeypatch):
         model = drift_plant()
-        set_block_rows(monkeypatch, model, 5)
+        set_block_rows(monkeypatch, 5)
         before = threading.active_count()
         run_simple(model, 0.7, fc.DelayProfile(1, 1), np.ones(2), reps=23,
                    observation="partial")
@@ -887,7 +903,7 @@ class TestPrefetch:
     def test_no_thread_outlives_an_error_in_a_block(self, monkeypatch):
         # block 1 raises while block 2's fill, slowed down, is still running
         model = drift_plant()
-        set_block_rows(monkeypatch, model, 5)
+        set_block_rows(monkeypatch, 5)
         draw = simulator._draw
 
         def slow_fill(streams, out):
@@ -907,7 +923,7 @@ class TestPrefetch:
 
     def test_fill_error_reaches_the_caller(self, monkeypatch):
         model = drift_plant()
-        set_block_rows(monkeypatch, model, 5)
+        set_block_rows(monkeypatch, 5)
         draw, fills = simulator._draw, []
 
         def fail_on_block_two(streams, out):
@@ -971,7 +987,7 @@ class TestBlockLayout:
     def test_four_regimes(self, monkeypatch, rows):
         model, x0 = drift_plant(), np.array([1.0, -0.5])
         if rows is not None:
-            set_block_rows(monkeypatch, model, rows)
+            set_block_rows(monkeypatch, rows)
         chain = fc.symmetric_chain(0.7, tau0=(0.3, 0.7))
         cfg = fc.SimulationConfig(replications=64, master_seed=29, record_traces=True)
         points = []
@@ -988,7 +1004,7 @@ class TestBlockLayout:
         scenario = TestStreamedTracking.scenario()
         model, x0 = fc.build_system(scenario), fc.initial_state(scenario)
         if rows is not None:
-            set_block_rows(monkeypatch, model, rows, streamed=True)
+            set_block_rows(monkeypatch, rows)
         points = []
         for observation, delay in [("partial", None), ("full", (2, 1)), ("partial", (1, 1))]:
             delay = None if delay is None else fc.DelayProfile(*delay)
