@@ -10,13 +10,23 @@ M = 0). The means are state-major, (n, R): `column_product` multiplies a
 matrix into such a block so that every column rounds as it would in any
 other block.
 
+Covariances are stored node-last, one stack (n, n, P) with one column per
+history node, and gains likewise (n, m, P). A fixed matrix times every node
+is then one matrix-matrix product with the nodes folded into its columns,
+and a product of two node stacks is elementwise arithmetic on rows of P
+contiguous numbers, so numpy's cost per call is paid once per stack rather
+than once per small matrix. Each product takes its path from the matrix
+shapes alone, never from P: a fold when both of its outer dimensions are
+at least 2 (`_left_product`), and elsewhere terms added in index order,
+with no matrix-vector product and no numpy axis reduction over nodes, whose
+rounding depends on the stack. A node's results are thus bit for bit the
+same in any stack.
+
 `gated_posterior` is the one measurement update, shared by the exact and
 Monte Carlo penalties and the simulator. For a well-conditioned noise V it
 builds the gain from scalar updates in V's eigenbasis and the posterior from
-one Joseph step, with elementwise and stacked-matmul arithmetic only; a
-singular or ill-conditioned V takes the pseudo-inverse of the innovation
-covariance instead. Either way each batch entry is computed on its own, so
-results do not depend on how histories are batched.
+one Joseph step; a singular or ill-conditioned V takes the pseudo-inverse of
+the innovation covariance instead, on a node-first copy.
 
 The expected estimation penalty quantifies the exact cost of acting on a
 conditional mean instead of the true state. For linear-Gaussian models each
@@ -49,10 +59,10 @@ from .riccati import _fit, _tag
 
 PENALTY_METHODS = ("exact-enumeration", "monte-carlo")
 EXACT_ENUMERATION_MAX_N = 20
-# Bytes of one chunk of n x n covariances in the penalty sweep: 2048 nodes
-# at n = 4. Smaller chunks pay numpy's per-call overhead, larger ones hold
-# more temporaries for no speed.
-_CHUNK_BYTES = 2**18
+# Bytes of one chunk of n x n covariances in the penalty sweep: 1024 nodes
+# at n = 4. Smaller chunks pay numpy's per-call overhead; at n = 4, 2048
+# nodes ran an exact-analysis pass no faster and raised its peak RSS.
+_CHUNK_BYTES = 2**17
 # Largest cond(V) that `gated_posterior` serves by sequential scalar updates.
 _SEQUENTIAL_MAX_COND = 1e8
 
@@ -157,8 +167,44 @@ def window_noise(model: LinearSystemModel, t0: int, t1: int) -> np.ndarray:
     return symmetrize(Xi)
 
 
+def _subtract_products(S: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Subtract X_p @ Y_p from every node of S (a, c, P) in place and return S.
+
+    X is (a, b, P) and Y (b, c, P); the b terms are subtracted one at a
+    time in index order, elementwise, so every node rounds as it would in
+    any other stack.
+    """
+    for l in range(X.shape[1]):
+        S -= X[:, l, None] * Y[l]
+    return S
+
+
+def _left_product(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M @ X_p for a fixed (a, b) matrix M and every node p of X (b, c, P): (a, c, P).
+
+    With a >= 2 and c >= 2 this is one matrix-matrix product with the nodes
+    folded into its columns, (a, b) @ (b, c P), whose columns round alike
+    wherever they sit. A one-row M, or a one-column X_p at P = 1, would go
+    down numpy's matrix-vector path, which rounds otherwise, so at those
+    shapes the b terms are multiplied and added elementwise in index order,
+    whatever P is: the path depends on a and c, never on the node count.
+    """
+    (a, b), (c, P) = M.shape, X.shape[1:]
+    if a >= 2 and c >= 2:
+        return (M @ X.reshape(b, c * P)).reshape(a, c, P)
+    out = M[:, 0, None, None] * X[0]
+    for l in range(1, b):
+        out += M[:, l, None, None] * X[l]
+    return out
+
+
+def _symmetrize_nodes(X: np.ndarray) -> np.ndarray:
+    """`symmetrize` of every node of a node-last stack (n, n, P), through a transposed view."""
+    return symmetrize(X.transpose(2, 0, 1)).transpose(1, 2, 0)
+
+
 def gated_posterior(Sig: np.ndarray, C: np.ndarray, V: np.ndarray):
-    """Gains and Joseph-form posterior covariances for a batch of symmetric priors (P, n, n).
+    """Gains and Joseph-form posterior covariances of symmetric priors stored node-last, (n, n, P).
 
     Which path runs is decided once per call from the eigenvalues d of the
     m x m noise V alone, never from the batch:
@@ -171,12 +217,15 @@ def gated_posterior(Sig: np.ndarray, C: np.ndarray, V: np.ndarray):
       (I - k c_i^T) and appends k; it carries only the products Sig_i c_j
       of the rows still to come, never Sig_i itself. The gain K U^T then
       enters one Joseph step against the given C and V, factored as
-      A = Sig - K C Sig, posterior = A - (A C^T - K V) K^T. There is no
-      pseudo-inverse and no LAPACK call per batch entry.
+      A = Sig - K C Sig, posterior = A - (A C^T - K V) K^T and computed as
+      its transpose, A^T = Sig - (C Sig)^T K^T and A^T - K (C A^T - V^T K^T),
+      which `symmetrize` maps to the same matrix. There is no pseudo-inverse
+      and no LAPACK call per node.
     - Any other V (exact observation V = 0, a singular V, or one past the
       cutoff): the Joseph form with a pseudo-inverse of the innovation
       covariance S = C Sig C^T + V, which degrades gracefully to the
-      projection update.
+      projection update. It runs on a (P, n, n) copy of the priors and
+      transposes its results back.
 
     The final Joseph step keeps the sequential path as accurate as the
     pseudo-inverse: the gain carries eigh's rounding of d and U to first
@@ -188,49 +237,60 @@ def gated_posterior(Sig: np.ndarray, C: np.ndarray, V: np.ndarray):
     path's posterior has lost half its digits; the accuracy test covers
     cond(V) up to it.
 
-    Each batch entry is computed on its own (stacked ``np.matmul`` and
-    elementwise ops, never one product over the flattened stack), so a gain
-    or covariance comes out bit for bit the same whichever batch it is
-    computed in.
+    On the sequential path a fixed matrix times every node is one
+    matrix-matrix product over all nodes (`_left_product`); the scalar
+    updates and the Joseph step's products of two node stacks
+    (`_subtract_products`) are elementwise arithmetic along the node axis.
+    No product's path depends on the node count, so a gain or covariance
+    comes out bit for bit the same whichever batch it is computed in.
 
     Returns:
-        (gain, posterior) with shapes (P, n, m) and (P, n, n).
+        (gain, posterior) with shapes (n, m, P) and (n, n, P).
     """
     d, U = np.linalg.eigh(V)
     if not (d[0] > 0.0 and d[-1] <= _SEQUENTIAL_MAX_COND * d[0]):
-        n = Sig.shape[-1]
+        n = Sig.shape[0]
+        Sig = np.ascontiguousarray(Sig.transpose(2, 0, 1))
         S = symmetrize(np.matmul(np.matmul(C, Sig), C.T) + V)
         Sinv = np.linalg.pinv(S, hermitian=True)
         gain = np.matmul(np.matmul(Sig, C.T), Sinv)
         IKC = np.eye(n) - np.matmul(gain, C)
         post = np.matmul(np.matmul(IKC, Sig), np.swapaxes(IKC, -1, -2))
         post = post + np.matmul(np.matmul(gain, V), np.swapaxes(gain, -1, -2))
-        return gain, symmetrize(post)
-    # Row layout throughout: a transposed stack operand makes matmul several
-    # times slower than a contiguous one.
+        return (np.ascontiguousarray(gain.transpose(1, 2, 0)),
+                np.ascontiguousarray(symmetrize(post).transpose(1, 2, 0)))
     rows = U.T @ C
-    H = np.matmul(rows, Sig)  # row j: (Sig_i c_j)^T for the rows j not yet used
-    G = np.empty_like(H)  # gain columns in V's eigenbasis, as rows
+    CS = _left_product(C, Sig)  # C Sig_p of every node, (m, n, P)
+    # column j of every node, (n, m, P): before update j, Sig_p c_j; from
+    # update j on, gain column j in V's eigenbasis. Update i turns every
+    # other column by the same (I - k c_i^T), so one array holds both
+    G = np.ascontiguousarray(_left_product(U.T, CS).transpose(1, 0, 2))
     for i in range(len(d)):
-        c, h = rows[i][:, None], H[..., i:i + 1, :]
-        k = h / (np.matmul(h, c) + d[i])
-        G[..., :i, :] -= np.matmul(G[..., :i, :], c) * k
-        G[..., i:i + 1, :] = k
-        H[..., i + 1:, :] -= np.matmul(H[..., i + 1:, :], c) * k
-    Kt = np.matmul(U, G)
-    del H, G  # freed before the Joseph step's temporaries
-    gain = np.ascontiguousarray(np.swapaxes(Kt, -1, -2))
-    A = np.matmul(gain, np.matmul(C, Sig))
-    np.subtract(Sig, A, out=A)
-    post = np.matmul(np.matmul(A, np.ascontiguousarray(C.T)) - np.matmul(gain, V), Kt)
-    np.subtract(A, post, out=post)
-    del A, Kt
-    return gain, symmetrize(post)
+        dots = _left_product(rows, G)[i]  # c_i^T times every column
+        k = G[:, i] / (dots[i] + d[i])
+        G -= k[:, None] * dots
+        G[:, i] = k
+    Kt = _left_product(U, G.transpose(1, 0, 2))  # K^T of every node, (m, n, P)
+    del G, dots, k  # freed before the Joseph step's temporaries
+    gain = Kt.transpose(1, 0, 2)
+    AT = _subtract_products(Sig.copy(), CS.transpose(1, 0, 2), Kt)
+    del CS
+    post = _subtract_products(AT, gain, _left_product(C, AT) - _left_product(V.T, Kt))
+    return gain, _symmetrize_nodes(post)
 
 
 def predict_covariances(Sig: np.ndarray, Phi: np.ndarray, Xi: np.ndarray) -> np.ndarray:
-    """Batched time update Phi Sig Phi^T + Xi of covariances (P, n, n)."""
-    return symmetrize(np.matmul(np.matmul(Phi, Sig), np.ascontiguousarray(Phi.T)) + Xi)
+    """Time update Phi Sig_p Phi^T + Xi of every node of symmetric covariances (n, n, P).
+
+    Computed as its transpose Phi (Phi Sig_p)^T + Xi^T, two `_left_product`s,
+    which `symmetrize` maps to the same matrix.
+    """
+    # transposed into its own copy first, so that Phi Sig_p is freed before
+    # the second product allocates
+    out = np.ascontiguousarray(_left_product(Phi, Sig).transpose(1, 0, 2))
+    out = _left_product(Phi, out)
+    out += Xi.T[:, :, None]
+    return _symmetrize_nodes(out)
 
 
 def advance_histories(ids: np.ndarray, served: np.ndarray, n_nodes: int):
@@ -255,8 +315,20 @@ def advance_histories(ids: np.ndarray, served: np.ndarray, n_nodes: int):
     return remap[key], children // 2, (children % 2).astype(bool)
 
 
-def _batch_traces(Sig: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    return np.einsum("pij,ji->p", Sig, weight)
+def _traces(Sig: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """tr(Sig_p weight) of every node p of a node-last stack (n, n, P): (P,).
+
+    The products Sig_p[i, j] weight[j, i] are added over j, then over i, in
+    index order and elementwise along the node axis (no axis reduction, whose
+    order numpy chooses by shape), so a node's trace does not depend on its stack.
+    """
+    rows = Sig[:, 0] * weight[0, :, None]
+    for j in range(1, len(weight)):
+        rows = rows + Sig[:, j] * weight[j, :, None]
+    total = rows[0]
+    for i in range(1, len(weight)):
+        total = total + rows[i]
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +367,10 @@ def _sweep_mib(n: int, m: int, epochs: int, p: float, replications: Optional[int
     epochs before it, at most `replications` when sampled. Alive at once are
     the priors of that level and of the one before it, about four scalars
     per node of both (probabilities, traces, history bookkeeping), and one
-    chunk's update temporaries: about six n x n, three m x n and eight
-    scalars per node. Monte Carlo adds its (R, epochs) draws, its
+    chunk's update temporaries: about four n x n, two m x n and eight
+    scalars per node. The time update of a chunk's priors sets that peak:
+    its posteriors, the products and the transposed copy in flight and
+    `symmetrize`'s sum. Monte Carlo adds its (R, epochs) draws, its
     (R, epochs - 1) samples and about six id and gather vectors of R.
     """
     nodes = 2 ** max(epochs - 2, 0) if 0.0 < p < 1.0 else 1
@@ -305,7 +379,7 @@ def _sweep_mib(n: int, m: int, epochs: int, p: float, replications: Optional[int
         nodes, reps = min(nodes, replications), replications * (2 * epochs + 5)
     chunk = min(_chunk_nodes(n), nodes)
     doubles = ((nodes + (nodes + 1) // 2) * (n * n + 4)
-               + chunk * (6 * n * n + 3 * m * n + 8) + reps)
+               + chunk * (4 * n * n + 2 * m * n + 8) + reps)
     return 8 * doubles / 2**20, nodes
 
 
@@ -315,10 +389,11 @@ def _penalty_sweep(Sig0, steps, p, cfg):
     Sig0 is the prior covariance at the first epoch; steps holds, per epoch,
     (C, V, weight, Phi, Xi): the measurement channel, the trace weight, and
     the time update Phi Sig Phi^T + Xi to the next epoch. The history tree
-    is walked level by level; each level's priors go through the update,
-    the trace and the time update of their children in chunks of
-    `_CHUNK_BYTES`, writing into the preallocated next level, so the
-    working memory beyond two levels of priors is one chunk's.
+    is walked level by level, each level one node-last stack (n, n, P).
+    A level's priors go through the update, the trace and the time update
+    of their children in chunks of `_CHUNK_BYTES`, writing into the
+    preallocated next level, so the working memory beyond two levels of
+    priors is one chunk's.
 
     Exact enumeration puts the ON children of parents [lo, hi) at [lo, hi)
     and the OFF children at [P + lo, P + hi), the order of the level's
@@ -335,7 +410,7 @@ def _penalty_sweep(Sig0, steps, p, cfg):
     exact = cfg["method"] == "exact-enumeration"
     n = Sig0.shape[-1]
     chunk = _chunk_nodes(n)
-    Sig = Sig0[None].copy()
+    Sig = Sig0[:, :, None].copy()
     if exact:
         probs = np.array([1.0])
     else:
@@ -346,32 +421,34 @@ def _penalty_sweep(Sig0, steps, p, cfg):
         samples = np.zeros((R, len(steps)))
     per = np.zeros(len(steps))
     for i, (C, V, weight, Phi, Xi) in enumerate(steps):
-        P, last = len(Sig), i == len(steps) - 1
+        P, last = Sig.shape[2], i == len(steps) - 1
         traces = np.empty(P)
         if last:
             kids = None  # no later epoch reads the last one's children
         elif exact:
-            kids = np.empty((P if p in (0.0, 1.0) else 2 * P, n, n))
+            kids = np.empty((n, n, P if p in (0.0, 1.0) else 2 * P))
         else:
             kid_ids, parents, updated = advance_histories(ids, draws[:, i + 1] < p, P)
-            kids = np.empty((len(parents), n, n))
+            kids = np.empty((n, n, len(parents)))
         for lo in range(0, P, chunk):
-            prior = Sig[lo:lo + chunk]
-            hi = lo + len(prior)
+            prior = Sig[:, :, lo:lo + chunk]
+            hi = lo + prior.shape[2]
             post = gated_posterior(prior, C, V)[1]
-            traces[lo:hi] = _batch_traces(post, weight)
+            traces[lo:hi] = _traces(post, weight)
             if last:
                 continue
             if exact:  # ON children, then OFF ones: the order of the next probs
                 if p > 0.0:
-                    kids[lo:hi] = predict_covariances(post, Phi, Xi)
+                    kids[:, :, lo:hi] = predict_covariances(post, Phi, Xi)
                 if p < 1.0:
                     off = P if p > 0.0 else 0
-                    kids[off + lo:off + hi] = predict_covariances(prior, Phi, Xi)
+                    kids[:, :, off + lo:off + hi] = predict_covariances(prior, Phi, Xi)
             else:
                 a, b = np.searchsorted(parents, (lo, hi))
-                up, at = updated[a:b, None, None], parents[a:b] - lo
-                kids[a:b] = predict_covariances(np.where(up, post[at], prior[at]), Phi, Xi)
+                at = parents[a:b] - lo
+                kids[:, :, a:b] = predict_covariances(
+                    np.where(updated[a:b], np.take(post, at, axis=2), np.take(prior, at, axis=2)),
+                    Phi, Xi)
         del prior, post  # a view of this level would keep it alive into the next
         if exact:
             per[i] = float(probs @ traces)

@@ -70,7 +70,9 @@ def symmetrize(X: np.ndarray) -> np.ndarray:
     stack, so the results agree bit for bit.
     """
     X = np.asarray(X, dtype=float)
-    return (X + np.swapaxes(X, -1, -2)) / 2.0
+    S = X + X.swapaxes(-1, -2)
+    S /= 2.0
+    return S
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

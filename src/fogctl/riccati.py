@@ -147,31 +147,42 @@ def _fit(schedule: GainSchedule, tag: str, delay: Optional[DelayProfile],
     return schedule
 
 
-def _stage_gains(model: LinearSystemModel, k: int, K_next: np.ndarray):
-    """One backward step: (V_k, L_k, Lambda_k) from K_{k+1}.
+def _solve_failed(k: int) -> ModelValidationError:
+    return ModelValidationError(
+        [f"gain solve failed at k={k}: control-weighted value matrix not positive definite"]
+    )
 
-    Raises:
-        ModelValidationError: when the step overflows, so that the value
-            matrix K_k (built from L_k and Lambda_k) would not be finite.
+
+def _check_stages(S, V, L, Lam, lo: int):
+    """Raise for the first stage k >= lo, going backward, that failed.
+
+    A stage fails if its control-weighted value matrix S_k is not positive
+    definite ("gain solve failed", tested first) or if V_k, L_k or Lambda_k
+    is not finite, so that the value matrix K_k would not be. Stages below
+    an overflow carry its NaN and fail too; only the first going backward
+    is named. One batched Cholesky and one finiteness test clear a
+    recursion that did not fail; the stages are searched only when one did.
     """
-    A, B = model.A[k], model.B[k]
-    KB = K_next @ B
-    S = symmetrize(model.R[k] + B.T @ KB)
+    S, V, L, Lam = S[lo:], V[lo:], L[lo:], Lam[lo:]
+
+    def finite(*stacks):
+        return all(np.isfinite(X).all() for X in stacks)
     try:
         np.linalg.cholesky(S)  # definiteness test
-    except np.linalg.LinAlgError as e:  # unreachable when R is PD; defensive
-        raise ModelValidationError(
-            [f"gain solve failed at k={k}: control-weighted value matrix not positive definite"]
-        ) from e
-    V = np.linalg.solve(S, KB.T @ A)
-    L = symmetrize(model.Q[k] + A.T @ K_next @ A)
-    Lam = symmetrize(A.T @ KB @ V)
-    if not (np.isfinite(V).all() and np.isfinite(L).all() and np.isfinite(Lam).all()):
-        raise ModelValidationError(
-            [f"non-finite value matrix at stage {k}: the plant is unstable "
-             "or badly scaled for this horizon"]
-        )
-    return V, L, Lam
+        if finite(V, L, Lam):
+            return
+    except np.linalg.LinAlgError:
+        pass
+    for j in range(len(S) - 1, -1, -1):
+        try:
+            np.linalg.cholesky(S[j])
+        except np.linalg.LinAlgError:  # first only if R is not PD or S_k overflowed
+            raise _solve_failed(lo + j) from None
+        if not finite(V[j], L[j], Lam[j]):
+            raise ModelValidationError(
+                [f"non-finite value matrix at stage {lo + j}: the plant is unstable "
+                 "or badly scaled for this horizon"]
+            )
 
 
 def backward_recursion(
@@ -191,6 +202,11 @@ def backward_recursion(
     Lambda_{cM} and, going backward, P_k = Lambda_k on the grid and
     P_k = A_k^T P_{k+1} A_k off it.
 
+    V, L, Lambda and the control-weighted value matrices
+    S_k = R_k + B_k^T K_{k+1} B_k are written into one stack each; the
+    schedule's matrices are the rows of the frozen stacks. Definiteness of
+    S and finiteness of V, L and Lambda are tested once, after the loop.
+
     Args:
         model: validated system model.
         p: ON-persistence of the symmetric availability chain, in [0, 1].
@@ -201,26 +217,41 @@ def backward_recursion(
 
     Raises:
         ModelValidationError: p outside [0, 1], a horizon shorter than the
-            round-trip delay, or a stage whose value matrix overflows (named,
-            first going backward).
+            round-trip delay, or a failed stage, the first going backward:
+            "gain solve failed at k=..." when S_k is not positive definite
+            (or its solve finds it singular), else "non-finite value matrix
+            at stage ..." when V_k, L_k or Lambda_k overflowed. The stages
+            below an overflow carry NaN and are never the ones named.
     """
     step, _, M, epochs = arrival_grid(delay, model.N)
     if not (0.0 <= p <= 1.0):
         raise ModelValidationError([f"p must be in [0, 1], got {p}"])
-    N = model.N
+    N, n, s = model.N, model.state_dim, model.control_dim
+    S, V = np.empty((N, s, s)), np.empty((N, s, n))
+    L, Lam = np.empty((N, n, n)), np.empty((N, n, n))
     K = [None] * (N + 1)
-    L = [None] * N
-    Lam = [None] * N
-    V = [None] * N
     K[N] = _freeze(symmetrize(model.Q[N]))
-    # an overflowing stage is reported by _stage_gains' finiteness check alone
+    lo = 0  # lowest stage computed
+    # an overflowing stage carries inf and NaN down; _check_stages names it
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(N - 1, -1, -1):
-            V_k, L_k, Lam_k = _stage_gains(model, k, K[k + 1])
-            V[k] = _freeze(V_k)
-            L[k] = _freeze(L_k)
-            Lam[k] = _freeze(Lam_k)
-            K[k] = _freeze(symmetrize(L_k - p * Lam_k)) if k % step == 0 else L[k]
+            A, B = model.A[k], model.B[k]
+            KB = K[k + 1] @ B
+            S[k] = symmetrize(model.R[k] + B.T @ KB)
+            try:
+                V[k] = np.linalg.solve(S[k], KB.T @ A)
+            except np.linalg.LinAlgError:
+                lo = k + 1
+                break
+            L[k] = symmetrize(model.Q[k] + A.T @ K[k + 1] @ A)
+            Lam[k] = symmetrize(A.T @ KB @ V[k])
+            K[k] = _freeze(symmetrize(L[k] - p * Lam[k])) if k % step == 0 else L[k]
+    _check_stages(S, V, L, Lam, lo)
+    if lo:  # the solve failed at lo - 1, and no stage above it
+        raise _solve_failed(lo - 1)
+    V, L, Lam = (tuple(_freeze(X)) for X in (V, L, Lam))
+    # off the grid K_k is the schedule's L_k itself, the same row object
+    K = [L[k] if k % step else X for k, X in enumerate(K[:N])] + [K[N]]
     P = None
     if M:
         cM = epochs * M
@@ -233,7 +264,7 @@ def backward_recursion(
                 P[k] = _freeze(symmetrize(model.A[k].T @ P[k + 1] @ model.A[k]))
         P = tuple(P)
     return GainSchedule(
-        K=tuple(K), L=tuple(L), Lambda=tuple(Lam), V=tuple(V), P=P,
+        K=tuple(K), L=L, Lambda=Lam, V=V, P=P,
         regime=_tag("full", delay), p_used=float(p), delay=delay if M else None,
         plant=(model.A, model.B, model.Q, model.R),
     )

@@ -85,14 +85,15 @@ needs no update, x0 being known). With a delay, the prediction an epoch
 makes over its M = step stages is the next epoch's prior mean, so it is
 computed once. The filter's error covariance and gain depend on the
 replication's service-gate history alone, never on the noise. Each
-replication therefore carries a history id, and the covariances are computed once per
-distinct sampled history node instead of once per replication. The gains
-form a table (n, m, nodes), zero where a node took no update, and each
-column gathers its node's gain along the node axis for the mean update,
-so the update runs on the whole block without a mask or a per-replication
-gain stack. Every node runs the same per-matrix arithmetic the replication
-would have run on its own, so the results are bit for bit those of a
-per-replication filter.
+replication therefore carries a history id, and the covariances are
+computed once per distinct sampled history node instead of once per
+replication, node-last like the estimation kernels: (n, n, nodes), one
+column per node. The gains form a table (n, m, nodes), zero where a node
+took no update, and each column gathers its node's gain along the node
+axis for the mean update, so the update runs on the whole block without a
+mask or a per-replication gain stack. A node's covariance and gain do not
+depend on which nodes share its stack, so the results are bit for bit
+those of a per-replication filter.
 
 A stage whose running cost total is not finite (an unstable or badly scaled
 plant) raises ModelValidationError naming the earliest such stage over all
@@ -308,28 +309,28 @@ def _quad_columns(x: np.ndarray, Qmat: np.ndarray) -> np.ndarray:
 def _filter_update(ids, Sg, xh, gate, z, C, V):
     """Measurement update of the gated columns, covariances per history node.
 
-    ids maps each replication to its covariance node in Sg; xh is (n, R)
-    and z (m, R). Posteriors are computed once per node that takes an
-    update, into a gain table (n, m, nodes) whose other nodes' entries are
-    zero. Every column gathers its node's gain along the node axis, one
-    measurement component at a time, and the m products are added in
-    component order into one temporary that is added to xh once. (An
-    einsum over m is no substitute: for m >= 3 its summation order depends
-    on the operands' memory alignment.) The update thus runs on the whole
-    block without a mask: an ungated column
-    adds +0.0, which leaves every estimate but a -0.0 as it was, and a
-    gated column runs the arithmetic of its own update. Returns the new
-    (ids, Sg); xh is updated in place.
+    ids maps each replication to its covariance node in Sg (n, n, nodes);
+    xh is (n, R) and z (m, R). Posteriors are computed once per node that
+    takes an update, and their gains, already (n, m, nodes), fill a table
+    over all nodes whose other nodes' entries are zero. Every column
+    gathers its node's gain along the node axis, one measurement component
+    at a time, and the m products are added in component order into one
+    temporary that is added to xh once. (An einsum over m is no substitute:
+    for m >= 3 its summation order depends on the operands' memory
+    alignment.) The update thus runs on the whole block without a mask: an
+    ungated column adds +0.0, which leaves every estimate but a -0.0 as it
+    was, and a gated column runs the arithmetic of its own update. Returns
+    the new (ids, Sg); xh is updated in place.
     """
-    ids, parents, updated = advance_histories(ids, gate, len(Sg))
-    # np.take gathers these rows two to three times faster than fancy indexing
-    Sg = np.take(Sg, parents, axis=0)
+    ids, parents, updated = advance_histories(ids, gate, Sg.shape[2])
+    # np.take gathers these nodes two to three times faster than fancy indexing
+    Sg = np.take(Sg, parents, axis=2)
     nodes = np.flatnonzero(updated)
     if len(nodes):
-        node_gain, Sg[nodes] = gated_posterior(np.take(Sg, nodes, axis=0), C, V)
+        node_gain, Sg[:, :, nodes] = gated_posterior(np.take(Sg, nodes, axis=2), C, V)
         # allocated after the posteriors, whose temporaries set the update's peak
-        gain = np.zeros(C.T.shape + (len(Sg),))
-        gain[:, :, nodes] = node_gain.transpose(1, 2, 0)
+        gain = np.zeros(C.T.shape + (Sg.shape[2],))
+        gain[:, :, nodes] = node_gain
         innovation = z - column_product(C, xh)
         step = np.take(gain[:, 0], ids, axis=1) * innovation[0]
         for j in range(1, len(C)):
@@ -588,7 +589,7 @@ def _run_block(model, ctrl_model, regime, tau, w, v, x0, totals, record):
     if partial:
         xh_b = x.copy()                             # boundary estimate, x0 at stage 0
         ids = np.zeros(R, dtype=np.intp)            # gate-history node per replication
-        Sg_b = np.zeros((1, n, n))                  # boundary covariance per node
+        Sg_b = np.zeros((n, n, 1))                  # boundary covariance per node
 
     for k in range(N):
         j, phase = divmod(k, step)

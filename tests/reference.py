@@ -181,6 +181,47 @@ def _kalman_update(xh, P, z, C, V):
     return xh + K @ (z - C @ xh), (P + P.T) / 2.0
 
 
+def reference_penalty(model, p, schedule, delay=None):
+    """(per-stage terms, total) of the exact estimation penalty, one history at a time.
+
+    For each service epoch j >= 1, at stage t = j M (M = 1 without delay),
+    every ON/OFF history of the epochs 1..j-1 comes from `itertools.product`,
+    weighted p per ON and 1 - p per OFF gate. Along it a textbook Kalman
+    filter (`_kalman_update`, dense inverse) starts from the exact x0,
+    propagates its covariance stage by stage with A and W, and updates at
+    the ON epochs; the epoch's term adds the history's weight times
+    tr(P_post weight_t), with weight_t = Lambda_t without delay and
+    A_t^T P_{t+1} A_t with one. Perfect match also lists the stage-0 zero;
+    the total is p times the sum of the terms.
+    """
+    n = model.state_dim
+    M = 0 if delay is None else delay.M
+    step, epochs = (1, model.N) if M == 0 else (M, delay.bound_to(model.N).c)
+
+    def propagate(P, t0):
+        for t in range(t0, t0 + step):
+            P = model.A[t] @ P @ model.A[t].T + model.W[t]
+        return P
+
+    def posterior(P, t):
+        return _kalman_update(np.zeros(n), P, np.zeros(model.obs_dim), model.C[t],
+                              model.V_noise[t])[1]
+
+    terms = [0.0] if M == 0 else []
+    for j in range(1, epochs):
+        t = j * step
+        weight = schedule.Lambda[t] if M == 0 else model.A[t].T @ schedule.P[t + 1] @ model.A[t]
+        term = 0.0
+        for gates in itertools.product((1, 0), repeat=j - 1):
+            P, prob = propagate(np.zeros((n, n)), 0), 1.0
+            for i, on in enumerate(gates, start=1):
+                prob *= p if on else 1.0 - p
+                P = propagate(posterior(P, i * step) if on else P, i * step)
+            term += prob * np.trace(posterior(P, t) @ weight)
+        terms.append(term)
+    return terms, p * sum(terms)
+
+
 def reference_gated_posterior(Sig, C, V):
     """Batched Joseph-form update through a pseudo-inverse of S = C Sig C^T + V.
 
@@ -201,23 +242,24 @@ def reference_gated_posterior(Sig, C, V):
 def reference_filter_update(ids, Sg, xh, gate, z, C, V):
     """The simulator's masked measurement update, frozen as the reference.
 
-    Posteriors once per history node that takes an update; the gated
-    columns of xh (n, R) then gather their node's gain through boolean
-    masks and contract it with their innovation (m, R), adding the m
-    products in component order before adding them to xh. (np.einsum is
+    Posteriors once per history node that takes an update, covariances
+    node-last (n, n, nodes); the gated columns of xh (n, R) then gather
+    their node's gain through boolean masks and contract it with their
+    innovation (m, R), adding the m products in component order before
+    adding them to xh. (np.einsum is
     no reference for this: for m >= 3 its summation order depends on the
     operands' memory alignment.) The mask-free `simulator._filter_update`
     must match it bit for bit: same (ids, Sg) returned, same xh after the
     in-place update.
     """
-    ids, parents, updated = advance_histories(ids, gate, len(Sg))
-    Sg = Sg[parents]
+    ids, parents, updated = advance_histories(ids, gate, Sg.shape[2])
+    Sg = Sg[:, :, parents]
     if updated.any():
-        gain, post = gated_posterior(Sg[updated], C, V)
-        Sg[updated] = post
-        col_gain = gain[np.cumsum(updated)[ids[gate]] - 1]
+        gain, post = gated_posterior(Sg[:, :, updated], C, V)
+        Sg[:, :, updated] = post
+        col_gain = gain[:, :, np.cumsum(updated)[ids[gate]] - 1]
         innovation = (z - column_product(C, xh))[:, gate]
-        terms = [col_gain[:, :, j].T * innovation[j] for j in range(len(C))]
+        terms = [col_gain[:, j] * innovation[j] for j in range(len(C))]
         xh[:, gate] += functools.reduce(np.add, terms)
     return ids, Sg
 

@@ -13,7 +13,12 @@ import fogctl as fc
 from fogctl import estimation
 from fogctl.estimation import gated_posterior, predict_covariances
 
-from reference import exact_gated_posterior, random_model, reference_gated_posterior
+from reference import (
+    exact_gated_posterior,
+    random_model,
+    reference_gated_posterior,
+    reference_penalty,
+)
 
 
 def noisy_scalar(N, V=1.0):
@@ -48,8 +53,8 @@ class TestFilterTransitions:
         for _ in range(10):
             model, _ = random_model(rng, partial=True)
             Sig = np.eye(model.state_dim) * float(rng.uniform(0.5, 2.0))
-            _, post = gated_posterior(Sig[None], model.C[0], model.V_noise[0])
-            d = np.linalg.eigvalsh(Sig - post[0])
+            _, post = gated_posterior(Sig[:, :, None], model.C[0], model.V_noise[0])
+            d = np.linalg.eigvalsh(Sig - post[:, :, 0])
             assert d[0] >= -1e-9
 
 
@@ -60,6 +65,17 @@ def kernel_case(rng, n, m, cond, P=1):
     Q, _ = np.linalg.qr(rng.normal(size=(m, m)))
     V = Q @ np.diag(np.geomspace(1.0, 1.0 / cond, m)) @ Q.T * rng.uniform(0.05, 2.0)
     return Sig, rng.normal(size=(m, n)), fc.symmetrize(V)
+
+
+def on_stacks(Sig, C, V):
+    """`gated_posterior` of (P, n, n) priors, its results moved node-first like the reference's."""
+    return tuple(np.moveaxis(x, -1, 0) for x in gated_posterior(np.moveaxis(Sig, 0, -1), C, V))
+
+
+def node_kernels(Sig, C, V, weight, Phi, Xi):
+    """Gain, posterior, time update and trace of every node of a node-last stack."""
+    return gated_posterior(Sig, C, V) + (predict_covariances(Sig, Phi, Xi),
+                                         estimation._traces(Sig, weight))
 
 
 def rel_error(got, ref):
@@ -74,7 +90,7 @@ class TestGatedPosteriorKernel:
         for case in range(36):
             n, m = 1 + case % 4, 1 + case % 3
             Sig, C, V = kernel_case(rng, n, m, float(rng.uniform(1.0, 100.0)), P=5)
-            for got, ref in zip(gated_posterior(Sig, C, V), reference_gated_posterior(Sig, C, V)):
+            for got, ref in zip(on_stacks(Sig, C, V), reference_gated_posterior(Sig, C, V)):
                 assert rel_error(got, ref).max() <= 1e-12
 
     @pytest.mark.parametrize("cond", [1.0, 1e2, 1e4, 1e6, 0.9 * estimation._SEQUENTIAL_MAX_COND])
@@ -86,7 +102,7 @@ class TestGatedPosteriorKernel:
             n, m = 1 + case % 3, 1 + case // 9
             Sig, C, V = kernel_case(rng, n, m, cond)
             exact = exact_gated_posterior(Sig[0], C, V)
-            for row, kernel in enumerate((gated_posterior, reference_gated_posterior)):
+            for row, kernel in enumerate((on_stacks, reference_gated_posterior)):
                 errors = [rel_error(got[0], ref)
                           for got, ref in zip(kernel(Sig, C, V), exact)]
                 worst[row] = np.maximum(worst[row], errors)
@@ -97,24 +113,31 @@ class TestGatedPosteriorKernel:
         u = rng.normal(size=2)
         for V in (np.zeros((2, 2)), np.outer(u, u), kernel_case(rng, 3, 2, 1.5 * cutoff)[2]):
             Sig, C, _ = kernel_case(rng, 3, 2, 1.0, P=20)
-            for got, ref in zip(gated_posterior(Sig, C, V), reference_gated_posterior(Sig, C, V)):
+            for got, ref in zip(on_stacks(Sig, C, V), reference_gated_posterior(Sig, C, V)):
                 assert got.tobytes() == ref.tobytes()
 
         def no_pinv(*args, **kwargs):
             raise AssertionError("pinv on the sequential path")
         monkeypatch.setattr(np.linalg, "pinv", no_pinv)
         Sig, C, V = kernel_case(rng, 3, 2, 0.5 * cutoff, P=20)
-        gated_posterior(Sig, C, V)
+        on_stacks(Sig, C, V)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_batch_slices_bit_for_bit(self, rng, m):
-        # n = 9: there a matrix-vector product over the flattened stack rounds
-        # a lone row differently from the same row inside the stack
-        Sig, C, V = kernel_case(rng, 9, m, 10.0, P=1000)
-        full = gated_posterior(Sig, C, V)
-        for part in (slice(0, 1), slice(7, 8), slice(-1, None), slice(3, 100)):
-            for got, ref in zip(gated_posterior(Sig[part], C, V), full):
-                assert got.tobytes() == ref[part].tobytes()
+        # a node's gain, posterior, time update and trace must not depend on
+        # the stack it sits in: lone first, middle and last nodes and a range,
+        # against a 20,000-node stack. The penalties and the simulator's
+        # filter run n = 4, m = 2, CI's placement n = 8, m = 2. A matrix-vector
+        # product at one node, or an axis reduction, rounds otherwise
+        for n in range(1, 10):
+            Sig, C, V = kernel_case(rng, n, m, 10.0, P=20_000)
+            Sig = np.moveaxis(Sig, 0, -1).copy()
+            Phi, Xi, weight = rng.normal(size=(3, n, n))
+            step = (C, V, weight, Phi, fc.symmetrize(Xi))
+            full = node_kernels(Sig, *step)
+            for part in (slice(0, 1), slice(7, 8), slice(-1, None), slice(3, 1000)):
+                for got, ref in zip(node_kernels(Sig[..., part], *step), full):
+                    assert got.tobytes() == ref[..., part].tobytes(), n
 
 
 class TestDelayedPredictor:
@@ -428,6 +451,23 @@ class TestPenaltyChunking:
             assert values() == default
 
 
+class TestExactPenaltyEnumeration:
+    """The exact penalty against a textbook filter over every ON/OFF history."""
+
+    @pytest.mark.parametrize("p", [0.3, 0.8])
+    @pytest.mark.parametrize("delay", [None, (1, 0), (1, 1)])
+    def test_matches_history_by_history_reference(self, rng, p, delay):
+        delay = None if delay is None else fc.DelayProfile(*delay)
+        for _ in range(3):
+            model, _ = random_model(rng, n_max=3, m_max=2, N_low=7, N_high=8, partial=True)
+            sched = fc.solve(model, p, delay, "partial").gains
+            pen = fc.expected_estimation_penalty(model, p, sched, sched.regime)
+            terms, total = reference_penalty(model, p, sched, delay)
+            assert len(terms) >= 2
+            np.testing.assert_allclose(pen.per_stage, terms, rtol=1e-12, atol=0.0)
+            assert pen.total == pytest.approx(total, rel=1e-12, abs=0.0)
+
+
 class TestDelayedPenalty:
     def test_hand_value_and_cost(self):
         model, x0 = noisy_scalar(N=3)
@@ -496,10 +536,10 @@ class TestMonteCarloPenaltyRows:
         draws = np.random.default_rng(seed).random((R, len(epochs) + 1))
         samples = np.zeros((R, len(epochs)))
         for r in range(R):
-            Sig = prior[None]
+            Sig = prior[:, :, None]
             for i, (C, V, weight, Phi, Xi) in enumerate(epochs):
                 _, post = gated_posterior(Sig, C, V)
-                samples[r, i] = np.einsum("pij,ji->p", post, weight)[0]
+                samples[r, i] = estimation._traces(post, weight)[0]
                 Sig = predict_covariances(post if draws[r, i + 1] < p else Sig, Phi, Xi)
         totals = p * samples.sum(axis=1)
         return samples.mean(axis=0), totals.mean(), totals.std(ddof=1) / np.sqrt(R)

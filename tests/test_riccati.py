@@ -170,6 +170,55 @@ class TestDelayedRecursion:
         ):
             fc.solve(model, 0.8, delay)
 
+    @pytest.mark.parametrize("delay", [None, (1, 1), (2, 1)])
+    def test_late_overflow_named_after_the_loop(self, delay):
+        # A_k = 1e200 only for k >= 5: stage 7 overflows first going
+        # backward, and the stages below it carry inf and NaN to stage 0
+        A = np.where(np.arange(8) >= 5, 1e200, 1.0).reshape(8, 1, 1)
+        model = fc.make_system(A=A, B=1.0, Q=1.0, R=1.0, W=1.0, N=8)
+        delay = None if delay is None else fc.DelayProfile(M_F=delay[0], M_B=delay[1])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            fc.ModelValidationError, match="non-finite value matrix at stage 7"
+        ) as info:
+            fc.solve(model, 0.8, delay)
+        assert "gain solve failed" not in str(info.value)
+
+    def test_off_grid_overflow_under_a_delay(self):
+        # M = 3 puts the arrivals at 0, 3, 6: stage 4 is off the grid, and
+        # there K_4 is L_4 itself, which overflows
+        A = np.where(np.arange(8) == 4, 1e200, 1.0).reshape(8, 1, 1)
+        model = fc.make_system(A=A, B=1.0, Q=1.0, R=1.0, W=1.0, N=8)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            fc.ModelValidationError, match="non-finite value matrix at stage 4"
+        ) as info:
+            fc.solve(model, 0.8, fc.DelayProfile(M_F=2, M_B=1))
+        assert "gain solve failed" not in str(info.value)
+
+    def test_singular_solve_below_an_overflow_not_blamed(self, monkeypatch):
+        # a solve that LAPACK finds singular on a NaN stage below the
+        # overflow still leaves the overflow as the stage named
+        solve = np.linalg.solve
+
+        def strict_solve(S, rhs):
+            if not np.isfinite(S).all():
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(S, rhs)
+        monkeypatch.setattr(np.linalg, "solve", strict_solve)
+        A = np.where(np.arange(8) >= 5, 1e200, 1.0).reshape(8, 1, 1)
+        model = fc.make_system(A=A, B=1.0, Q=1.0, R=1.0, W=1.0, N=8)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            fc.ModelValidationError, match="non-finite value matrix at stage 7"
+        ):
+            fc.backward_recursion_perfect(model, 0.8)
+
+    def test_singular_solve_named_as_gain_solve(self, monkeypatch):
+        def singular(S, rhs):
+            raise np.linalg.LinAlgError("Singular matrix")
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        model, _ = scalar_fixture(N=3)
+        with pytest.raises(fc.ModelValidationError, match="gain solve failed at k=2"):
+            fc.backward_recursion_perfect(model, 0.8)
+
     def test_zero_delay_rejected(self):
         model, _ = scalar_fixture(N=2)
         with pytest.raises(fc.ModelValidationError):

@@ -949,7 +949,7 @@ class TestFilterUpdate:
         n, R = 3, 40
         C, V = rng.normal(size=(m, n)), random_psd(rng, m, floor=0.2)
         Phi, Xi = 0.8 * rng.normal(size=(n, n)), random_psd(rng, n, floor=0.1)
-        ids, Sg, xh = np.zeros(R, dtype=np.intp), np.zeros((1, n, n)), rng.normal(size=(n, R))
+        ids, Sg, xh = np.zeros(R, dtype=np.intp), np.zeros((n, n, 1)), rng.normal(size=(n, R))
         ref_ids, ref_Sg, ref_xh = ids.copy(), Sg.copy(), xh.copy()
         for _ in range(6):
             gate = {"random": rng.random(R) < 0.6, "all-on": np.ones(R, dtype=bool),
