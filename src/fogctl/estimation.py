@@ -371,7 +371,8 @@ def _sweep_mib(n: int, m: int, epochs: int, p: float, replications: Optional[int
     scalars per node. The time update of a chunk's priors sets that peak:
     its posteriors, the products and the transposed copy in flight and
     `symmetrize`'s sum. Monte Carlo adds its (R, epochs) draws, its
-    (R, epochs - 1) samples and about six id and gather vectors of R.
+    (R, epochs - 1) samples and about six id and gather vectors of R. Each
+    call adds three n x n inputs per epoch and 8 KiB of small objects.
     """
     nodes = 2 ** max(epochs - 2, 0) if 0.0 < p < 1.0 else 1
     reps = 0
@@ -379,7 +380,7 @@ def _sweep_mib(n: int, m: int, epochs: int, p: float, replications: Optional[int
         nodes, reps = min(nodes, replications), replications * (2 * epochs + 5)
     chunk = min(_chunk_nodes(n), nodes)
     doubles = ((nodes + (nodes + 1) // 2) * (n * n + 4)
-               + chunk * (4 * n * n + 2 * m * n + 8) + reps)
+               + chunk * (4 * n * n + 2 * m * n + 8) + reps + 3 * n * n * epochs + 1024)
     return 8 * doubles / 2**20, nodes
 
 

@@ -282,27 +282,23 @@ def _address_space_left_mib() -> float:
 
 
 @contextmanager
-def _memory_guard(where: str, what: str, mib: Optional[float], extent: str = ""):
+def _memory_guard(where: str, what: str, mib: float, extent: str = ""):
     """Run a large computation only if its estimated mib fit in the memory left.
 
     Raises ModelValidationError "<where>: <what> needs <mib> MiB<extent>, more
     than the ... MiB this process can use" before the body when the estimate
     exceeds `_physical_mib()` or `_address_space_left_mib()`, and "<where>: out
     of memory in <what> (<mib> MiB needed)" when the body raises MemoryError.
-    With mib None (no estimate) only the MemoryError is translated.
     """
-    if mib is not None:
-        room = min(_physical_mib(), _address_space_left_mib())
-        if mib > room:
-            raise ModelValidationError(
-                [f"{where}: {what} needs {mib:.0f} MiB{extent}, more than the "
-                 f"{room:.0f} MiB this process can use"]
-            )
+    room = min(_physical_mib(), _address_space_left_mib())
+    if mib > room:
+        raise ModelValidationError([f"{where}: {what} needs {mib:.0f} MiB{extent}, more "
+                                    f"than the {room:.0f} MiB this process can use"])
     try:
         yield
     except MemoryError:
-        needed = "" if mib is None else f" ({mib:.0f} MiB needed)"
-        raise ModelValidationError([f"{where}: out of memory in {what}{needed}"]) from None
+        raise ModelValidationError(
+            [f"{where}: out of memory in {what} ({mib:.0f} MiB needed)"]) from None
 
 
 def validate_model(model: LinearSystemModel) -> LinearSystemModel:

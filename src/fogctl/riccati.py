@@ -326,7 +326,12 @@ def closed_form(
             observation, or one whose length does not fit the horizon
             ("penalty horizon mismatch").
     """
-    _fit(schedule, schedule.regime, schedule.delay, model.N, model)
+    return _closed_form(schedule, schedule.regime, model, x0, tau0, penalty)
+
+
+def _closed_form(schedule, tag, model, x0, tau0, penalty=None) -> CostBreakdown:
+    """`closed_form` of a schedule that one `_fit` finds tagged `tag` and built for model."""
+    _fit(schedule, tag, schedule.delay, model.N, model)
     _, M_F, M, epochs = arrival_grid(schedule.delay, schedule.N)
     x0 = state_vector(x0, model.state_dim)
     p, pi1 = schedule.p_used, tau0_pair(tau0)[1]
@@ -363,7 +368,7 @@ def min_cost_full_perfect(
 ) -> CostBreakdown:
     """`closed_form` of a full-perfect schedule:
     x0^T (L_0 - P[tau0 = 1] Lambda_0) x0 + sum_k tr(K_{k+1} W_k)."""
-    return closed_form(_fit(schedule, "full-perfect", schedule.delay), model, x0, tau0)
+    return _closed_form(schedule, "full-perfect", model, x0, tau0)
 
 
 def min_cost_full_delayed(
@@ -371,8 +376,8 @@ def min_cost_full_delayed(
 ) -> CostBreakdown:
     """`closed_form` of a full-delayed schedule with the chain started stationary:
     x0^T L_0 x0 + sum_{k<N} tr(K_{k+1} W_k) + p * sum_{k<cM} tr(P_{k+1} W_k)."""
-    p = _fit(schedule, "full-delayed", schedule.delay).p_used
-    return closed_form(schedule, model, x0, (1.0 - p, p))
+    p = schedule.p_used
+    return _closed_form(schedule, "full-delayed", model, x0, (1.0 - p, p))
 
 
 def min_cost_partial_perfect(
@@ -380,7 +385,7 @@ def min_cost_partial_perfect(
 ) -> CostBreakdown:
     """`closed_form` of a partial-perfect schedule: the full-perfect cost plus
     the penalty total (one per-stage term for each stage 0..N-1)."""
-    return closed_form(_fit(schedule, "partial-perfect", schedule.delay), model, x0, tau0, penalty)
+    return _closed_form(schedule, "partial-perfect", model, x0, tau0, penalty)
 
 
 def min_cost_partial_delayed(
@@ -389,5 +394,5 @@ def min_cost_partial_delayed(
     """`closed_form` of a partial-delayed schedule with the chain started
     stationary: the full-delayed cost plus the penalty total (one term per
     interior service epoch, k = 1..c-1)."""
-    p = _fit(schedule, "partial-delayed", schedule.delay).p_used
-    return closed_form(schedule, model, x0, (1.0 - p, p), penalty)
+    p = schedule.p_used
+    return _closed_form(schedule, "partial-delayed", model, x0, (1.0 - p, p), penalty)

@@ -46,19 +46,17 @@ point's results are bit for bit those of its own `run`.
 A block holds max(2, CHUNK_BYTES // (8 N (n + m + 1))) replications, so its
 draws (at most N (n + m + 1) doubles per replication) take at most
 CHUNK_BYTES. Each block's draws are arrays of its own, allocated on the
-calling thread and filled on one worker thread: block b + 1's fill runs
-while block b runs on the calling thread, and block b's arrays are dropped
-before block b + 2's are allocated, so at most two blocks' draws are alive.
-The arrays are state-major too, (N, dim, rows), so that each stage's draws
-for the block are one contiguous (dim, rows) slab. A generator fills only
-contiguous arrays, so the fill draws short runs of replications into a
-scratch of FILL_BYTES (one replication, if one is larger) and copies each
-run transposed into the slabs. The draws thus take at most 2 CHUNK_BYTES
-and that scratch, and the working memory of a run does not grow with R.
-When a sweep streams the tracking metrics, the block's x and u traces
-count towards the budget too, and are reduced to three per-replication
-numbers before the next block; only the totals, those numbers, and the
-traces when recorded, are kept for all R replications.
+calling thread, filled on one worker thread while the block before runs,
+and dropped before the block after next is allocated: at most two blocks'
+draws are alive. They are state-major, (N, dim, rows), each stage's draws
+one contiguous (dim, rows) slab; a generator fills only contiguous arrays,
+so the fill draws runs of rows // N replications into a one-slab scratch
+(one per run) and copies each run transposed into place. Streamed tracking
+metrics reduce the block's x and u traces to three numbers per replication
+before the next block; only those numbers, the totals and recorded traces
+are kept for all R. `_run_mib` estimates all of these and a block's state;
+a run whose estimate exceeds the memory left is refused up front, and one
+guard turns a MemoryError anywhere in the run into a ModelValidationError.
 
 Each block takes its draws in order from the three substreams, and a numpy
 generator yields the same sequence whether it is drawn in one call or in
@@ -131,7 +129,6 @@ from .model import (
 from .policy import ControllerRegime, check_fits
 
 CHUNK_BYTES = 8 * 2**20  # per block; two blocks' draws are held at once (module docstring)
-FILL_BYTES = 32 * 2**10  # scratch of one run of replications in a state-major fill (`_draw`)
 
 
 @dataclass(frozen=True)
@@ -230,25 +227,24 @@ def _substreams(master_seed: int) -> list:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(int(master_seed)).spawn(3)]
 
 
-def _draw(streams, out):
+def _draw(streams, out, scratch=None):
     """Fill out = (w, v, u) in place with the next draws, taken in order from each substream.
 
-    Each array is laid out (replications, ...), as `noise_streams` draws
-    it. A fill into `out=` yields the same sequence as a draw of that size.
-    A generator fills only a contiguous array, so a strided one (`_fill`'s
-    view of a block's state-major draws) is filled in runs of whole
-    replications, each drawn into a scratch of FILL_BYTES (one replication,
-    if one is larger) and copied into place.
+    Each array is laid out (replications, stages, ...), as `noise_streams`
+    draws it; a fill into `out=` yields the same sequence as a draw of that
+    size. A generator fills only contiguous arrays, so a strided one (`_fill`'s
+    view of a block) is filled in runs of max(1, rows // N) replications,
+    each drawn into the head of `scratch` (new if None) and copied into place.
     """
     g_w, g_v, g_tau = streams
     for fill, arr in zip((g_w.standard_normal, g_v.standard_normal, g_tau.random), out):
         if arr.flags.c_contiguous:
             fill(out=arr)
             continue
-        run = max(1, FILL_BYTES // arr[0].nbytes)
-        scratch = np.empty((min(run, len(arr)),) + arr.shape[1:])
-        for lo in range(0, len(arr), run):
-            part = scratch[:len(arr) - lo]
+        shape = (max(1, len(arr) // arr.shape[1]),) + arr.shape[1:]
+        buf = np.empty(shape) if scratch is None else scratch[:np.prod(shape)].reshape(shape)
+        for lo in range(0, len(arr), len(buf)):
+            part = buf[:len(arr) - lo]
             fill(out=part)
             arr[lo:lo + len(part)] = part
     return out
@@ -286,18 +282,16 @@ def _blocks(R: int, rows: int) -> list:
     return list(zip(starts, starts[1:] + [R]))
 
 
-def _fill(streams, draws):
+def _fill(streams, draws, scratch=None):
     """Fill a block's draws in place, in the order of `noise_streams`, and return them.
 
-    draws are state-major, (N, dim, rows) and (N, rows) for the chain's
-    uniforms, so that the block's draws at one stage are one contiguous
-    (dim, rows) slab. `_draw` fills their (replication, stage, component)
-    views through its scratch, in short runs of replications, each copied
-    transposed into the slabs. `sweep` runs it on its worker thread: the
-    generator fills and those copies release the interpreter lock, and the
-    scaling and every matrix product stay on the calling thread.
+    draws are state-major, (N, dim, rows) and (N, rows), and `_draw` fills
+    their (replication, stage, component) views through `scratch`. `sweep`
+    runs it on its worker thread: the generator fills and the copies
+    release the interpreter lock; the scaling and every product stay on
+    the calling thread.
     """
-    _draw(streams, [a.transpose(-1, *range(a.ndim - 1)) for a in draws])
+    _draw(streams, [a.transpose(-1, *range(a.ndim - 1)) for a in draws], scratch)
     return draws
 
 
@@ -372,28 +366,43 @@ def _block_rows(model: LinearSystemModel, streamed: bool) -> int:
     return max(2, CHUNK_BYTES // per_rep)
 
 
-def _kept_bytes(model: LinearSystemModel, partial: bool, record: bool, tracking: bool) -> int:
-    """Bytes a point keeps per replication for the whole run: its total, its
-    two tracking reductions when asked, and its traces (`_trace_arrays`) when recorded."""
+def _trace_fields(model: LinearSystemModel, partial: bool) -> np.dtype:
+    """SimulationBatch's trace fields as the dtype of one replication's traces:
+    each field's shape and base type, and the whole itemsize in bytes."""
     N, n, s = model.N, model.state_dim, model.control_dim
-    kept = 8 * (1 + 2 * tracking)
-    if record:
-        kept += 8 * ((N + 1) * (n + 1) + N * s + N * n * partial) + N
-    return kept
+    fields = [("x", float, (N + 1, n)), ("u", float, (N, s)), ("tau", np.int8, (N,)),
+              ("stage_cost", float, (N + 1,)), ("x_hat", float, (N, n))]
+    return np.dtype(fields[:4 + partial])
 
 
 def _trace_arrays(model: LinearSystemModel, R: int, partial: bool) -> dict:
     """Trace arrays for R replications, laid out as SimulationBatch's fields."""
-    N, n, s = model.N, model.state_dim, model.control_dim
-    arrays = {
-        "x": np.empty((R, N + 1, n)),
-        "u": np.empty((R, N, s)),
-        "tau": np.empty((R, N), dtype=np.int8),
-        "stage_cost": np.empty((R, N + 1)),
-    }
+    fields = _trace_fields(model, partial).fields
+    arrays = {name: np.empty(R, field) for name, (field, _) in fields.items()}
     if partial:
-        arrays["x_hat"] = np.full((R, N, n), np.nan)
+        arrays["x_hat"].fill(np.nan)
     return arrays
+
+
+def _run_mib(model, points, config, tracking: bool, blocks, shapes) -> float:
+    """MiB `sweep` holds at its peak if all were alive at once: per replication,
+    each point's total, tracking reductions and recorded traces, and a
+    standard error's temporary; per block row, two blocks' draws (one's if
+    one holds R), each chain's ON/OFF path, the block's state (4 (n + s)
+    doubles, 2 n (n + m) + 8 more per history node, one per row at most)
+    and with tracking `_tracking_rows`' temporaries (an x trace) and the
+    streamed traces; per run, the scratch and 1 KiB per stage + 32 KiB."""
+    N, n, s, m = model.N, model.state_dim, model.control_dim, model.obs_dim
+    R, rows = config.replications, max(hi - lo for lo, hi in blocks)
+    partial = any(regime.observation == "partial" for _, _, regime in points)
+    per_rep = 8 * (1 + len(points) * (1 + 2 * tracking))
+    for _, _, regime in points if config.record_traces else ():
+        per_rep += _trace_fields(model, regime.observation == "partial").itemsize
+    per_row = 8 * (min(2, len(blocks)) * sum(map(np.prod, shapes)) + 4 * (n + s)
+                   + partial * (2 * n * (n + m) + 8)) + N * len({c for c, _, _ in points})
+    traced = (("x",) + ("x", "u") * (not config.record_traces)) * tracking
+    per_row += sum(_trace_fields(model, False)[name].itemsize for name in traced)
+    return (R * per_rep + rows * per_row + 8 * max(rows, N) * max(n, m) + 1024 * (N + 32)) / 2**20
 
 
 def run(
@@ -459,25 +468,6 @@ def sweep(
     if not points:
         return []
     partial = any(regime.observation == "partial" for _, _, regime in points)
-
-    runs = []
-    where, what = f"R = {R}", "keeping the per-replication results"
-    # every point's kept arrays, and the one temporary of a standard error
-    mib = R * (8 + sum(_kept_bytes(model, regime.observation == "partial",
-                                   config.record_traces, alpha is not None)
-                       for _, _, regime in points)) / 2**20
-    with _memory_guard(where, what, mib):
-        for chain, _, regime in points:
-            pt = _PointRun(
-                chain=chain, regime=regime,
-                ctrl_model=model if regime.compensate_drift else model.without_drift(),
-                totals=np.zeros(R),
-                record=(_trace_arrays(model, R, regime.observation == "partial")
-                        if config.record_traces else None),
-            )
-            if alpha is not None:
-                pt.mse, pt.energy = np.empty(R), np.empty(R)
-            runs.append(pt)
     streamed = alpha is not None and not config.record_traces
     blocks = _blocks(R, _block_rows(model, streamed))
     streams = _substreams(config.master_seed)
@@ -485,20 +475,32 @@ def sweep(
     shapes = ((N, n), (N, m if partial else 0), (N,))
     Lw = [psd_sqrt(model.W[k]) for k in range(N)]
     Lv = [psd_sqrt(model.V_noise[k]) for k in range(N)] if partial else []
+    mib = _run_mib(model, points, config, alpha is not None, blocks, shapes)
 
     # imported here: concurrent.futures loads logging, which a module-level
     # import would add to every `import fogctl`
     from concurrent.futures import ThreadPoolExecutor
 
-    # One worker fills block b + 1's draws while block b runs here.
-    # result() raises a fill's error here, and leaving the `with` joins the
-    # worker. A block's arrays are allocated on this thread, not in the
-    # fill: arrays the worker allocates come from its own malloc arena,
-    # which raised the peak RSS.
-    with ThreadPoolExecutor(max_workers=1) as worker:
+    # One worker fills block b + 1 while block b runs here; result() raises
+    # its errors here, and leaving the `with` joins it. Arrays are allocated
+    # here, not on the worker, whose own malloc arena raised the peak RSS.
+    with (_memory_guard(f"R = {R}", "the simulation", mib),
+          ThreadPoolExecutor(max_workers=1) as worker):
+        runs = [_PointRun(
+            chain=chain, regime=regime, totals=np.zeros(R),
+            ctrl_model=model if regime.compensate_drift else model.without_drift(),
+            record=(_trace_arrays(model, R, regime.observation == "partial")
+                    if config.record_traces else None),
+            mse=None if alpha is None else np.empty(R),
+            energy=None if alpha is None else np.empty(R),
+        ) for chain, _, regime in points]
+
+        # `_draw`'s scratch: one stage's widest slab of the widest block
+        scratch = np.empty(max(N, *(hi - lo for lo, hi in blocks)) * max(n, m))
+
         def fill_ahead(lo, hi):
             draws = [np.empty(shape + (hi - lo,)) for shape in shapes]
-            return worker.submit(_fill, streams, draws)
+            return worker.submit(_fill, streams, draws, scratch)
 
         ahead = fill_ahead(*blocks[0])
         for b, (lo, hi) in enumerate(blocks):
@@ -511,12 +513,10 @@ def sweep(
             for k, L in enumerate(Lv):
                 v[k] = column_product(L, v[k])
             taus = {}
-            # streamed, the block's x and u traces, laid out as the block's
-            # arrays so that each stage's write is one slab; recorded, each
-            # point's own block of traces
-            record = {}
-            if streamed:
-                record = {"x": np.empty((N + 1, n, hi - lo)), "u": np.empty((N, s, hi - lo))}
+            # streamed, the block's x and u traces, each stage's write one
+            # slab as in the block's arrays; recorded, each point's own block
+            record = {name: np.empty(_trace_fields(model, False)[name].shape + (hi - lo,))
+                      for name in ("x", "u") if streamed}
             for pt in runs:
                 if pt.chain not in taus:
                     taus[pt.chain] = sample_tau(pt.chain, chain_u.T)
@@ -539,18 +539,16 @@ def sweep(
             # dropped before the next block's arrays are allocated: at most
             # two blocks' draws are alive
             del w, v, chain_u, taus, record
-    # the last block's draws, freed before the reductions below, whose
-    # temporaries grow with R
-    del ahead
+        # freed before the reductions below, whose temporaries grow with R
+        del ahead, scratch
 
-    results = []
-    for pt in runs:
-        if pt.first_bad is not None:
-            raise ModelValidationError(
-                [f"non-finite simulated cost at stage {pt.first_bad}: the plant is unstable "
-                 "or badly scaled for this horizon"]
-            )
-        with _memory_guard(where, what, 8 * R / 2**20):  # the kept arrays are allocated
+        results = []
+        for pt in runs:
+            if pt.first_bad is not None:
+                raise ModelValidationError(
+                    [f"non-finite simulated cost at stage {pt.first_bad}: the plant is unstable "
+                     "or badly scaled for this horizon"]
+                )
             res = {
                 "mean_cost": float(pt.totals.mean()),
                 "std_error": float(pt.totals.std(ddof=1) / np.sqrt(R)) if R > 1 else 0.0,
@@ -559,7 +557,7 @@ def sweep(
             }
             if alpha is not None:
                 res["tracking"] = _tracking_summary(pt.mse, pt.energy, pt.e2_max)
-        results.append(res)
+            results.append(res)
     return results
 
 

@@ -422,10 +422,12 @@ class TestSimulate:
         assert "MiB" in err[0]
 
     def test_replications_beyond_the_address_space_refused_up_front(self, tmp_path):
-        # R = 5 x 10^7 keeps 763 MiB of totals and temporaries; the child's
-        # address space is capped at 800 MiB. The guard compared the
-        # estimate with physical memory alone, so the run simulated every
-        # replication before it ran out of memory in the reductions
+        # R = 5 x 10^7 keeps 763 MiB of totals and temporaries, and its
+        # blocks of 349,525 rows take 35 MiB more (two blocks' draws, the
+        # fill's scratch and a block's state); the child's address space is
+        # capped at 800 MiB. The guard compared the estimate with physical
+        # memory alone, so the run simulated every replication before it
+        # ran out of memory in the reductions
         cfg_path = write_config(tmp_path, scalar_config(N=1, p=0.9))
         limit = 800 * 2**20
         code = (
@@ -443,9 +445,25 @@ class TestSimulate:
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.startswith("error: R = 50000000: keeping the per-replication "
-                                      "results needs 763 MiB"), proc.stderr
+        assert proc.stderr.startswith("error: R = 50000000: the simulation "
+                                      "needs 798 MiB"), proc.stderr
         assert "out of memory in" not in proc.stderr
+
+    def test_out_of_memory_in_a_fill_exits_2(self, tmp_path, monkeypatch, capsys):
+        # a MemoryError in a block's fill, on the worker thread, used to end
+        # in a traceback and exit 1
+        from fogctl import simulator
+
+        def no_memory(streams, out, scratch):
+            raise MemoryError
+
+        monkeypatch.setattr(simulator, "_draw", no_memory)
+        cfg_path = write_config(tmp_path, scalar_config(N=4, p=0.9))
+        rc = cli.main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "out"),
+                       "--replications", "200"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [err[0]] and err[0].startswith("error: R = 200: out of memory in ")
 
     def test_mean_tracks_closed_form(self, tmp_path):
         cfg = scalar_config(N=1, p=1.0)

@@ -339,13 +339,21 @@ class TestPenaltyMemoryGuard:
                 config={"method": "monte-carlo", "replications": 10_000, "seed": 0},
             )
 
-    @pytest.mark.parametrize("N, n", [(18, 4), (14, 8)])
-    def test_estimate_bounds_the_traced_peak(self, monkeypatch, N, n):
+    @pytest.mark.parametrize("N, n, delay", [
+        pytest.param(18, 4, None, id="18-4"), pytest.param(14, 8, None, id="14-8"),
+        pytest.param(16, 6, (1, 1), id="16-6-delayed"),
+    ])
+    def test_estimate_bounds_the_traced_peak(self, monkeypatch, N, n, delay):
         # the guard's estimate must cover what the exact sweep allocates
-        # without overstating it by more than a factor of two
+        # without overstating it by more than a factor of two; the small
+        # delayed sweep's peak is mostly its per-call arrays and objects
         model = fc.make_system(A=0.9 * np.eye(n), B=np.ones((n, 1)), Q=np.eye(n), R=1.0,
                                W=0.1 * np.eye(n), C=np.eye(2, n), V_noise=0.5 * np.eye(2), N=N)
-        sched = fc.backward_recursion_perfect(model, 0.7)
+        if delay is None:
+            sched, regime = fc.backward_recursion_perfect(model, 0.7), "partial-perfect"
+        else:
+            sched = fc.backward_recursion_delayed(model, 0.7, fc.DelayProfile(*delay))
+            regime = "partial-delayed"
         estimates, guard = [], estimation._memory_guard
 
         def spy(where, what, mib, extent=""):
@@ -354,7 +362,7 @@ class TestPenaltyMemoryGuard:
         monkeypatch.setattr(estimation, "_memory_guard", spy)
         tracemalloc.start()
         try:
-            fc.expected_estimation_penalty(model, 0.7, sched, "partial-perfect")
+            fc.expected_estimation_penalty(model, 0.7, sched, regime)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -100,14 +100,14 @@ class TestConfigAndStreams:
                 assert np.concatenate([piece[i] for piece in pieces]).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("split", [False, True])
-    def test_stage_major_fill_equals_noise_streams(self, monkeypatch, split):
+    def test_stage_major_fill_equals_noise_streams(self, split):
         # blocks of three end on a short block of two, blocks of four on one
         # of three, and blocks of five fold the one-row remainder into a
-        # last block of six. Split, the fill draws w two rows at a time (v
-        # three, u six), so its runs end inside blocks.
-        R, N, n, m = 11, 5, 3, 2
-        if split:
-            monkeypatch.setattr(simulator, "FILL_BYTES", 2 * 8 * N * n)
+        # last block of six. The fill draws runs of rows // N replications:
+        # at N = 5 one row at a time; split, at N = 2, runs of two rows in
+        # blocks of four and five (the last run of five one row short) and
+        # of three in the block of six.
+        R, N, n, m = 11, 2 if split else 5, 3, 2
         whole = fc.noise_streams(5, R, N, n, m)
         for rows in (3, 4, 5):
             streams = simulator._substreams(5)
@@ -440,8 +440,88 @@ class TestMemoryGuard:
         simulator.sweep(model, [point], fits, x0=x0)
         oversized = fc.SimulationConfig(replications=200_000, record_traces=record)
         with pytest.raises(fc.ModelValidationError,
-                           match=r"R = 200000: keeping the per-replication results needs \d+ MiB"):
+                           match=r"R = 200000: the simulation needs \d+ MiB"):
             simulator.sweep(model, [point], oversized, x0=x0)
+
+    @pytest.mark.parametrize("case", ["scalar", "partial", "tracking-sweep"])
+    def test_estimate_bounds_the_traced_peak(self, monkeypatch, case):
+        # the guard's estimate must cover what the run allocates, without
+        # overstating it by more than a factor of two: the draws, each
+        # chain's ON/OFF paths, the filter's history nodes (one per row at
+        # most, n = 6 here) and the streamed traces and their reductions
+        alpha = None
+        if case == "scalar":
+            model, x0 = scalar_fixture(N=200)
+            points, R = [(fc.symmetric_chain(0.6), None, fc.solve(model, 0.6))], 40_000
+        elif case == "partial":
+            n = 6
+            model = fc.make_system(A=0.9 * np.eye(n), B=np.ones((n, 1)), Q=np.eye(n), R=1.0,
+                                   W=0.1 * np.eye(n), C=np.eye(2, n), V_noise=0.5 * np.eye(2),
+                                   N=16)
+            x0, R = np.ones(n), 20_000
+            points = [(fc.symmetric_chain(0.7), None, fc.solve(model, 0.7, None, "partial"))]
+        else:
+            scenario = TestStreamedTracking.scenario()
+            model, x0, alpha = fc.build_system(scenario), fc.initial_state(scenario), 0.2
+            points, R = [], 20_000
+            for p in (0.5, 0.7, 0.9):
+                for observation in ("full", "partial"):
+                    points.append((fc.symmetric_chain(p), None,
+                                   fc.solve(model, p, None, observation)))
+        estimates, guard = [], simulator._memory_guard
+
+        def spy(where, what, mib, extent=""):
+            estimates.append(mib)
+            return guard(where, what, mib, extent)
+
+        # a first run imports numpy.random and the thread pool: not memory
+        # the run holds
+        simulator.sweep(model, points, fc.SimulationConfig(2), x0=x0, alpha=alpha)
+        monkeypatch.setattr(simulator, "_memory_guard", spy)
+        tracemalloc.start()
+        try:
+            simulator.sweep(model, points, fc.SimulationConfig(R), x0=x0, alpha=alpha)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        [mib] = estimates
+        assert peak <= mib * 2**20 <= 2 * peak
+
+    def test_draws_that_do_not_fit_are_refused_before_any_fill(self, monkeypatch):
+        # the kept arrays (totals and a standard error's temporary, 16 KB)
+        # fit, but two blocks of 800 rows of draws (4.9 MiB) do not: the
+        # run is refused before a block is allocated or filled
+        model, x0 = scalar_fixture(N=200)
+        point = (fc.symmetric_chain(0.6), None, fc.solve(model, 0.6))
+        cfg = fc.SimulationConfig(replications=1_000)
+
+        def fill(*args):
+            raise AssertionError("a block was filled")
+
+        monkeypatch.setattr(simulator, "_fill", fill)
+        set_block_rows(monkeypatch, 800)
+        monkeypatch.setattr("fogctl.model._address_space_left_mib", lambda: 1.0)
+        with pytest.raises(fc.ModelValidationError,
+                           match=r"R = 1000: the simulation needs 5 MiB, more than the 1 MiB"):
+            simulator.sweep(model, [point], cfg, x0=x0)
+
+    def test_out_of_memory_in_a_fill_is_a_clean_error(self, monkeypatch):
+        # the worker's MemoryError reaches the caller through result(); the
+        # block loop used to run outside the guard and end in a traceback
+        set_block_rows(monkeypatch, 5)
+        draw, fills = simulator._draw, []
+
+        def fail_on_block_two(streams, out, scratch):
+            fills.append(out)
+            if len(fills) == 2:
+                raise MemoryError
+            return draw(streams, out, scratch)
+
+        monkeypatch.setattr(simulator, "_draw", fail_on_block_two)
+        with pytest.raises(fc.ModelValidationError,
+                           match=r"^R = 23: out of memory in the simulation \(\d+ MiB needed\)$"):
+            run_simple(drift_plant(), 0.7, None, np.ones(2), reps=23)
+        assert len(fills) == 2
 
     def test_out_of_memory_in_the_reductions_is_a_clean_error(self, monkeypatch):
         # the standard errors' temporaries grow with R too; running out of
@@ -453,7 +533,7 @@ class TestMemoryGuard:
         model = fc.build_system(TestStreamedTracking.scenario())
         point = (fc.symmetric_chain(0.6), None, fc.solve(model, 0.6))
         with pytest.raises(fc.ModelValidationError,
-                           match=r"R = 50: out of memory in keeping the per-replication results"):
+                           match=r"R = 50: out of memory in the simulation"):
             simulator.sweep(model, [point], fc.SimulationConfig(50), alpha=0.2)
 
 
@@ -691,9 +771,9 @@ class TestSweep:
         drawn = []
         draw = simulator._draw
 
-        def spy(streams, out):
+        def spy(streams, out, scratch):
             drawn.append(out[1].shape[2])
-            return draw(streams, out)
+            return draw(streams, out, scratch)
 
         monkeypatch.setattr(simulator, "_draw", spy)
         regime = fc.solve(model, 0.8, None, observation)
@@ -842,9 +922,9 @@ class TestPrefetch:
         assert simulator._blocks(23, 5)[-1] == (20, 23)
         fill, filled = simulator._fill, []
 
-        def keep(streams, draws):
+        def keep(streams, draws, scratch):
             filled.append(draws)
-            return fill(streams, draws)
+            return fill(streams, draws, scratch)
 
         monkeypatch.setattr(simulator, "_fill", keep)
         self.count_threads(monkeypatch)
@@ -906,10 +986,10 @@ class TestPrefetch:
         set_block_rows(monkeypatch, 5)
         draw = simulator._draw
 
-        def slow_fill(streams, out):
+        def slow_fill(streams, out, scratch):
             if threading.current_thread() is not threading.main_thread():
                 time.sleep(0.2)
-            return draw(streams, out)
+            return draw(streams, out, scratch)
 
         def fail(*args, **kwargs):
             raise RuntimeError("block failed")
@@ -926,15 +1006,15 @@ class TestPrefetch:
         set_block_rows(monkeypatch, 5)
         draw, fills = simulator._draw, []
 
-        def fail_on_block_two(streams, out):
+        def fail_on_block_two(streams, out, scratch):
             fills.append(threading.current_thread() is threading.main_thread())
             if len(fills) == 2:
-                raise MemoryError("block 2 fill")
-            return draw(streams, out)
+                raise RuntimeError("block 2 fill")
+            return draw(streams, out, scratch)
 
         monkeypatch.setattr(simulator, "_draw", fail_on_block_two)
         before = threading.active_count()
-        with pytest.raises(MemoryError, match="block 2 fill"):
+        with pytest.raises(RuntimeError, match="block 2 fill"):
             run_simple(model, 0.7, None, np.ones(2), reps=23)
         assert fills == [False, False]  # every fill on the worker
         assert threading.active_count() == before
@@ -964,11 +1044,11 @@ class TestFilterUpdate:
                 assert got.tobytes() == want.tobytes()
 
 
-def row_major_fill(streams, draws):
+def row_major_fill(streams, draws, scratch):
     """Drop-in for `simulator._fill` that draws a block replication-major,
-    in one contiguous call per substream, and hands it on viewed stage
-    first: the strided stage reads of the row-major draws the state-major
-    ones replaced."""
+    in one contiguous call per substream (so without the scratch), and
+    hands it on viewed stage first: the strided stage reads of the
+    row-major draws the state-major ones replaced."""
     whole = [np.empty((arr.shape[-1],) + arr.shape[:-1]) for arr in draws]
     return [np.moveaxis(arr, 0, -1) for arr in simulator._draw(streams, whole)]
 
